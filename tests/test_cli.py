@@ -78,6 +78,9 @@ class TestGolden:
          ("diagnostics", "--model", "M1", "M2", "M3", "M4")),
         ("diagnostics_multi.txt",
          ("diagnostics", "--model", "MM1", "MM2", "MM3", "MM4", "MM5")),
+        ("curves_mm3.csv",
+         ("curves", "--model", "MM3", "--y0=0.08,0.03", "--y0=-0.05,0.02")),
+        ("pca_mm1.csv", ("pca", "--model", "MM1")),
     ])
     def test_matches_golden(self, capsys, fname, argv):
         rc, out, _ = run(capsys, *argv)
