@@ -63,14 +63,12 @@ from .moments import (
     variance_autocov,
 )
 from .forward import (
-    ForwardLoadings,
     NonConvexSliceError,
     PcaDecomposition,
     default_grid,
     duplication_matrix,
     forward_min_envelope,
     forward_variance,
-    loadings,
     pca,
     pca_curves_csv,
 )

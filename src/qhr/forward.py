@@ -6,9 +6,16 @@ eta_t = (y_t; y_t (x) y_t):
     v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty),
     psi(s) = (e^{-A~ s})' g,   g = (2 beta; vec Gamma).
 
-This module evaluates the curve, splits it into its y-linear and y-quadratic
-parts to get the lower envelope over initial states, and diagonalizes the
-curve covariance into orthonormal factor curves.
+MomentSystem.psi is the single evaluator of the loading curve psi; every
+function here takes it over a whole grid of horizons at once.  This module
+evaluates the curve, splits it into its y-linear and y-quadratic parts to
+get the lower envelope over initial states, and diagonalizes the curve
+covariance into orthonormal factor curves.
+
+Rows of a grid are contracted one at a time with stacked matmuls
+((M @ x[..., None])[..., 0] and (a[..., None, :] @ b[..., None])[..., 0, 0]),
+which round exactly as the per-horizon products do; a single matrix-vector
+product over the grid would change last digits.
 """
 
 from __future__ import annotations
@@ -18,83 +25,78 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .moments import EtaState, NotStationaryError
+from .moments import EtaState, MomentSystem, NotStationaryError
 
 
 class NonConvexSliceError(ValueError):
     """The quadratic part of the forward slice is not bounded below."""
 
 
-@dataclass(frozen=True)
-class ForwardLoadings:
-    """Loading curve psi and its split into linear and quadratic parts."""
-
-    p: int
-    a_tilde: np.ndarray
-    g: np.ndarray
-
-    def psi(self, s):
-        return linalg.expm(-self.a_tilde * s).T @ self.g
-
-    def psi_y(self, s):
-        return self.psi(s)[:self.p]
-
-    def psi_q_mat(self, s):
-        """Quadratic loading as a symmetric p x p matrix.
-
-        The raw reshape need not be symmetric (q duplicates off-diagonal
-        coordinates); symmetrizing leaves the quadratic form unchanged."""
-        m = linalg.unvec(self.psi(s)[self.p:], self.p, self.p)
-        return 0.5 * (m + m.T)
+def _dot(a, b):
+    """Row-wise dot product a_i'b_i (b may be one vector for all rows)."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def loadings(sys):
-    return ForwardLoadings(p=sys.p, a_tilde=sys.a_tilde, g=sys.g)
+def _matvec(m, x):
+    """Row-wise product m_i x_i (m may be one matrix for all rows)."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _like(x, s):
+    """x, computed over the horizons np.atleast_1d(s), shaped like s: a
+    float for a scalar horizon."""
+    return float(x[0]) if np.ndim(s) == 0 else x
 
 
 def forward_variance(sys, eta, s):
-    """v_t(s) for a given state; at s=0 this equals sigma^2(y) exactly when
-    the state was formed from a path (q = y (x) y)."""
+    """v_t(s) for a given state, at a horizon or over a 1-D grid of them; at
+    s=0 this equals sigma^2(y) exactly when the state was formed from a path
+    (q = y (x) y)."""
     if not sys.stable:
         raise NotStationaryError("forward variance undefined: not stationary")
-    if s < 0:
-        raise ValueError("horizon must be nonnegative")
     vec = eta.vector if isinstance(eta, EtaState) else \
         np.asarray(eta, dtype=float).reshape(-1)
-    psi = loadings(sys).psi(s)
-    return sys.sigma2_infty + float(psi @ (vec - sys.eta_infty))
+    psi = sys.psi(np.atleast_1d(s))
+    return _like(sys.sigma2_infty + _dot(psi, vec - sys.eta_infty), s)
 
 
 def forward_min_envelope(sys, s):
     """Zero-state curve v0(s) and the minimum of v_t(s) over all spot states
-    y (with q = y (x) y).
+    y (with q = y (x) y), at a horizon or over a 1-D grid of them.
 
     The slice is v0 + y'psi_y + y'Psi_Q y; for Psi_Q psd the minimum is
     v0 - psi_y' Psi_Q^+ psi_y / 4, using the pseudo-inverse when Psi_Q is
     singular.  A negative eigenvalue, or a psi_y component outside the range
-    of Psi_Q, makes the slice unbounded below."""
+    of Psi_Q, makes the slice unbounded below; the error names the first
+    such horizon."""
     if not sys.stable:
         raise NotStationaryError("envelope undefined: not stationary")
-    if s < 0:
-        raise ValueError("horizon must be nonnegative")
-    ld = loadings(sys)
-    psi = ld.psi(s)
-    v0 = sys.sigma2_infty - float(psi @ sys.eta_infty)
-    psi_y = psi[:sys.p]
-    q_mat = linalg.unvec(psi[sys.p:], sys.p, sys.p)
-    q_mat = 0.5 * (q_mat + q_mat.T)
+    p = sys.p
+    grid = np.atleast_1d(np.asarray(s, dtype=float))
+    psi = sys.psi(grid)
+    v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty)
+    psi_y = psi[:, :p]
+    # unvec of each row's q part, symmetrized: q duplicates off-diagonal
+    # coordinates, and symmetrizing leaves the quadratic form unchanged
+    q_mat = psi[:, p:].reshape(-1, p, p).swapaxes(1, 2)
+    q_mat = 0.5 * (q_mat + q_mat.swapaxes(1, 2))
     eig = np.linalg.eigvalsh(q_mat)
-    scale = max(np.abs(eig).max(), 1e-300)
-    if eig.min() < -1e-10 * max(scale, 1.0):
-        raise NonConvexSliceError(
-            f"quadratic loading indefinite at s={s}: min eig {eig.min():.3e}")
+    scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
+    indefinite = eig.min(axis=1) < -1e-10 * np.maximum(scale, 1.0)
     q_pinv = np.linalg.pinv(q_mat, rcond=1e-10)
-    resid = np.linalg.norm(q_mat @ (q_pinv @ psi_y) - psi_y)
-    if resid > 1e-6 * max(np.linalg.norm(psi_y), 1e-300):
+    resid = np.linalg.norm(_matvec(q_mat, _matvec(q_pinv, psi_y)) - psi_y,
+                           axis=1)
+    escapes = resid > 1e-6 * np.maximum(np.linalg.norm(psi_y, axis=1), 1e-300)
+    for i in np.flatnonzero(indefinite | escapes)[:1]:
+        if indefinite[i]:
+            raise NonConvexSliceError(
+                f"quadratic loading indefinite at s={grid[i]}: "
+                f"min eig {eig[i].min():.3e}")
         raise NonConvexSliceError(
-            f"linear loading escapes the quadratic range at s={s}")
-    v_min = v0 - 0.25 * float(psi_y @ q_pinv @ psi_y)
-    return v0, v_min
+            f"linear loading escapes the quadratic range at s={grid[i]}")
+    v_min = v0 - 0.25 * ((psi_y[:, None, :] @ q_pinv)
+                         @ psi_y[:, :, None])[:, 0, 0]
+    return _like(v0, s), _like(v_min, s)
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +123,19 @@ class PcaDecomposition:
     factor_curves(t) returns u(t) with Cov(v(s1), v(s2)) = u(s1)' diag(
     eigenvalues) u(s2) and integral of u u' over [0, inf) equal to the
     identity.  f_matrix and r_factor are the (reduced) accumulated loading
-    Gram matrix and its rank-revealing Cholesky factor."""
+    Gram matrix and its rank-revealing Cholesky factor; projection maps
+    psi(t) to u(t)."""
 
     eigenvalues: np.ndarray
-    factor_curves: object
     rank: int
     f_matrix: np.ndarray
     r_factor: np.ndarray
+    projection: np.ndarray
+    system: MomentSystem
+
+    def factor_curves(self, t):
+        """u(t) at a horizon, or one row per horizon of a 1-D grid."""
+        return _matvec(self.projection, self.system.psi(t))
 
 
 def pca(sys, omega_mat, tol=1e-10):
@@ -163,14 +171,10 @@ def pca(sys, omega_mat, tol=1e-10):
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    project = vecs.T @ r_pinv @ reduce_psi
-    a_tilde, g = sys.a_tilde, sys.g
-
-    def factor_curves(t):
-        return project @ (linalg.expm(-a_tilde * t).T @ g)
-
-    return PcaDecomposition(eigenvalues=vals, factor_curves=factor_curves,
-                            rank=rank, f_matrix=f_red, r_factor=r)
+    return PcaDecomposition(eigenvalues=vals, rank=rank, f_matrix=f_red,
+                            r_factor=r,
+                            projection=vecs.T @ r_pinv @ reduce_psi,
+                            system=sys)
 
 
 def default_grid(points=200, start=1e-3, end=5.0):
@@ -191,9 +195,9 @@ def pca_curves_csv(dec, grid):
         lines.append(f"# component {i} variance = {v:.17g}")
     cols = ["t"] + [f"pc{i}" for i in range(1, len(dec.eigenvalues) + 1)]
     lines.append(",".join(cols))
-    scale = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    for t in grid:
-        u = dec.factor_curves(t) * scale
+    scaled = dec.factor_curves(grid) * np.sqrt(np.maximum(dec.eigenvalues,
+                                                          0.0))
+    for t, u in zip(grid, scaled):
         row = [f"{t:.17g}"] + [f"{x:.17g}" for x in u]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

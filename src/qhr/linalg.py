@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 
 # Largest supported offset dimension p.  The full moment matrix has
-# p + p^2 + p^3 + p^4 rows, i.e. 1554 at the cap, which keeps every dense
-# operation (expm included) essentially free.
+# p + p^2 + p^3 + p^4 rows, i.e. 1554 at the cap.  At the cap a dense
+# operation on it is no longer cheap: on a 2-core machine building the
+# moment system takes about 1 s, and so does one conditional_moments call.
 DIM_CAP = 6
 
 
@@ -94,16 +95,21 @@ def build_kron_operators(lam, b, order=4, dim_cap=DIM_CAP):
                            c_k=tuple(c_k))
 
 
-def expm(a):
-    """Matrix exponential (scaling and squaring, Pade approximant).
+def expm(a, t=1.0):
+    """Matrix exponential e^{a t} (scaling and squaring, Pade approximant).
 
-    Handles non-diagonalizable input; raises OverflowError when the result
-    is not finite.
+    t is a scalar or a 1-D array of times; an array gives one matrix per
+    time, stacked along the leading axis.  Handles non-diagonalizable
+    input; raises OverflowError, naming the first such t, when a result is
+    not finite.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed")
+    t = np.asarray(t, dtype=float)
+    out = scipy.linalg.expm(a * t[..., None, None])
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    if not finite.all():
+        bad = np.atleast_1d(t)[~np.atleast_1d(finite)][0]
+        raise OverflowError(f"matrix exponential overflowed at t={bad}")
     return out
 
 

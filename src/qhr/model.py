@@ -151,8 +151,9 @@ class CanonicalModel:
 @dataclass(frozen=True)
 class Diagnostics:
     """Static per-model summary: variance floor, stationary level, excess
-    kurtosis, the two stability scalars and the slowest rates of the
-    second/third/fourth moment blocks."""
+    kurtosis, the two stability scalars, the slowest rates of the
+    second/third/fourth moment blocks and the whole second-block spectrum
+    (ascending real part)."""
 
     y_min: np.ndarray
     sigma_min: float
@@ -163,6 +164,7 @@ class Diagnostics:
     mu2: float
     mu3: float
     mu4: float
+    eig_block2: np.ndarray
 
 
 def validate(params):
@@ -398,10 +400,7 @@ def diagnostics(params):
     sys = moments.build_moment_system(params)
     summ = moments.stationary_summary(sys, params)
     y_min, sigma_min = variance_min(params)
-    mus = []
-    for blk in (sys.a_blocks[(2, 2)], sys.a_blocks[(3, 3)],
-                sys.a_blocks[(4, 4)]):
-        mus.append(float(linalg.eigenvalues(blk)[0].real))
+    mu2, mu3, mu4 = sys.block_eig_min
     return Diagnostics(
         y_min=y_min,
         sigma_min=sigma_min,
@@ -409,9 +408,10 @@ def diagnostics(params):
         kurt_infty=summ.kurt_infty,
         kappa=summ.kappa,
         kappa_tilde=summ.kappa_tilde,
-        mu2=mus[0],
-        mu3=mus[1],
-        mu4=mus[2],
+        mu2=mu2,
+        mu3=mu3,
+        mu4=mu4,
+        eig_block2=linalg.eigenvalues(sys.a_blocks[(2, 2)]),
     )
 
 

@@ -90,6 +90,30 @@ class MomentSystem:
         return self.params.alpha + float(
             self.g[self.p:] @ self.m_infty[self.block(2)])
 
+    @property
+    def kappa(self):
+        """kappa = gamma_vec' lambar^-1 bbar; the model is stationary only
+        if kappa < 1, and then sigma2_infty = alpha/(1-kappa)."""
+        bbar = np.kron(self.params.b, self.params.b)
+        return float(linalg.vec(self.params.gamma_mat)
+                     @ np.linalg.solve(self.ops.lambda_k[1], bbar))
+
+    def psi(self, s):
+        """Loading curve psi(s) = (e^{-A~ s})' g of the forward variance,
+        v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty).
+
+        s is a horizon or a 1-D array of horizons; an array gives one row
+        per horizon.  A negative horizon raises ValueError naming the first
+        one."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim > 1:
+            raise ValueError("horizons must be a scalar or a 1-D array")
+        negative = s[s < 0]
+        if negative.size:
+            raise ValueError(f"horizon must be nonnegative, got s={negative[0]}")
+        decay = linalg.expm(-self.a_tilde, s)
+        return (np.swapaxes(decay, -1, -2) @ self.g[:, None])[..., 0]
+
 
 def build_moment_system(params):
     """Assemble A, the source term and the stationary moments.
@@ -194,10 +218,7 @@ def stationary_summary(sys, params):
         bad = ", ".join(f"{e:.4g}" for e in sys.block_eig_min)
         raise NotStationaryError(
             f"moment blocks not all stable (smallest real parts: {bad})")
-    lambar = sys.ops.lambda_k[1]
-    bbar = np.kron(params.b, params.b)
-    gam_vec = linalg.vec(params.gamma_mat)
-    kappa = float(gam_vec @ np.linalg.solve(lambar, bbar))
+    kappa = sys.kappa
     if kappa >= 1.0:
         raise NotStationaryError(f"kappa = {kappa:.4g} >= 1")
     sigma2 = params.alpha / (1.0 - kappa)
@@ -267,15 +288,10 @@ def conditional_eta(sys, eta, s):
 
 def variance_autocov(sys, omega_mat, s):
     """Stationary autocovariance of the instantaneous variance at lag s:
-    Cov(sigma^2_{t+s}, sigma^2_t) = psi(s)' Omega g with
-    psi(s) = (e^{-A~s})'g."""
+    Cov(sigma^2_{t+s}, sigma^2_t) = psi(s)' Omega g, psi = MomentSystem.psi."""
     if not sys.stable:
         raise NotStationaryError("autocovariance undefined: not stationary")
-    if s < 0:
-        raise ValueError("lag must be nonnegative")
-    g = sys.g
-    psi = linalg.expm(-sys.a_tilde * s).T @ g
-    return float(psi @ omega_mat @ g)
+    return float(sys.psi(s) @ omega_mat @ sys.g)
 
 
 def squared_increment_mean(sys, r):
@@ -311,4 +327,4 @@ def squared_increment_autocov(sys, cov_eta_xi2, r, h):
         raise ValueError(f"cov_eta_xi2 must have length {n}")
     at = sys.a_tilde
     h_r = np.linalg.solve(at, (linalg.expm(at * r) - np.eye(n)) @ cov)
-    return float(sys.g @ linalg.expm(-at * h) @ h_r)
+    return float(sys.psi(h) @ h_r)

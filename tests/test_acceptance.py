@@ -292,16 +292,15 @@ def test_08_forward_curve_pca_identities():
     assert nonzero == 3, f"{nonzero} components with nonzero variance"
     # covariance reconstruction on a horizon grid
     grid = np.linspace(0.05, 3.0, 20)
-    load = forward.loadings(sys_)
-    psis = np.array([load.psi(s) for s in grid])
+    psis = sys_.psi(grid)
     cov = psis @ omega @ psis.T
-    curves = np.array([dec.factor_curves(s) for s in grid])
+    curves = dec.factor_curves(grid)
     recon = curves @ np.diag(vals) @ curves.T
     rel = np.abs(recon - cov).max() / np.abs(cov).max()
     assert rel < 1e-8, f"reconstruction error {rel:.2e}"
     # factor curves are orthonormal under the time integral
     ts = np.linspace(0.0, 30.0, 60_001)
-    u = np.array([dec.factor_curves(t) for t in ts])
+    u = dec.factor_curves(ts)
     gram = np.trapezoid(u[:, :, None] * u[:, None, :], ts, axis=0)
     off = np.abs(gram - np.eye(gram.shape[0])).max()
     assert off < 1e-3, f"orthonormality defect {off:.2e}"

@@ -66,22 +66,21 @@ class TestForwardVariance:
 
     def test_loading_curve_solves_adjoint_ode(self, systems):
         sys = systems["MM3"]
-        ld = forward.loadings(sys)
-        assert np.allclose(ld.psi(0.0), sys.g, atol=0)
+        assert np.allclose(sys.psi(0.0), sys.g, atol=0)
         s, h = 0.4, 1e-6
-        deriv = (ld.psi(s + h) - ld.psi(s - h)) / (2.0 * h)
-        assert np.allclose(deriv, -sys.a_tilde.T @ ld.psi(s),
+        deriv = (sys.psi(s + h) - sys.psi(s - h)) / (2.0 * h)
+        assert np.allclose(deriv, -sys.a_tilde.T @ sys.psi(s),
                            rtol=1e-6, atol=1e-10)
-
-    def test_quadratic_loading_symmetric(self, systems):
-        mat = forward.loadings(systems["MM5"]).psi_q_mat(0.7)
-        assert np.array_equal(mat, mat.T)
 
     def test_negative_horizon_rejected(self, systems):
         with pytest.raises(ValueError):
             forward.forward_variance(systems["M1"], np.zeros(2), -0.1)
         with pytest.raises(ValueError):
             forward.forward_min_envelope(systems["M1"], -0.1)
+        with pytest.raises(ValueError, match="s=-0.2"):
+            forward.forward_min_envelope(systems["MM3"], [0.1, -0.2, -0.3])
+        with pytest.raises(ValueError, match="s=-0.3"):
+            systems["MM3"].psi(np.array([0.0, -0.3]))
 
     def test_indefinite_slice_raises(self):
         params = model.ModelParams(lam=np.diag([1.0, 2.0]), b=[1.0, 1.0],
@@ -100,6 +99,41 @@ class TestForwardVariance:
         assert sys.stable
         with pytest.raises(forward.NonConvexSliceError, match="escapes"):
             forward.forward_min_envelope(sys, 0.0)
+
+
+class TestGridEvaluation:
+    """A grid of horizons gives exactly the per-horizon values, stacked."""
+
+    GRID = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40), [60.0]])
+
+    @pytest.mark.parametrize("name", ["M3", "MM1", "MM3", "MM5"])
+    def test_psi(self, systems, name):
+        sys = systems[name]
+        rows = sys.psi(self.GRID)
+        assert rows.shape == (self.GRID.size, sys.p + sys.p**2)
+        assert np.array_equal(rows, np.array([sys.psi(s) for s in self.GRID]))
+        assert sys.psi(np.zeros(0)).shape == (0, sys.p + sys.p**2)
+
+    @pytest.mark.parametrize("name", ["M3", "M4", "MM3", "MM5"])
+    def test_forward_variance_and_envelope(self, systems, name):
+        sys = systems[name]
+        eta = moments.EtaState.from_y(np.full(sys.p, 0.05))
+        v = forward.forward_variance(sys, eta, self.GRID)
+        assert np.array_equal(v, [forward.forward_variance(sys, eta, s)
+                                  for s in self.GRID])
+        v0, vmin = forward.forward_min_envelope(sys, self.GRID)
+        pointwise = np.array([forward.forward_min_envelope(sys, s)
+                              for s in self.GRID])
+        assert np.array_equal(np.column_stack([v0, vmin]), pointwise)
+        assert isinstance(forward.forward_variance(sys, eta, 0.5), float)
+        assert all(isinstance(x, float)
+                   for x in forward.forward_min_envelope(sys, 0.5))
+
+    @pytest.mark.parametrize("name", ["M3", "MM1", "MM5"])
+    def test_factor_curves(self, systems, omegas, name):
+        dec = forward.pca(systems[name], omegas[name])
+        assert np.array_equal(dec.factor_curves(self.GRID),
+                              [dec.factor_curves(t) for t in self.GRID])
 
 
 class TestDuplicationMatrix:
@@ -142,9 +176,8 @@ class TestPca:
             sys = systems[name]
             om = omegas[name]
             dec = forward.pca(sys, om)
-            ld = forward.loadings(sys)
             grid = np.geomspace(0.02, 3.0, 12)
-            psis = [ld.psi(t) for t in grid]
+            psis = [sys.psi(t) for t in grid]
             us = [dec.factor_curves(t) for t in grid]
             direct = np.array([[p1 @ om @ p2 for p2 in psis] for p1 in psis])
             recon = np.array([[u1 @ (dec.eigenvalues * u2) for u2 in us]
@@ -156,7 +189,7 @@ class TestPca:
         sys = systems["M3"]
         dec = forward.pca(sys, omegas["M3"])
         ts = np.linspace(0.0, 6.0, 6001)
-        u = np.array([dec.factor_curves(t) for t in ts])
+        u = dec.factor_curves(ts)
         gram = np.trapezoid(u[:, :, None] * u[:, None, :], ts, axis=0)
         assert np.abs(gram - np.eye(dec.rank)).max() < 1e-3
 

@@ -81,6 +81,14 @@ class TestExpm:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             linalg.expm(np.array([[1e6]]))
+        with pytest.raises(OverflowError, match="t=2000.0"):
+            linalg.expm(np.array([[1.0]]), [1.0, 2e3, 3e3])
+
+    def test_time_grid_stacks_single_exponentials(self, rng):
+        a = rng.standard_normal((4, 4))
+        ts = np.array([0.0, 0.3, 1.7])
+        assert np.array_equal(linalg.expm(a, ts),
+                              [linalg.expm(a * t) for t in ts])
 
 
 class TestEigenvalues:
