@@ -64,39 +64,43 @@ def forward_min_envelope(sys, s):
     """Zero-state curve v0(s) and the minimum of v_t(s) over all spot states
     y (with q = y (x) y), at a horizon or over a 1-D grid of them.
 
-    The slice is v0 + y'psi_y + y'Psi_Q y; for Psi_Q psd the minimum is
-    v0 - psi_y' Psi_Q^+ psi_y / 4, using the pseudo-inverse when Psi_Q is
-    singular.  A negative eigenvalue, or a psi_y component outside the range
-    of Psi_Q, makes the slice unbounded below; the error names the first
-    such horizon."""
+    The slice is v0 + y'psi_y + y'Psi_Q y.  With Psi_Q = V diag(mu) V' and
+    c = V'psi_y it separates into v0 + sum_k (c_k z_k + mu_k z_k^2), so for
+    Psi_Q psd the minimum is v0 - sum_k c_k^2 / (4 mu_k).  Eigenvalues at
+    or below cut = p eps max|mu| are rounding noise and carry no curvature.
+    A slice bounded below by 0 has c_k^2 <= 4 mu_k v0 in every direction,
+    so a dropped direction with c_k^2 > 4 cut v0 makes the slice unbounded
+    below, as does a negative eigenvalue; the error names the first such
+    horizon."""
     if not sys.stable:
         raise NotStationaryError("envelope undefined: not stationary")
     p = sys.p
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     psi = sys.psi(grid)
     v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty)
-    psi_y = psi[:, :p]
     # unvec of each row's q part, symmetrized: q duplicates off-diagonal
     # coordinates, and symmetrizing leaves the quadratic form unchanged
     q_mat = psi[:, p:].reshape(-1, p, p).swapaxes(1, 2)
     q_mat = 0.5 * (q_mat + q_mat.swapaxes(1, 2))
-    eig = np.linalg.eigvalsh(q_mat)
-    scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
-    indefinite = eig.min(axis=1) < -1e-10 * np.maximum(scale, 1.0)
-    q_pinv = np.linalg.pinv(q_mat, rcond=1e-10)
-    resid = np.linalg.norm(_matvec(q_mat, _matvec(q_pinv, psi_y)) - psi_y,
-                           axis=1)
-    escapes = resid > 1e-6 * np.maximum(np.linalg.norm(psi_y, axis=1), 1e-300)
-    for i in np.flatnonzero(indefinite | escapes)[:1]:
+    mu, vecs = np.linalg.eigh(q_mat)
+    c2 = _matvec(vecs.swapaxes(1, 2), psi[:, :p])**2
+    mu_abs = np.abs(mu).max(axis=1)
+    indefinite = mu.min(axis=1) < -1e-10 * np.maximum(mu_abs, 1.0)
+    cut = (p * np.finfo(float).eps * mu_abs)[:, None]
+    keep = mu > cut
+    escapes = np.any(~keep & (c2 > 4.0 * cut * np.maximum(v0, 0.0)[:, None]),
+                     axis=1)
+    bad = np.flatnonzero(indefinite | escapes)
+    if bad.size:
+        i = bad[0]
         if indefinite[i]:
             raise NonConvexSliceError(
                 f"quadratic loading indefinite at s={grid[i]}: "
-                f"min eig {eig[i].min():.3e}")
+                f"min eig {mu[i].min():.3e}")
         raise NonConvexSliceError(
             f"linear loading escapes the quadratic range at s={grid[i]}")
-    v_min = v0 - 0.25 * ((psi_y[:, None, :] @ q_pinv)
-                         @ psi_y[:, :, None])[:, 0, 0]
-    return _like(v0, s), _like(v_min, s)
+    depth = np.divide(c2, mu, out=np.zeros_like(mu), where=keep).sum(axis=1)
+    return _like(v0, s), _like(v0 - 0.25 * depth, s)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ def omegas(systems):
     return {name: moments.omega(sys) for name, sys in systems.items()}
 
 
+def _r4():
+    """Admissible, stationary rank-one model whose envelope slices near
+    s = 0.35 have a Psi_Q eigenvalue 4e-11 times the largest one."""
+    return model.rank_one(model.JordanSpec(((20, 2), (19, 1), (15, 1))),
+                          w=(0.03, 0.14, 0.02, 0.81), alpha=0.01,
+                          beta0=-0.08, gamma0=2.0)
+
+
 class TestForwardVariance:
     def test_zero_horizon_recovers_spot_variance(self, models, systems, rng):
         for name in ("M3", "MM3", "MM5"):
@@ -71,6 +79,29 @@ class TestForwardVariance:
         deriv = (sys.psi(s + h) - sys.psi(s - h)) / (2.0 * h)
         assert np.allclose(deriv, -sys.a_tilde.T @ sys.psi(s),
                            rtol=1e-6, atol=1e-10)
+
+    # references: psi(s) = e^{-A~'s} g, eta_infty and the minimum of the
+    # slice, all in 60-digit mpmath arithmetic from the same float inputs
+    @pytest.mark.parametrize("name,s,ref,rtol", [
+        ("R4", 0.35, 0.007216635246406006, 1e-8),
+        ("MM5", 0.004, 0.0025294898601923837, 1e-10),
+        ("MM3", 0.0013, 0.0025003654425424537, 1e-12),
+    ])
+    def test_envelope_matches_high_precision_reference(self, systems, name,
+                                                        s, ref, rtol):
+        sys = (moments.build_moment_system(_r4()) if name == "R4"
+               else systems[name])
+        _, vmin = forward.forward_min_envelope(sys, s)
+        assert vmin == pytest.approx(ref, rel=rtol)
+
+    def test_envelope_defined_on_nearly_singular_slices(self):
+        params = _r4()
+        sys = moments.build_moment_system(params)
+        grid = np.concatenate([[0.0], forward.default_grid()])
+        v0, vmin = forward.forward_min_envelope(sys, grid)
+        assert np.all(vmin <= v0)
+        assert vmin[0] == pytest.approx(model.variance_min(params)[1]**2,
+                                        rel=1e-8)
 
     def test_negative_horizon_rejected(self, systems):
         with pytest.raises(ValueError):
