@@ -223,8 +223,7 @@ def cmd_diagnostics(args):
             print(f"{label}: {exc}", file=sys.stderr)
             failed = True
             continue
-        eig2 = diag.eig_block2
-        eig_rows.append((label, eig2))
+        eig_rows.append((label, diag.eig_block2))
         if params.p == 1:
             rows_scalar.append([
                 label,
@@ -246,7 +245,8 @@ def cmd_diagnostics(args):
                 f"{diag.kurt_infty:.2f}",
             ])
         ymin_full = ";".join(_g(v) for v in diag.y_min)
-        eig_full = ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in eig2)
+        eig_full = ";".join(f"{v.real:.17g}{v.imag:+.17g}j"
+                            for v in diag.eig_block2)
         rows_csv.append(",".join([
             label, _g(diag.mu2), _g(diag.mu3), _g(diag.mu4), _g(diag.kappa),
             _g(diag.kappa_tilde), _g(diag.sigma_min), _g(diag.sigma_infty),
@@ -296,7 +296,6 @@ def cmd_curves(args):
     header += ["vol_forward", "vol_min"]
     lines = _provenance([params], args.seed)
     lines.append(",".join(header))
-    grid = np.asarray(grid, dtype=float)
     v0, vmin = forward.forward_min_envelope(sys_, grid)
     curves = [forward.forward_variance(sys_, moments.EtaState.from_y(y0),
                                        grid) for y0 in y0_list]

@@ -6,16 +6,10 @@ eta_t = (y_t; y_t (x) y_t):
     v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty),
     psi(s) = (e^{-A~ s})' g,   g = (2 beta; vec Gamma).
 
-MomentSystem.psi is the single evaluator of the loading curve psi; every
-function here takes it over a whole grid of horizons at once.  This module
-evaluates the curve, splits it into its y-linear and y-quadratic parts to
-get the lower envelope over initial states, and diagonalizes the curve
-covariance into orthonormal factor curves.
-
-Rows of a grid are contracted one at a time with stacked matmuls
-((M @ x[..., None])[..., 0] and (a[..., None, :] @ b[..., None])[..., 0, 0]),
-which round exactly as the per-horizon products do; a single matrix-vector
-product over the grid would change last digits.
+MomentSystem.psi is the single evaluator of psi.  This module evaluates the
+curve over whole grids of horizons, splits it into its y-linear and
+y-quadratic parts to get the lower envelope over initial states, and
+diagonalizes the curve covariance into orthonormal factor curves.
 """
 
 from __future__ import annotations
@@ -32,20 +26,17 @@ class NonConvexSliceError(ValueError):
     """The quadratic part of the forward slice is not bounded below."""
 
 
-def _dot(a, b):
-    """Row-wise dot product a_i'b_i (b may be one vector for all rows)."""
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
-
-
+# Grid rows are contracted one at a time by stacked matmuls, which round
+# exactly as the per-horizon products do; one gemv over the whole grid
+# would change last digits of the CLI output.
 def _matvec(m, x):
     """Row-wise product m_i x_i (m may be one matrix for all rows)."""
     return (m @ x[..., None])[..., 0]
 
 
-def _like(x, s):
-    """x, computed over the horizons np.atleast_1d(s), shaped like s: a
-    float for a scalar horizon."""
-    return float(x[0]) if np.ndim(s) == 0 else x
+def _dot(a, b):
+    """Row-wise dot product a_i'b_i (b may be one vector for all rows)."""
+    return _matvec(a[..., None, :], b)[..., 0]
 
 
 def forward_variance(sys, eta, s):
@@ -56,8 +47,8 @@ def forward_variance(sys, eta, s):
         raise NotStationaryError("forward variance undefined: not stationary")
     vec = eta.vector if isinstance(eta, EtaState) else \
         np.asarray(eta, dtype=float).reshape(-1)
-    psi = sys.psi(np.atleast_1d(s))
-    return _like(sys.sigma2_infty + _dot(psi, vec - sys.eta_infty), s)
+    v = sys.sigma2_infty + _dot(sys.psi(s), vec - sys.eta_infty)
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def forward_min_envelope(sys, s):
@@ -65,13 +56,11 @@ def forward_min_envelope(sys, s):
     y (with q = y (x) y), at a horizon or over a 1-D grid of them.
 
     The slice is v0 + y'psi_y + y'Psi_Q y.  With Psi_Q = V diag(mu) V' and
-    c = V'psi_y it separates into v0 + sum_k (c_k z_k + mu_k z_k^2), so for
-    Psi_Q psd the minimum is v0 - sum_k c_k^2 / (4 mu_k).  Eigenvalues at
-    or below cut = p eps max|mu| are rounding noise and carry no curvature.
-    A slice bounded below by 0 has c_k^2 <= 4 mu_k v0 in every direction,
-    so a dropped direction with c_k^2 > 4 cut v0 makes the slice unbounded
-    below, as does a negative eigenvalue; the error names the first such
-    horizon."""
+    c = V'psi_y its minimum is v0 - sum_k c_k^2 / (4 mu_k) over mu_k above
+    the rounding level cut = p eps max|mu|.  A slice bounded below by 0 has
+    c_k^2 <= 4 mu_k v0, so a dropped direction with c_k^2 > 4 cut v0, or a
+    negative eigenvalue, makes it unbounded below; the error names the
+    first such horizon."""
     if not sys.stable:
         raise NotStationaryError("envelope undefined: not stationary")
     p = sys.p
@@ -100,7 +89,8 @@ def forward_min_envelope(sys, s):
         raise NonConvexSliceError(
             f"linear loading escapes the quadratic range at s={grid[i]}")
     depth = np.divide(c2, mu, out=np.zeros_like(mu), where=keep).sum(axis=1)
-    return _like(v0, s), _like(v0 - 0.25 * depth, s)
+    v_min = v0 - 0.25 * depth
+    return (float(v0[0]), float(v_min[0])) if np.ndim(s) == 0 else (v0, v_min)
 
 
 # ---------------------------------------------------------------------------

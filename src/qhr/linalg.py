@@ -106,10 +106,9 @@ def expm(a, t=1.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     t = np.asarray(t, dtype=float)
     out = scipy.linalg.expm(a * t[..., None, None])
-    finite = np.isfinite(out).all(axis=(-2, -1))
-    if not finite.all():
-        bad = np.atleast_1d(t)[~np.atleast_1d(finite)][0]
-        raise OverflowError(f"matrix exponential overflowed at t={bad}")
+    bad = np.atleast_1d(t)[~np.isfinite(out).all(axis=(-2, -1)).reshape(-1)]
+    if bad.size:
+        raise OverflowError(f"matrix exponential overflowed at t={bad[0]}")
     return out
 
 

@@ -92,8 +92,7 @@ class MomentSystem:
 
     @property
     def kappa(self):
-        """kappa = gamma_vec' lambar^-1 bbar; the model is stationary only
-        if kappa < 1, and then sigma2_infty = alpha/(1-kappa)."""
+        """kappa = gamma_vec' lambar^-1 bbar (stationarity needs kappa < 1)."""
         bbar = np.kron(self.params.b, self.params.b)
         return float(linalg.vec(self.params.gamma_mat)
                      @ np.linalg.solve(self.ops.lambda_k[1], bbar))
