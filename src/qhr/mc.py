@@ -4,10 +4,26 @@
 
 with one shared Brownian driver.  Paths are generated in fixed blocks of
 4096, each block drawing from its own counter-based generator keyed by
-(seed, phase, block index), so results are bit-identical regardless of
-thread count or scheduling.  Antithetic pairing interleaves +Z/-Z partners
+(seed, phase, block index).  Antithetic pairing interleaves +Z/-Z partners
 as adjacent paths.  The integrated variance is tracked alongside x so the
 martingale part xi = x + ivar/2 is available exactly on the step grid.
+
+Each worker thread advances a super-block of up to 8 consecutive blocks,
+so every NumPy call in a step covers tens of thousands of paths and the
+threads overlap in native code.  Inside a super-block the state is held
+component-major, y with shape (p, n), and each step runs in preallocated
+buffers.  The partition into super-blocks depends on the thread count but
+the arithmetic per path does not: every block still fills its own slice
+of the normals from its own generator, and the contractions (Gamma' y,
+Lambda y and 2 beta' y through BLAS, the quadratic summed over components
+in order) round each path alike wherever it sits in a super-block.  A
+short final block keeps row-major contractions on its own, because BLAS
+rounds the ragged end of a short matrix differently.  For p <= 2 the
+results are bit-identical to a row-major step over each block alone
+(tests/test_mc.py keeps that step as the reference); for p >= 3 BLAS and
+einsum may order the contractions differently, and results differ from it
+at rounding level (a few 1e-16 relative), while staying bit-identical
+across thread counts.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ import numpy as np
 from .moments import NotStationaryError, build_moment_system
 
 _BLOCK = 4096
+_SUPER = 8
 _PHASE_MAIN = 0
 _PHASE_BURNIN = 1
 
@@ -115,9 +132,12 @@ def _block_rng(seed, phase, block):
 
 def _n_threads():
     env = os.environ.get("QHR_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    if not (env.isascii() and env.isdigit()) or int(env) < 1:
+        raise ConfigInvalidError(
+            f"QHR_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _resolve_y0(params, cfg):
@@ -148,51 +168,109 @@ def _check_cfg(cfg):
         raise ConfigInvalidError("horizon must be positive")
 
 
-def _euler_block(params, y, n_steps, dt, rng, antithetic, snap_rows, sinks,
-                 col):
-    """Advance one block of paths in place, writing snapshots into the
-    shared output arrays at column range col."""
-    nb = y.shape[0]
+def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
+                 sinks, col):
+    """Advance one super-block of paths in place, writing snapshots into
+    the shared output arrays at column range col.
+
+    y is component-major, shape (p, n), and rngs holds one generator per
+    sub-block of _BLOCK paths (the last may be shorter), in path order."""
+    p, nb = y.shape
     n_base = nb // 2 if antithetic else nb
     alpha = params.alpha
     beta2 = 2.0 * params.beta
     gam = params.gamma_mat
-    lam_t = params.lam.T
-    b = params.b
+    gam_t = gam.T
+    lam = params.lam
+    lam_t = lam.T
+    b = params.b[:, None]
     sqdt = math.sqrt(dt)
+    half = 0.5 * dt
     x = np.zeros(nb)
     ivar = np.zeros(nb)
+    sig2 = np.empty(nb)
+    quad = np.empty(nb)
+    shock = np.empty(nb)
+    tmp = np.empty(nb)
+    bad = np.empty(nb, dtype=bool)
+    z = np.empty(n_base)
+    zf = np.empty(nb) if antithetic else z
+    # sub-block i owns paths [i, i + 1) * _BLOCK and their share of z
+    per = _BLOCK // 2 if antithetic else _BLOCK
+    draws = [(rng, z[i * per:(i + 1) * per]) for i, rng in enumerate(rngs)]
+    gy = np.empty((p, nb))
+    ly = np.empty((p, nb))
+    # A short final sub-block keeps its own row-major contractions: BLAS
+    # rounds the ragged end of a short matrix differently from the same
+    # columns inside a long one.
+    tail = nb % _BLOCK
+    y_tail = np.empty((tail, p))
+    g_tail = np.empty((tail, p))
+    l_tail = np.empty((tail, p))
     floored = 0
     x_out, y_out, ivar_out = sinks
 
     def record(row):
         x_out[row, col] = x
-        y_out[row, col] = y
+        y_out[row, col] = y.T
         ivar_out[row, col] = ivar
 
     if 0 in snap_rows:
         record(snap_rows[0])
     for step in range(1, n_steps + 1):
-        sig2 = alpha + y @ beta2 + np.einsum("ij,ij->i", y @ gam, y)
-        bad = sig2 < 0.0
-        if bad.any():
-            floored += int(bad.sum())
-            sig2 = np.where(bad, 0.0, sig2)
-        sig = np.sqrt(sig2)
-        z = rng.standard_normal(n_base)
+        np.matmul(beta2, y, out=sig2)
+        np.matmul(gam_t, y, out=gy)
+        np.matmul(lam, y, out=ly)
+        if tail:
+            np.copyto(y_tail, y[:, nb - tail:].T)
+            np.matmul(y_tail, beta2, out=sig2[nb - tail:])
+            np.matmul(y_tail, gam, out=g_tail)
+            np.matmul(y_tail, lam_t, out=l_tail)
+            gy[:, nb - tail:] = g_tail.T
+            ly[:, nb - tail:] = l_tail.T
+        # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order
+        np.add(sig2, alpha, out=sig2)
+        np.multiply(gy[0], y[0], out=quad)
+        for k in range(1, p):
+            np.multiply(gy[k], y[k], out=tmp)
+            np.add(quad, tmp, out=quad)
+        np.add(sig2, quad, out=sig2)
+        np.less(sig2, 0.0, out=bad)
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad:
+            floored += n_bad
+            np.copyto(sig2, 0.0, where=bad)
+        for rng, zb in draws:
+            rng.standard_normal(out=zb)
+        # shock = sig * (sqrt(dt) z); scaling before the +z/-z interleave
+        # is exact
+        np.multiply(z, sqdt, out=z)
         if antithetic:
-            zf = np.empty(nb)
             zf[0::2] = z
-            zf[1::2] = -z
-        else:
-            zf = z
-        shock = sig * (sqdt * zf)
-        x += shock - (0.5 * dt) * sig2
-        ivar += dt * sig2
-        y += shock[:, None] * b - (y @ lam_t) * dt
+            np.negative(z, out=zf[1::2])
+        np.sqrt(sig2, out=shock)
+        np.multiply(shock, zf, out=shock)
+        np.multiply(sig2, half, out=tmp)
+        np.subtract(shock, tmp, out=tmp)
+        np.add(x, tmp, out=x)
+        np.multiply(sig2, dt, out=tmp)
+        np.add(ivar, tmp, out=ivar)
+        # y += b shock - (lam y) dt
+        np.multiply(ly, dt, out=ly)
+        np.multiply(b, shock, out=gy)
+        np.subtract(gy, ly, out=gy)
+        np.add(y, gy, out=y)
         if step in snap_rows:
             record(snap_rows[step])
     return floored
+
+
+def _super_blocks(n_blocks, threads):
+    """Contiguous runs of sub-block indices, threads * ceil(n_blocks /
+    (threads * _SUPER)) of them (empty runs dropped), so each holds at most
+    _SUPER sub-blocks and every thread gets at least one when it can."""
+    count = threads * -(-n_blocks // (threads * _SUPER))
+    return [r for r in np.array_split(np.arange(n_blocks), count) if r.size]
 
 
 def _run(params, cfg, probes, phase, y0_all):
@@ -216,22 +294,23 @@ def _run(params, cfg, probes, phase, y0_all):
              np.empty((len(ordered), n, p)),
              np.empty((len(ordered), n)))
 
-    blocks = range((n + _BLOCK - 1) // _BLOCK)
+    threads = _n_threads()
+    supers = _super_blocks((n + _BLOCK - 1) // _BLOCK, threads)
 
-    def work(bi):
-        lo = bi * _BLOCK
-        hi = min(lo + _BLOCK, n)
-        rng = _block_rng(cfg.seed, phase, bi)
-        yb = y0_all[lo:hi].copy()
-        return _euler_block(params, yb, n_steps, dt, rng, cfg.antithetic,
+    def work(blocks):
+        lo = int(blocks[0]) * _BLOCK
+        hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
+        rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
+        yb = np.ascontiguousarray(y0_all[lo:hi].T)
+        return _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
                             snap_rows, sinks, slice(lo, hi))
 
-    workers = min(_n_threads(), len(blocks))
+    workers = min(threads, len(supers))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            floored = sum(pool.map(work, blocks))
+            floored = sum(pool.map(work, supers))
     else:
-        floored = sum(map(work, blocks))
+        floored = sum(map(work, supers))
 
     return PathBatch(params=params, times=times, x=sinks[0], y=sinks[1],
                      ivar=sinks[2], antithetic=cfg.antithetic, seed=cfg.seed,

@@ -283,6 +283,14 @@ class TestMonteCarloCommands:
         assert rc == 2
         assert "cannot parse eps" in err
 
+    def test_bad_threads_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("QHR_THREADS", "two")
+        rc, out, err = run(capsys, "simulate", "--model", "M1",
+                           "--paths", "100", "--grid", "0.1")
+        assert rc == 1
+        assert out == ""
+        assert "QHR_THREADS must be a positive integer, got 'two'" in err
+
     def test_bad_y0_vector(self, capsys):
         rc, _, err = run(capsys, "simulate", "--model", "M1",
                          "--paths", "100", "--grid", "0.1",

@@ -42,6 +42,112 @@ def chain_m24(sp, dt, n_steps):
     return m2, m4
 
 
+def reference_euler_block(params, y, n_steps, dt, rng, antithetic, snap_rows,
+                          sinks, col):
+    """Row-major Euler step over one block of paths, kept verbatim from the
+    engine before super-blocks: the arithmetic mc._euler_block reproduces."""
+    nb = y.shape[0]
+    n_base = nb // 2 if antithetic else nb
+    alpha = params.alpha
+    beta2 = 2.0 * params.beta
+    gam = params.gamma_mat
+    lam_t = params.lam.T
+    b = params.b
+    sqdt = math.sqrt(dt)
+    x = np.zeros(nb)
+    ivar = np.zeros(nb)
+    floored = 0
+    x_out, y_out, ivar_out = sinks
+
+    def record(row):
+        x_out[row, col] = x
+        y_out[row, col] = y
+        ivar_out[row, col] = ivar
+
+    if 0 in snap_rows:
+        record(snap_rows[0])
+    for step in range(1, n_steps + 1):
+        sig2 = alpha + y @ beta2 + np.einsum("ij,ij->i", y @ gam, y)
+        bad = sig2 < 0.0
+        if bad.any():
+            floored += int(bad.sum())
+            sig2 = np.where(bad, 0.0, sig2)
+        sig = np.sqrt(sig2)
+        z = rng.standard_normal(n_base)
+        if antithetic:
+            zf = np.empty(nb)
+            zf[0::2] = z
+            zf[1::2] = -z
+        else:
+            zf = z
+        shock = sig * (sqdt * zf)
+        x += shock - (0.5 * dt) * sig2
+        ivar += dt * sig2
+        y += shock[:, None] * b - (y @ lam_t) * dt
+        if step in snap_rows:
+            record(snap_rows[step])
+    return floored
+
+
+def reference_simulate(params, cfg, probes):
+    """(x, y, ivar, floored_steps) from reference_euler_block run serially
+    over the _BLOCK-path blocks, each on its own substream."""
+    n_steps = int(round(cfg.horizon * cfg.steps_per_year))
+    steps = sorted({int(round(t * cfg.steps_per_year)) for t in probes}
+                   | {n_steps})
+    snap_rows = {s: i for i, s in enumerate(steps)}
+    n, p = cfg.n_paths, params.p
+    sinks = (np.empty((len(steps), n)), np.empty((len(steps), n, p)),
+             np.empty((len(steps), n)))
+    y0 = np.tile(np.asarray(cfg.y0, dtype=float), (n, 1))
+    floored = 0
+    for lo in range(0, n, mc._BLOCK):
+        hi = min(lo + mc._BLOCK, n)
+        rng = mc._block_rng(cfg.seed, mc._PHASE_MAIN, lo // mc._BLOCK)
+        floored += reference_euler_block(
+            params, y0[lo:hi].copy(), n_steps, 1.0 / cfg.steps_per_year, rng,
+            cfg.antithetic, snap_rows, sinks, slice(lo, hi))
+    return sinks + (floored,)
+
+
+class TestKernelMatchesRowMajorReference:
+    # a partial last block; three threads split the ten blocks 4/3/3
+    N_PATHS = 9 * mc._BLOCK + 2
+
+    def _compare(self, params, antithetic, threads, monkeypatch):
+        monkeypatch.setenv("QHR_THREADS", threads)
+        cfg = mc.McConfig(n_paths=self.N_PATHS, horizon=0.1, seed=31,
+                          steps_per_year=100, antithetic=antithetic,
+                          y0=np.full(params.p, 0.02))
+        batch = mc.simulate(params, cfg, probes=[0.0, 0.05])
+        ref = reference_simulate(params, cfg, [0.0, 0.05])
+        got = (batch.x, batch.y, batch.ivar, batch.floored_steps)
+        return got, ref
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["M3", "MM3", "MM5"])
+    def test_bit_identical_for_p_up_to_two(self, models, name, antithetic,
+                                           threads, monkeypatch):
+        got, ref = self._compare(models[name], antithetic, threads,
+                                 monkeypatch)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_three_factors_agree_to_rounding(self, antithetic, monkeypatch):
+        # for p >= 3 BLAS and einsum may order the contractions differently
+        # from the component-major sums; 10 steps of double rounding on
+        # values of order 0.1 stay far inside 1e-12 of the largest entry
+        params = model.rank_one(model.JordanSpec(((12, 1), (4, 1), (1, 1))),
+                                w=(0.5, 0.3, 0.2), alpha=0.01, beta0=-0.1,
+                                gamma0=1.0)
+        got, ref = self._compare(params, antithetic, "3", monkeypatch)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+        assert got[3] == ref[3]
+
+
 class TestDeterminism:
     def test_same_seed_same_paths(self, models):
         cfg = mc.McConfig(n_paths=512, horizon=0.3, seed=77,
@@ -63,15 +169,49 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_results(self, models,
                                                   monkeypatch):
-        # 10k paths spans three worker blocks
-        cfg = mc.McConfig(n_paths=10_000, horizon=0.2, seed=5,
+        # 10k paths spans three 4096-path blocks; the negative-variance
+        # model floors every path on step one
+        cases = [(models["MM3"], True, None), (models["MM3"], False, None),
+                 (scalar_model(1.0, 0.01, -0.3, 2.0), True, [0.15])]
+        for params, antithetic, y0 in cases:
+            cfg = mc.McConfig(n_paths=10_000, horizon=0.2, seed=5,
+                              steps_per_year=50, antithetic=antithetic,
+                              y0=y0)
+            runs = []
+            for threads in ("1", "2", "3", "4"):
+                monkeypatch.setenv("QHR_THREADS", threads)
+                runs.append(mc.simulate(params, cfg))
+            serial = runs[0]
+            for threaded in runs[1:]:
+                assert np.array_equal(serial.x, threaded.x)
+                assert np.array_equal(serial.y, threaded.y)
+                assert np.array_equal(serial.ivar, threaded.ivar)
+                assert serial.floored_steps == threaded.floored_steps
+        assert serial.floored_steps >= 10_000
+
+    @pytest.mark.parametrize("value", ["x", "0", "-3", "1.5", ""])
+    def test_threads_setting_must_be_positive_integer(self, models,
+                                                      monkeypatch, value):
+        cfg = mc.McConfig(n_paths=100, horizon=0.1, seed=1,
                           steps_per_year=50)
-        monkeypatch.setenv("QHR_THREADS", "1")
-        serial = mc.simulate(models["MM3"], cfg)
-        monkeypatch.setenv("QHR_THREADS", "4")
-        threaded = mc.simulate(models["MM3"], cfg)
-        assert np.array_equal(serial.x, threaded.x)
-        assert np.array_equal(serial.y, threaded.y)
+        monkeypatch.setenv("QHR_THREADS", value)
+        if value == "":
+            # empty means unset: the default thread count
+            assert mc.simulate(models["M1"], cfg).n_paths == 100
+            return
+        with pytest.raises(mc.ConfigInvalidError, match=repr(value)):
+            mc.simulate(models["M1"], cfg)
+
+    def test_super_blocks_partition_the_blocks(self):
+        assert [len(r) for r in mc._super_blocks(25, 2)] == [7, 6, 6, 6]
+        assert [len(r) for r in mc._super_blocks(4, 2)] == [2, 2]
+        assert [len(r) for r in mc._super_blocks(1, 3)] == [1]
+        for n_blocks in (1, 7, 16, 17, 100):
+            for threads in (1, 2, 3, 8):
+                runs = mc._super_blocks(n_blocks, threads)
+                assert np.array_equal(np.concatenate(runs),
+                                      np.arange(n_blocks))
+                assert max(len(r) for r in runs) <= mc._SUPER
 
 
 class TestExactChainIdentities:
