@@ -3,8 +3,10 @@
 Subcommands map onto the library layers: validate / diagnostics inspect a
 model file, curves / pca / density are deterministic analytics, and smile /
 atm / simulate run the Monte Carlo engine.  CSV output carries a provenance
-header (package version, model hash, seed) and full-precision numbers;
-table output rounds the way the reference tables do.
+header (package version, model hash, seed; for the Monte Carlo commands
+also the path count, steps per year and starting state) and
+full-precision numbers; table output rounds the way the reference tables
+do.
 
 Exit codes: 0 success, 1 invalid or non-stationary model (or a numerical
 failure downstream), 2 usage or parse errors.
@@ -353,6 +355,17 @@ def _mc_config(args, horizon):
                        steps_per_year=args.steps_per_year)
 
 
+def _mc_provenance(args, y0):
+    if y0 is None:
+        start = "-"
+    elif isinstance(y0, mc.StationaryInit):
+        start = "stationary"
+    else:
+        start = ",".join(_g(v) for v in y0)
+    return (f"# paths {args.paths} steps_per_year {args.steps_per_year} "
+            f"y0 {start}")
+
+
 def cmd_smile(args):
     params = _load_params(args.model)
     keyed = _parse_keyed_grid(args.grid) if args.grid else {}
@@ -361,7 +374,8 @@ def cmd_smile(args):
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=tuple(ells))
     cfg = _mc_config(args, float(np.max(mats)))
-    surf = pricing.price_options(params, _resolve_y0(args.y0), grid, cfg)
+    y0 = _resolve_y0(args.y0)
+    surf = pricing.price_options(params, y0, grid, cfg)
     surf = pricing.with_implied_vols(surf)
     if args.format == "table":
         headers = ["log-moneyness"] + [f"T={t:.4g}" for t in surf.maturities]
@@ -375,6 +389,7 @@ def cmd_smile(args):
         _emit(_table(headers, rows), args.out)
         return 0
     lines = _provenance([params], args.seed)
+    lines.append(_mc_provenance(args, y0))
     for i, t in enumerate(surf.maturities):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
@@ -399,9 +414,11 @@ def cmd_atm(args):
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=(-eps, 0.0, eps))
     cfg = _mc_config(args, float(np.max(mats)))
-    surf = pricing.price_options(params, _resolve_y0(args.y0), grid, cfg)
+    y0 = _resolve_y0(args.y0)
+    surf = pricing.price_options(params, y0, grid, cfg)
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
     lines = _provenance([params], args.seed)
+    lines.append(_mc_provenance(args, y0))
     lines.append(f"# eps {_g(eps)}")
     lines.append("maturity,atm_vol,atm_skew")
     for i, t in enumerate(surf.maturities):
@@ -419,8 +436,8 @@ def cmd_simulate(args):
                       y0=_resolve_y0(args.y0))
     batch = mc.simulate(params, cfg, probes=list(probes))
     lines = _provenance([params], args.seed)
-    lines.append(f"# paths {batch.n_paths} steps_per_year "
-                 f"{args.steps_per_year} floored_steps {batch.floored_steps}")
+    lines.append(_mc_provenance(args, cfg.y0)
+                 + f" floored_steps {batch.floored_steps}")
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
                  f"se_sigma2,{ycols}")

@@ -206,6 +206,7 @@ class TestMonteCarloCommands:
                          "--grid", "T=0.25;L=-0.1,0.0,0.1")
         assert rc == 0
         lines = out.splitlines()
+        assert "# paths 2000 steps_per_year 40 y0 -" in lines
         assert any(l.startswith("# forward T=") for l in lines)
         header = "maturity,log_moneyness,call,call_se,put,put_se,ivol"
         assert header in lines
@@ -230,6 +231,7 @@ class TestMonteCarloCommands:
                          "--grid", "T=0.25,0.5;eps=0.02")
         assert rc == 0
         lines = out.splitlines()
+        assert "# paths 2000 steps_per_year 50 y0 -" in lines
         assert "# eps 0.02" in lines
         header_i = lines.index("maturity,atm_vol,atm_skew")
         body = lines[header_i + 1:]
@@ -246,8 +248,8 @@ class TestMonteCarloCommands:
         assert rc == 0
         lines = out.splitlines()
         assert "# seed 99" in lines
-        assert any(l.startswith("# paths 500 steps_per_year 50") for l in
-                   lines)
+        assert any(l.startswith("# paths 500 steps_per_year 50 y0 - "
+                                "floored_steps ") for l in lines)
         header = [l for l in lines if l.startswith("t,")][0]
         assert header.endswith("mean_y1,mean_y2")
         body = lines[lines.index(header) + 1:]
@@ -258,6 +260,18 @@ class TestMonteCarloCommands:
                          "--paths", "200", "--steps-per-year", "50",
                          "--grid", "0.1", "--y0", "stationary")
         assert rc == 0
+        assert any(l.startswith("# paths 200 steps_per_year 50 y0 "
+                                "stationary ") for l in out.splitlines())
+
+    @pytest.mark.parametrize("command", ["smile", "atm"])
+    def test_provenance_names_start_state(self, capsys, command):
+        argv = (command, "--model", "M3", "--paths", "200",
+                "--steps-per-year", "20", "--grid", "T=0.25")
+        _, out, _ = run(capsys, *argv, "--y0=-0.0625")
+        assert "# paths 200 steps_per_year 20 y0 -0.0625" in out.splitlines()
+        _, out, _ = run(capsys, *argv, "--y0", "stationary")
+        assert ("# paths 200 steps_per_year 20 y0 stationary"
+                in out.splitlines())
 
     def test_mc_rerun_is_byte_identical(self, capsys):
         argv = ("simulate", "--model", "M3", "--paths", "400",
