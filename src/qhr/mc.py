@@ -183,30 +183,28 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     gam_t = gam.T
     lam = params.lam
     lam_t = lam.T
-    b = params.b[:, None]
+    b = params.b
     sqdt = math.sqrt(dt)
     half = 0.5 * dt
     x = np.zeros(nb)
     ivar = np.zeros(nb)
     sig2 = np.empty(nb)
-    quad = np.empty(nb)
     shock = np.empty(nb)
     tmp = np.empty(nb)
     bad = np.empty(nb, dtype=bool)
-    z = np.empty(n_base)
-    zf = np.empty(nb) if antithetic else z
+    # normals land in shock directly unless they are interleaved into it
+    z = np.empty(n_base) if antithetic else shock
     # sub-block i owns paths [i, i + 1) * _BLOCK and their share of z
     per = _BLOCK // 2 if antithetic else _BLOCK
     draws = [(rng, z[i * per:(i + 1) * per]) for i, rng in enumerate(rngs)]
-    gy = np.empty((p, nb))
-    ly = np.empty((p, nb))
+    # Gamma' y, then Lambda y
+    contracted = np.empty((p, nb))
     # A short final sub-block keeps its own row-major contractions: BLAS
     # rounds the ragged end of a short matrix differently from the same
     # columns inside a long one.
     tail = nb % _BLOCK
     y_tail = np.empty((tail, p))
-    g_tail = np.empty((tail, p))
-    l_tail = np.empty((tail, p))
+    c_tail = np.empty((tail, p))
     floored = 0
     x_out, y_out, ivar_out = sinks
 
@@ -215,51 +213,55 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
         y_out[row, col] = y.T
         ivar_out[row, col] = ivar
 
+    def contract(mat, mat_row_major):
+        np.matmul(mat, y, out=contracted)
+        if tail:
+            np.matmul(y_tail, mat_row_major, out=c_tail)
+            contracted[:, nb - tail:] = c_tail.T
+
     if 0 in snap_rows:
         record(snap_rows[0])
     for step in range(1, n_steps + 1):
+        # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order, with
+        # the quadratic summed over components in shock
         np.matmul(beta2, y, out=sig2)
-        np.matmul(gam_t, y, out=gy)
-        np.matmul(lam, y, out=ly)
         if tail:
             np.copyto(y_tail, y[:, nb - tail:].T)
             np.matmul(y_tail, beta2, out=sig2[nb - tail:])
-            np.matmul(y_tail, gam, out=g_tail)
-            np.matmul(y_tail, lam_t, out=l_tail)
-            gy[:, nb - tail:] = g_tail.T
-            ly[:, nb - tail:] = l_tail.T
-        # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order
         np.add(sig2, alpha, out=sig2)
-        np.multiply(gy[0], y[0], out=quad)
+        contract(gam_t, gam)
+        np.multiply(contracted[0], y[0], out=shock)
         for k in range(1, p):
-            np.multiply(gy[k], y[k], out=tmp)
-            np.add(quad, tmp, out=quad)
-        np.add(sig2, quad, out=sig2)
+            np.multiply(contracted[k], y[k], out=tmp)
+            np.add(shock, tmp, out=shock)
+        np.add(sig2, shock, out=sig2)
         np.less(sig2, 0.0, out=bad)
         n_bad = int(np.count_nonzero(bad))
         if n_bad:
             floored += n_bad
             np.copyto(sig2, 0.0, where=bad)
-        for rng, zb in draws:
-            rng.standard_normal(out=zb)
         # shock = sig * (sqrt(dt) z); scaling before the +z/-z interleave
         # is exact
+        for rng, zb in draws:
+            rng.standard_normal(out=zb)
         np.multiply(z, sqdt, out=z)
         if antithetic:
-            zf[0::2] = z
-            np.negative(z, out=zf[1::2])
-        np.sqrt(sig2, out=shock)
-        np.multiply(shock, zf, out=shock)
+            shock[0::2] = z
+            np.negative(z, out=shock[1::2])
+        np.sqrt(sig2, out=tmp)
+        np.multiply(tmp, shock, out=shock)
         np.multiply(sig2, half, out=tmp)
         np.subtract(shock, tmp, out=tmp)
         np.add(x, tmp, out=x)
         np.multiply(sig2, dt, out=tmp)
         np.add(ivar, tmp, out=ivar)
-        # y += b shock - (lam y) dt
-        np.multiply(ly, dt, out=ly)
-        np.multiply(b, shock, out=gy)
-        np.subtract(gy, ly, out=gy)
-        np.add(y, gy, out=y)
+        # y += b shock - (Lambda y) dt, one component at a time
+        contract(lam, lam_t)
+        np.multiply(contracted, dt, out=contracted)
+        for k in range(p):
+            np.multiply(shock, b[k], out=tmp)
+            np.subtract(tmp, contracted[k], out=tmp)
+            np.add(y[k], tmp, out=y[k])
         if step in snap_rows:
             record(snap_rows[step])
     return floored
@@ -301,7 +303,7 @@ def _run(params, cfg, probes, phase, y0_all):
         lo = int(blocks[0]) * _BLOCK
         hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
         rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
-        yb = np.ascontiguousarray(y0_all[lo:hi].T)
+        yb = y0_all[lo:hi].T.copy()
         return _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
                             snap_rows, sinks, slice(lo, hi))
 
