@@ -57,7 +57,18 @@ class MomentSystem:
     a_blocks maps (row, col) 1-based block indices to the nonzero blocks of
     A; a_full is the stacked (p+p^2+p^3+p^4) square matrix, source the
     constant term, m_infty the stationary point and a_tilde the top-left
-    (p+p^2) square sub-matrix governing eta."""
+    (p+p^2) square sub-matrix governing eta.
+
+    The moments E[y^(x)k] are symmetric tensors, so they live in the
+    symmetric subspace S, one coordinate per orbit of index tuples
+    (linalg.symmetric_orbits): 209 rows instead of 1554 at p = 6.  A maps S
+    into itself, and a_sym is its restriction, a_full @ D = D @ a_sym with
+    D the duplication map.  sym_rep holds the stacked index of each orbit's
+    representative (m[sym_rep] are the S coordinates of a symmetric m) and
+    sym_inv the orbit of each stacked index (x[sym_inv] spreads them back).
+    block_eig_min (mu_2..mu_4) and stable come from the diagonal blocks of
+    a_sym: they describe A where the moments live, not how B_(k) acts on
+    non-symmetric tensors."""
 
     p: int
     params: object
@@ -67,6 +78,9 @@ class MomentSystem:
     source: np.ndarray
     m_infty: np.ndarray
     a_tilde: np.ndarray
+    a_sym: np.ndarray
+    sym_rep: np.ndarray
+    sym_inv: np.ndarray
     block_offsets: tuple
     stable: bool
     block_eig_min: tuple
@@ -139,9 +153,7 @@ def build_moment_system(params):
     sizes = [p, p**2, p**3, p**4]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n = offsets[-1]
-    a_full = np.zeros((n, n))
-    for (i, j), blk in blocks.items():
-        a_full[offsets[i - 1]:offsets[i], offsets[j - 1]:offsets[j]] = blk
+    a_full = _stack(blocks, offsets)
 
     source = np.zeros(n)
     source[offsets[1]:offsets[2]] = alpha * bbar
@@ -159,8 +171,17 @@ def build_moment_system(params):
     if not np.all(np.isfinite(m_infty)):
         raise SingularAError("stationary moments are not finite")
 
+    # restrict every block to S: rows at each orbit's representative,
+    # columns summed over each orbit (the duplication map D_j)
+    orbits = [linalg.symmetric_orbits(p, k) for k in (1, 2, 3, 4)]
+    dup = [np.eye(rep.size)[inv] for rep, inv in orbits]
+    sym_blocks = {(i, j): blk[orbits[i - 1][0]] @ dup[j - 1]
+                  for (i, j), blk in blocks.items()}
+    sym_offsets = np.concatenate([[0], np.cumsum([rep.size
+                                                  for rep, _ in orbits])])
     eig_min = tuple(
-        float(linalg.eigenvalues(blocks[(k, k)])[0].real) for k in (2, 3, 4))
+        float(linalg.eigenvalues(sym_blocks[(k, k)])[0].real)
+        for k in (2, 3, 4))
     return MomentSystem(
         p=p,
         params=params,
@@ -170,10 +191,23 @@ def build_moment_system(params):
         source=source,
         m_infty=m_infty,
         a_tilde=a_full[:p + p**2, :p + p**2],
+        a_sym=_stack(sym_blocks, sym_offsets),
+        sym_rep=np.concatenate([offsets[k] + rep
+                                for k, (rep, _) in enumerate(orbits)]),
+        sym_inv=np.concatenate([sym_offsets[k] + inv
+                                for k, (_, inv) in enumerate(orbits)]),
         block_offsets=tuple(int(o) for o in offsets),
         stable=all(e > 0 for e in eig_min),
         block_eig_min=eig_min,
     )
+
+
+def _stack(blocks, offsets):
+    """Square matrix holding blocks[(i, j)] at block row i, block column j."""
+    out = np.zeros((offsets[-1], offsets[-1]))
+    for (i, j), blk in blocks.items():
+        out[offsets[i - 1]:offsets[i], offsets[j - 1]:offsets[j]] = blk
+    return out
 
 
 @dataclass(frozen=True)
@@ -263,7 +297,8 @@ def omega(sys):
 def conditional_moments(sys, y0, t):
     """Conditional moments at horizon t from a point start y0:
     m0(t) = m_infty + e^{-At}(m0(0) - m_infty) with m0(0) stacking the
-    Kronecker powers of y0."""
+    Kronecker powers of y0.  The decay runs on the symmetric subspace,
+    where m0(0) - m_infty lives: e^{-A_sym t} on its orbit coordinates."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -271,8 +306,9 @@ def conditional_moments(sys, y0, t):
     for _ in range(3):
         m0.append(np.kron(m0[-1], y0))
     m0 = np.concatenate(m0)
-    decay = linalg.expm(-sys.a_full * t)
-    return sys.m_infty + decay @ (m0 - sys.m_infty)
+    decay = linalg.expm(-sys.a_sym * t)
+    diff = (m0 - sys.m_infty)[sys.sym_rep]
+    return sys.m_infty + (decay @ diff)[sys.sym_inv]
 
 
 def conditional_eta(sys, eta, s):

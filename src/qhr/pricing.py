@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from . import mc
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = np.finfo(float).eps
 
 
 class OutOfBoundsError(ValueError):
@@ -40,7 +43,7 @@ def bs_price(strike, maturity, vol, side="call"):
         call = intrinsic_call
     else:
         d1 = -np.log(k) / sq + 0.5 * sq
-        call = stats.norm.cdf(d1) - k * stats.norm.cdf(d1 - sq)
+        call = ndtr(d1) - k * ndtr(d1 - sq)
     if side == "call":
         out = call
     elif side == "put":
@@ -53,16 +56,21 @@ def bs_price(strike, maturity, vol, side="call"):
 def bs_vega(strike, maturity, vol):
     sq = vol * math.sqrt(maturity)
     d1 = -math.log(strike) / sq + 0.5 * sq
-    return stats.norm.pdf(d1) * math.sqrt(maturity)
+    return np.exp(-(d1 * d1) / 2.0) / _SQRT_2PI * math.sqrt(maturity)
 
 
 def implied_vol(price, strike, maturity, tol=1e-10, bracket=(1e-6, 5.0)):
     """Invert the call price for volatility.
 
     Safeguarded Newton on vega with bisection fallback inside the bracket;
-    terminates when the repriced error is below tol.  Prices at or outside
-    the static bounds (1-K)+ < C < 1, or whose volatility escapes the
-    bracket, raise OutOfBoundsError with boundary 'lower' or 'upper'."""
+    terminates when the repriced error is below tol relative to the time
+    value C - (1-K)+ (the out-of-the-money price), or no larger than the
+    rounding of the call's leading term N(d1), whose argument's own rounding
+    is amplified by about d1^2 in the tails.  An absolute tolerance would
+    accept the bracket floor for any deep out-of-the-money price below it.
+    Prices at or outside the static bounds (1-K)+ < C < 1, or whose
+    volatility escapes the bracket, raise OutOfBoundsError with boundary
+    'lower' or 'upper'."""
     if maturity <= 0 or strike <= 0:
         raise ValueError("maturity and strike must be positive")
     intrinsic = max(1.0 - strike, 0.0)
@@ -71,6 +79,14 @@ def implied_vol(price, strike, maturity, tol=1e-10, bracket=(1e-6, 5.0)):
             f"price {price} at/below intrinsic {intrinsic}", "lower")
     if price >= 1.0:
         raise OutOfBoundsError(f"price {price} at/above forward 1", "upper")
+    time_value = price - intrinsic
+
+    def converged(v, err):
+        sq = v * math.sqrt(maturity)
+        d1 = -math.log(strike) / sq + 0.5 * sq
+        return err <= max(tol * time_value,
+                          4.0 * _EPS * (1.0 + d1 * d1) * ndtr(d1))
+
     lo, hi = bracket
     if bs_price(strike, maturity, lo) - price >= 0:
         raise OutOfBoundsError("volatility below bracket", "lower")
@@ -101,9 +117,9 @@ def implied_vol(price, strike, maturity, tol=1e-10, bracket=(1e-6, 5.0)):
         f = bs_price(strike, maturity, v) - price
         if abs(f) < best_f:
             best_v, best_f = v, abs(f)
-        elif best_f <= tol:
-            break  # converged; further steps only churn rounding noise
-    if best_f <= tol:
+        elif converged(best_v, best_f):
+            break  # further steps only churn rounding noise
+    if converged(best_v, best_f):
         return best_v
     raise ArithmeticError(
         f"implied vol did not converge (residual {best_f:.2e})")

@@ -6,6 +6,7 @@ factorizations.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,33 @@ class TestKronVec:
         lhs = linalg.vec(a @ x @ b)
         rhs = linalg.kron(b.T, a) @ linalg.vec(x)
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+
+
+class TestSymmetricOrbits:
+    def test_orbit_count(self):
+        for p in range(1, 7):
+            for k in range(1, 5):
+                rep, inv = linalg.symmetric_orbits(p, k)
+                assert rep.size == math.comb(p + k - 1, k), (p, k)
+                assert inv.shape == (p**k,)
+                assert np.array_equal(inv[rep], np.arange(rep.size))
+
+    def test_orbits_are_permutation_classes(self):
+        # brute force: flat indices share an orbit iff their tuples are
+        # permutations of each other; the representative is the sorted tuple
+        p, k = 3, 3
+        rep, inv = linalg.symmetric_orbits(p, k)
+        tuples = list(itertools.product(range(p), repeat=k))
+        for f, tup in enumerate(tuples):
+            assert tuples[rep[inv[f]]] == tuple(sorted(tup))
+
+    def test_kronecker_power_round_trip(self):
+        # integer entries keep every product exact, so y^(x)4 is exactly
+        # symmetric
+        y = np.array([1.0, 2.0, 3.0, 5.0])
+        power = np.kron(np.kron(np.kron(y, y), y), y)
+        rep, inv = linalg.symmetric_orbits(4, 4)
+        assert np.array_equal(power[rep][inv], power)
 
 
 class TestExpm:

@@ -225,6 +225,125 @@ class TestConditionalMoments:
                                     moments.EtaState.from_y([0.0]), -0.5)
 
 
+def reference_conditional_moments(sys, y0, t):
+    """Full-space conditional moments, kept verbatim from before the decay
+    ran on the symmetric subspace: the values conditional_moments keeps."""
+    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    m0 = [y0]
+    for _ in range(3):
+        m0.append(np.kron(m0[-1], y0))
+    m0 = np.concatenate(m0)
+    decay = linalg.expm(-sys.a_full * t)
+    return sys.m_infty + decay @ (m0 - sys.m_infty)
+
+
+def cascade_systems():
+    """One p = 3 and one p = 4 rank-one model with a Jordan block of size 2
+    and beta != 0, beside the bundled ones."""
+    specs = (
+        (((12.0, 2), (1.5, 1)), (0.5, 0.3, 0.2)),
+        (((20.0, 2), (4.0, 1), (0.8, 1)), (0.1, 0.4, 0.3, 0.2)),
+    )
+    out = {}
+    for blocks, w in specs:
+        params = model.rank_one(model.JordanSpec(blocks), w=w, alpha=0.01,
+                                beta0=-0.05, gamma0=1.0)
+        out[f"cascade p={params.p}"] = moments.build_moment_system(params)
+    return out
+
+
+def full_block_eig_min(sys):
+    """Smallest real part of each full diagonal block A_kk, k = 2..4."""
+    return tuple(float(linalg.eigenvalues(sys.a_blocks[(k, k)])[0].real)
+                 for k in (2, 3, 4))
+
+
+def random_jordan_model(rng):
+    """Random canonical model with p <= 4: a random Jordan partition, a
+    random psd Gamma scaled so that the fastest-rate statistic of
+    check_stability_sufficient lies in (0.1, 3) x 2/3, on both sides of
+    the exact stability boundary, and a nonzero beta with
+    beta' Gamma^+ beta < alpha (the bordered matrix stays psd)."""
+    p = int(rng.integers(1, 5))
+    sizes = []
+    left = p
+    while left > 0:
+        s = int(rng.integers(1, left + 1))
+        sizes.append(s)
+        left -= s
+    rates = np.sort(rng.uniform(0.3, 15.0, len(sizes)))[::-1]
+    while len(rates) > 1 and np.min(-np.diff(rates)) < 1e-3:
+        rates = np.sort(rng.uniform(0.3, 15.0, len(sizes)))[::-1]
+    spec = model.JordanSpec(tuple((float(r), s) for r, s in
+                                  zip(rates, sizes)))
+    lam = spec.lambda_matrix()
+    b = spec.b_vector()
+    m = rng.uniform(-0.3, 1.0, (p, p))
+    gam = m.T @ m
+    x = np.linalg.solve(lam, b)
+    lam_max = float(np.linalg.eigvals(lam).real.max())
+    gam *= rng.uniform(0.1, 3.0) * (2.0 / 3.0) / (lam_max * float(x @ gam @ x))
+    alpha = 0.01
+    u = rng.standard_normal(p)
+    beta = gam @ u
+    beta *= rng.uniform(0.1, 0.9) * np.sqrt(alpha / float(u @ gam @ u))
+    return model.ModelParams(lam=lam, b=b, alpha=alpha, beta=beta,
+                             gamma_mat=gam)
+
+
+class TestSymmetricSubspace:
+    def test_a_maps_symmetric_subspace_into_itself(self, systems):
+        # a_full D = D a_sym, D the duplication map of the stacked orbits
+        for name, sys in {**systems, **cascade_systems()}.items():
+            dup = np.eye(sys.a_sym.shape[0])[sys.sym_inv]
+            resid = np.abs(sys.a_full @ dup - dup @ sys.a_sym).max()
+            assert resid <= 1e-12 * np.abs(sys.a_full).max(), name
+
+    def test_dimension(self, systems):
+        sys = systems["MM1"]
+        assert sys.a_sym.shape == (2 + 3 + 4 + 5,) * 2
+        assert sys.sym_inv.shape == (sys.a_full.shape[0],)
+        assert np.array_equal(sys.sym_inv[sys.sym_rep],
+                              np.arange(sys.a_sym.shape[0]))
+
+    def test_block_eig_min_matches_full_blocks(self, systems):
+        for name, sys in systems.items():
+            got = np.array(sys.block_eig_min)
+            want = np.array(full_block_eig_min(sys))
+            assert np.allclose(got, want, rtol=1e-10, atol=0), name
+
+    def test_conditional_moments_match_full_space(self, systems):
+        for name, sys in {**systems, **cascade_systems()}.items():
+            y0 = np.linspace(0.06, -0.04, sys.p)
+            for t in (0.0, 0.5, 5.0):
+                want = reference_conditional_moments(sys, y0, t)
+                got = moments.conditional_moments(sys, y0, t)
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-12 * scale, (name, t)
+
+    def test_stable_flag_agrees_with_full_blocks(self):
+        # the stable flag is defined on S; on random models straddling the
+        # boundary it must agree with the full diagonal blocks, and any
+        # draw where it does not is named
+        rng = np.random.default_rng(20261018)
+        disagree = []
+        n_stable = 0
+        n_draws = 400
+        for i in range(n_draws):
+            params = random_jordan_model(rng)
+            sys = moments.build_moment_system(params)
+            full = full_block_eig_min(sys)
+            n_stable += sys.stable
+            if sys.stable != all(e > 0 for e in full):
+                disagree.append(
+                    f"draw {i} (p = {params.p}): mu on S "
+                    f"{sys.block_eig_min}, full blocks {full}")
+        assert 0.2 * n_draws < n_stable < 0.8 * n_draws, n_stable
+        assert not disagree, "; ".join(disagree)
+
+
 class TestEtaState:
     def test_layout(self):
         eta = moments.EtaState.from_y([1.0, 2.0])

@@ -47,6 +47,26 @@ class TestBlackScholes:
         with pytest.raises(ValueError):
             pricing.bs_price(1.0, 1.0, 0.2, "straddle")
 
+    def test_bit_identical_to_scipy_stats(self):
+        # ndtr and the explicit density are what scipy.stats.norm evaluates
+        rng = np.random.default_rng(31)
+        ells = rng.uniform(-1.5, 1.5, 400)
+        mats = np.exp(rng.uniform(np.log(0.01), np.log(5.0), 400))
+        vols = np.exp(rng.uniform(np.log(1e-3), np.log(3.0), 400))
+        for ell, t, v in zip(ells, mats, vols):
+            k, t, v = math.exp(ell), float(t), float(v)
+            sq = v * math.sqrt(t)
+            d1 = -np.log(np.asarray(k)) / sq + 0.5 * sq
+            want = float(stats.norm.cdf(d1) - k * stats.norm.cdf(d1 - sq))
+            assert pricing.bs_price(k, t, v) == want
+            d1 = -math.log(k) / sq + 0.5 * sq
+            assert pricing.bs_vega(k, t, v) == stats.norm.pdf(d1) * math.sqrt(t)
+        ks = np.exp(ells)
+        sq = 0.2 * math.sqrt(0.75)
+        d1 = -np.log(ks) / sq + 0.5 * sq
+        want = stats.norm.cdf(d1) - ks * stats.norm.cdf(d1 - sq)
+        assert np.array_equal(pricing.bs_price(ks, 0.75, 0.2), want)
+
     def test_vega_matches_difference_quotient(self):
         k, t, v = 1.05, 0.75, 0.3
         h = 1e-6
@@ -73,6 +93,35 @@ class TestImpliedVol:
                     assert abs(back - price) < 1e-9
                     if time_value > 1e-9:
                         assert abs(got - vol) < 1e-8
+
+    def test_deep_out_of_the_money_recovers_vol(self):
+        # the call is worth about 1e-29 here; an absolute residual test
+        # accepts the bracket floor 1.01e-6 at the first guess
+        k = math.exp(0.4)
+        got = pricing.implied_vol(pricing.bs_price(k, 0.25, 0.12), k, 0.25)
+        assert got == pytest.approx(0.12, rel=1e-10)
+
+    def test_round_trip_sweep(self):
+        # vol-space recovery over a (ln K, T, v) box; an in-the-money call
+        # whose time value is lost to the rounding of the call price can
+        # not pin its vol, so those nodes only need a small repriced error
+        for ell in np.linspace(-0.6, 0.6, 13):
+            k = math.exp(ell)
+            for t in (0.02, 0.25, 1.0, 3.0):
+                for vol in (0.03, 0.12, 0.4, 1.5):
+                    price = pricing.bs_price(k, t, vol)
+                    time_value = price - max(1.0 - k, 0.0)
+                    case = (ell, t, vol)
+                    try:
+                        got = pricing.implied_vol(price, k, t)
+                    except pricing.OutOfBoundsError:
+                        assert time_value <= 1e-15 * price, case
+                        continue
+                    if k >= 1.0 or time_value > 1e-9:
+                        assert got == pytest.approx(vol, rel=1e-9), case
+                    else:
+                        back = pricing.bs_price(k, t, got)
+                        assert abs(back - price) < 1e-13, case
 
     def test_below_intrinsic(self):
         with pytest.raises(pricing.OutOfBoundsError) as exc:
