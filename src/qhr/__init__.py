@@ -13,11 +13,7 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DimensionCapError,
-    KronOperatorSet,
-    NotPsdError,
     UnstableError,
-    build_kron_operators,
-    pivoted_cholesky,
     solve_lyapunov,
 )
 from .model import (
@@ -66,7 +62,6 @@ from .forward import (
     NonConvexSliceError,
     PcaDecomposition,
     default_grid,
-    duplication_matrix,
     forward_min_envelope,
     forward_variance,
     pca,

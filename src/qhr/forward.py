@@ -4,12 +4,14 @@ The forward variance v_t(s) = E[sigma^2_{t+s} | F_t] is affine in the state
 eta_t = (y_t; y_t (x) y_t):
 
     v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty),
-    psi(s) = (e^{-A~ s})' g,   g = (2 beta; vec Gamma).
+    psi(s) = (e^{-A~ s})' g,
 
-MomentSystem.psi is the single evaluator of psi.  This module evaluates the
-curve over whole grids of horizons, splits it into its y-linear and
-y-quadratic parts to get the lower envelope over initial states, and
-diagonalizes the curve covariance into orthonormal factor curves.
+with eta, A~ and g in the S coordinates of moments.MomentSystem: p + p(p+1)/2
+of them, the monomials y_i and y_i y_j (i <= j).  MomentSystem.psi is the
+single evaluator of psi.  This module evaluates the curve over whole grids
+of horizons, splits it into its y-linear and y-quadratic parts to get the
+lower envelope over initial states, and diagonalizes the curve covariance
+into orthonormal factor curves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .moments import EtaState, MomentSystem, NotStationaryError
+from .moments import MomentSystem, NotStationaryError
 
 
 class NonConvexSliceError(ValueError):
@@ -42,12 +44,12 @@ def _dot(a, b):
 def forward_variance(sys, eta, s):
     """v_t(s) for a given state, at a horizon or over a 1-D grid of them; at
     s=0 this equals sigma^2(y) exactly when the state was formed from a path
-    (q = y (x) y)."""
+    (q = y (x) y).  eta is an EtaState or a raw stacked vector (y; q) with
+    q symmetric."""
     if not sys.stable:
         raise NotStationaryError("forward variance undefined: not stationary")
-    vec = eta.vector if isinstance(eta, EtaState) else \
-        np.asarray(eta, dtype=float).reshape(-1)
-    v = sys.sigma2_infty + _dot(sys.psi(s), vec - sys.eta_infty)
+    diff = sys.eta_coordinates(eta) - sys.eta_infty_sym
+    v = sys.sigma2_infty + _dot(sys.psi(s), diff)
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -66,11 +68,10 @@ def forward_min_envelope(sys, s):
     p = sys.p
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     psi = sys.psi(grid)
-    v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty)
-    # unvec of each row's q part, symmetrized: q duplicates off-diagonal
-    # coordinates, and symmetrizing leaves the quadratic form unchanged
-    q_mat = psi[:, p:].reshape(-1, p, p).swapaxes(1, 2)
-    q_mat = 0.5 * (q_mat + q_mat.swapaxes(1, 2))
+    v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty_sym)
+    # the coefficient of y_i y_j (i < j) is split evenly over (i, j), (j, i)
+    half = np.where(np.eye(p, dtype=bool), 1.0, 0.5).reshape(-1)
+    q_mat = (psi[:, sys.sym_inv[p:p + p * p]] * half).reshape(-1, p, p)
     mu, vecs = np.linalg.eigh(q_mat)
     c2 = _matvec(vecs.swapaxes(1, 2), psi[:, :p])**2
     mu_abs = np.abs(mu).max(axis=1)
@@ -97,33 +98,19 @@ def forward_min_envelope(sys, s):
 # principal components
 
 
-def duplication_matrix(p):
-    """D with vec(S) = D vech(S) for symmetric S (vech stacks the lower
-    triangle column by column)."""
-    cols = []
-    for j in range(p):
-        for i in range(j, p):
-            m = np.zeros((p, p))
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            cols.append(linalg.vec(m))
-    return np.column_stack(cols)
-
-
 @dataclass(frozen=True)
 class PcaDecomposition:
     """Orthonormal factor decomposition of the forward-curve covariance.
 
     factor_curves(t) returns u(t) with Cov(v(s1), v(s2)) = u(s1)' diag(
     eigenvalues) u(s2) and integral of u u' over [0, inf) equal to the
-    identity.  f_matrix and r_factor are the (reduced) accumulated loading
-    Gram matrix and its rank-revealing Cholesky factor; projection maps
-    psi(t) to u(t)."""
+    identity.  f_matrix is the accumulated loading Gram matrix F_S in S
+    coordinates, projection maps psi(t) to u(t) and rank counts the
+    components kept."""
 
     eigenvalues: np.ndarray
     rank: int
     f_matrix: np.ndarray
-    r_factor: np.ndarray
     projection: np.ndarray
     system: MomentSystem
 
@@ -132,42 +119,29 @@ class PcaDecomposition:
         return _matvec(self.projection, self.system.psi(t))
 
 
-def pca(sys, omega_mat, tol=1e-10):
+def pca(sys, omega_mat):
     """Diagonalize the stationary covariance of the forward curve.
 
-    The q block is first projected onto the p(p+1)/2 distinct symmetric
-    coordinates (duplicates carry no extra information), then
-    F = integral of psi psi' dt is accumulated by a Lyapunov solve,
-    factorized as F = R R', and R' Omega R is diagonalized.  Factor curves
-    are u(t) = V' R^+ psi(t)."""
+    F_S = integral of psi psi' dt comes from a Lyapunov solve.  With
+    Omega = L L' (L = V diag(w)^1/2 from Omega = V diag(w) V', rounding-level
+    negative w set to 0), the eigenpairs (lambda, W) of L' F_S L give the
+    component variances and the factor curves u(t) = lambda^-1/2 W' L'
+    psi(t).  Components whose variance is at the rounding level of the
+    largest one (n eps lambda_max, n the number of S coordinates) carry no
+    curve and are dropped."""
     if not sys.stable:
         raise NotStationaryError("pca undefined: not stationary")
-    p = sys.p
-    dup = duplication_matrix(p)
-    dup_pinv = np.linalg.solve(dup.T @ dup, dup.T)
-    reduce_psi = np.zeros((p + dup.shape[1], p + p**2))
-    reduce_psi[:p, :p] = np.eye(p)
-    reduce_psi[p:, p:] = dup.T
-    reduce_eta = np.zeros_like(reduce_psi)
-    reduce_eta[:p, :p] = np.eye(p)
-    reduce_eta[p:, p:] = dup_pinv
-
-    f_full = linalg.solve_lyapunov(sys.a_tilde, sys.g)
-    f_red = reduce_psi @ f_full @ reduce_psi.T
-    f_red = 0.5 * (f_red + f_red.T)
-    omega_red = reduce_eta @ omega_mat @ reduce_eta.T
-    omega_red = 0.5 * (omega_red + omega_red.T)
-
-    r, rank, r_pinv = linalg.pivoted_cholesky(f_red, tol=tol)
-    core = r.T @ omega_red @ r
-    core = 0.5 * (core + core.T)
-    vals, vecs = np.linalg.eigh(core)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return PcaDecomposition(eigenvalues=vals, rank=rank, f_matrix=f_red,
-                            r_factor=r,
-                            projection=vecs.T @ r_pinv @ reduce_psi,
+    f = linalg.solve_lyapunov(sys.a_tilde, sys.g)
+    w, v = np.linalg.eigh(omega_mat)
+    low = v * np.sqrt(np.maximum(w, 0.0))
+    core = low.T @ f @ low
+    vals, vecs = np.linalg.eigh(0.5 * (core + core.T))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > sys.n_eta * np.finfo(float).eps * vals[0]
+    vals, vecs = vals[keep], vecs[:, keep]
+    return PcaDecomposition(eigenvalues=vals, rank=int(keep.sum()),
+                            f_matrix=f,
+                            projection=(vecs / np.sqrt(vals)).T @ low.T,
                             system=sys)
 
 

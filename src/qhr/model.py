@@ -401,6 +401,14 @@ def diagnostics(params):
     summ = moments.stationary_summary(sys, params)
     y_min, sigma_min = variance_min(params)
     mu2, mu3, mu4 = sys.block_eig_min
+    # A_22 leaves S and its complement invariant; on the antisymmetric
+    # tensors it acts as lam (x) I + I (x) lam, with eigenvalues
+    # lam_i + lam_j for i < j
+    b2 = slice(sys.sym_offsets[1], sys.sym_offsets[2])
+    rates = np.linalg.eigvals(params.lam)
+    pairs = np.triu_indices(params.p, 1)
+    eig2 = np.concatenate([np.linalg.eigvals(sys.a_sym[b2, b2]),
+                           (rates[:, None] + rates)[pairs]])
     return Diagnostics(
         y_min=y_min,
         sigma_min=sigma_min,
@@ -411,7 +419,7 @@ def diagnostics(params):
         mu2=mu2,
         mu3=mu3,
         mu4=mu4,
-        eig_block2=linalg.eigenvalues(sys.a_blocks[(2, 2)]),
+        eig_block2=eig2[np.lexsort((eig2.imag, eig2.real))],
     )
 
 

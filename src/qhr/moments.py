@@ -1,15 +1,25 @@
-"""Conditional and stationary Kronecker moments of the offset process.
+"""Conditional and stationary moments of the offset process.
 
-The moments m^(k) = E[y^(x)k] up to order four follow a lower block
+y is a polynomial diffusion: its drift -lam y is affine and its diffusion
+sigma^2(y) b b' quadratic, so the generator
+
+    L f = -(lam y)'grad f + 1/2 sigma^2(y) b' (grad grad' f) b
+
+maps polynomials of degree <= 4 into themselves.  The moments E[y^(x)k] are
+symmetric tensors, so they live in the symmetric subspace S whose
+coordinates are the monomials y^e of degree 1..4 (one per orbit of index
+tuples, linalg.symmetric_orbits).  On S the moments follow the lower block
 triangular linear ODE
 
-    dm0/dt = a - A m0,
+    dm/dt = source - A m,
 
-whose blocks come from the nested Kronecker operators.  This module builds
-that system, solves for the stationary point, exposes conditional moment
-evolution, the stationary covariance Omega of eta = (y; y(x)y), stability
-tests and the stationary autocovariance functions of the variance and of
-squared price increments.
+with -A the matrix of L on those monomials and source its image of the
+constant.  This module assembles that system straight from L, solves for
+the stationary point, exposes conditional moment evolution, the stationary
+covariance Omega of eta = (y; y(x)y), stability tests and the stationary
+autocovariance functions of the variance and of squared price increments.
+Omega, the loadings g and psi, and A~ are in S coordinates; stacked
+Kronecker moments and raw eta vectors stay the layout at the API edge.
 """
 
 from __future__ import annotations
@@ -54,66 +64,86 @@ class EtaState:
 class MomentSystem:
     """Assembled moment ODE for one model.
 
-    a_blocks maps (row, col) 1-based block indices to the nonzero blocks of
-    A; a_full is the stacked (p+p^2+p^3+p^4) square matrix, source the
-    constant term, m_infty the stationary point and a_tilde the top-left
-    (p+p^2) square sub-matrix governing eta.
-
-    The moments E[y^(x)k] are symmetric tensors, so they live in the
-    symmetric subspace S, one coordinate per orbit of index tuples
-    (linalg.symmetric_orbits): 209 rows instead of 1554 at p = 6.  A maps S
-    into itself, and a_sym is its restriction, a_full @ D = D @ a_sym with
-    D the duplication map.  sym_rep holds the stacked index of each orbit's
-    representative (m[sym_rep] are the S coordinates of a symmetric m) and
-    sym_inv the orbit of each stacked index (x[sym_inv] spreads them back).
-    block_eig_min (mu_2..mu_4) and stable come from the diagonal blocks of
-    a_sym: they describe A where the moments live, not how B_(k) acts on
-    non-symmetric tensors."""
+    The S coordinates are the monomials y^e, e = exponents[i], of degree
+    1..4, degree by degree (sym_offsets); 209 of them at p = 6, where the
+    stacked Kronecker moments have 1554 entries (block_offsets).  a_sym is
+    -L on them and source the image of the constant.  m_infty is the
+    stationary point in the stacked Kronecker layout; sym_rep holds the
+    stacked index of each orbit's representative (m[sym_rep] are the S
+    coordinates of a symmetric m) and sym_inv the orbit of each stacked
+    index (x[sym_inv] spreads S coordinates back).  block_eig_min
+    (mu_2..mu_4) and stable come from the diagonal blocks of a_sym; kappa
+    is the stationarity scalar of the variance level."""
 
     p: int
     params: object
-    ops: linalg.KronOperatorSet
-    a_blocks: dict
-    a_full: np.ndarray
+    exponents: np.ndarray
+    a_sym: np.ndarray
     source: np.ndarray
     m_infty: np.ndarray
-    a_tilde: np.ndarray
-    a_sym: np.ndarray
     sym_rep: np.ndarray
     sym_inv: np.ndarray
     block_offsets: tuple
+    sym_offsets: tuple
     stable: bool
     block_eig_min: tuple
+    kappa: float
 
     def block(self, k):
         """Slice of a stacked moment vector holding the order-k block."""
         return slice(self.block_offsets[k - 1], self.block_offsets[k])
 
     @property
+    def n_eta(self):
+        """Number of S coordinates of eta = (y; y(x)y)."""
+        return self.sym_offsets[2]
+
+    @property
+    def a_tilde(self):
+        """A on the S coordinates of eta (its top-left corner)."""
+        return self.a_sym[:self.n_eta, :self.n_eta]
+
+    @property
     def g(self):
-        """Loading of eta in the variance link: sigma^2 = alpha + g'eta."""
-        return np.concatenate([2.0 * self.params.beta,
-                               linalg.vec(self.params.gamma_mat)])
+        """Loading of eta in the variance link, sigma^2 = alpha + g'eta_S:
+        (2 beta; Gamma_ii for y_i^2, Gamma_ij + Gamma_ji for y_i y_j)."""
+        return _sigma2_coefficients(self.params, self.sym_inv)[1:self.n_eta + 1]
 
     @property
     def eta_infty(self):
         return self.m_infty[:self.p + self.p**2]
 
     @property
-    def sigma2_infty(self):
-        return self.params.alpha + float(
-            self.g[self.p:] @ self.m_infty[self.block(2)])
+    def eta_infty_sym(self):
+        return self.m_infty[self.sym_rep[:self.n_eta]]
 
     @property
-    def kappa(self):
-        """kappa = gamma_vec' lambar^-1 bbar (stationarity needs kappa < 1)."""
-        bbar = np.kron(self.params.b, self.params.b)
-        return float(linalg.vec(self.params.gamma_mat)
-                     @ np.linalg.solve(self.ops.lambda_k[1], bbar))
+    def sigma2_infty(self):
+        return self.params.alpha + float(
+            self.g @ self.eta_infty_sym)
+
+    def eta_coordinates(self, eta):
+        """S coordinates of an eta given as EtaState or as a raw stacked
+        vector (y; q).  A q that is not symmetric has none: ValueError
+        naming the first asymmetric pair."""
+        vec = eta.vector if isinstance(eta, EtaState) else \
+            np.asarray(eta, dtype=float).reshape(-1)
+        p = self.p
+        if vec.shape != (p + p * p,):
+            raise ValueError(f"eta must have length {p + p * p}")
+        q = vec[p:].reshape(p, p)
+        # a NaN pair is left to propagate, as any other NaN input does
+        bad = np.argwhere((q != q.T) & ~(np.isnan(q) & np.isnan(q.T)))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"q is not symmetric: entry ({i}, {j}) is "
+                             f"{float(q[i, j])!r}, entry ({j}, {i}) is "
+                             f"{float(q[j, i])!r}")
+        return vec[self.sym_rep[:self.n_eta]]
 
     def psi(self, s):
         """Loading curve psi(s) = (e^{-A~ s})' g of the forward variance,
-        v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty).
+        v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty) in S coordinates.
 
         s is a horizon or a 1-D array of horizons; an array gives one row
         per horizon.  A negative horizon raises ValueError naming the first
@@ -128,86 +158,105 @@ class MomentSystem:
         return (np.swapaxes(decay, -1, -2) @ self.g[:, None])[..., 0]
 
 
-def build_moment_system(params):
-    """Assemble A, the source term and the stationary moments.
-
-    Blocks: A_kk = lam_(k) - B_(k) (x) gamma', A_{k,k-1} = -2 B_(k) (x)
-    beta', A_{k,k-2} = -alpha B_(k), everything else zero; source
-    a = (0; alpha*bbar; 0; 0).  The stationary point is found by forward
-    substitution down the block triangle."""
+def _sigma2_coefficients(params, sym_inv):
+    """Coefficients of sigma^2(y) on the monomials of degree 0..2, in the
+    order 1, S coordinates of y, S coordinates of y(x)y."""
     p = params.p
-    ops = linalg.build_kron_operators(params.lam, params.b, order=4)
-    gam_row = linalg.vec(params.gamma_mat).reshape(1, -1)
-    beta_row = params.beta.reshape(1, -1)
-    alpha = params.alpha
-    bbar = np.kron(params.b, params.b)
+    quad = np.bincount(sym_inv[p:p + p * p] - p,
+                       weights=params.gamma_mat.reshape(-1))
+    return np.concatenate([[params.alpha], 2.0 * params.beta, quad])
 
-    blocks = {(1, 1): ops.lambda_k[0]}
-    for k in (2, 3, 4):
-        bk = ops.b_k[k - 1]
-        blocks[(k, k)] = ops.lambda_k[k - 1] - np.kron(bk, gam_row)
-        blocks[(k, k - 1)] = -2.0 * np.kron(bk, beta_row)
-        if k >= 3:
-            blocks[(k, k - 2)] = -alpha * bk
 
-    sizes = [p, p**2, p**3, p**4]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = offsets[-1]
-    a_full = _stack(blocks, offsets)
+def _index(exponents):
+    """Map from exponent vectors (last axis) to their rows in exponents."""
+    radix = 5 ** np.arange(exponents.shape[1])
+    table = np.full(5 ** exponents.shape[1], -1)
+    table[exponents @ radix] = np.arange(len(exponents))
+    return lambda e: table[e @ radix]
 
-    source = np.zeros(n)
-    source[offsets[1]:offsets[2]] = alpha * bbar
 
-    m_blocks = [np.zeros(p)]
+def build_moment_system(params):
+    """Assemble A, the source term and the stationary moments from L.
+
+    For a monomial y^a the drift term moves one exponent from i to l with
+    weight a_i lam_il; the diffusion term 1/2 sigma^2(y) b_i b_j d_i d_j
+    lowers the degree by two with weight W_ad = 1/2 sum b_i b_j a_i
+    (a_j - delta_ij) and multiplies by sigma^2(y), which feeds the degree
+    k-2, k-1 and k blocks through alpha, 2 beta'y and y'Gamma y.  The
+    stationary point is found by forward substitution down the block
+    triangle."""
+    p = params.p
+    if p > linalg.DIM_CAP:
+        raise linalg.DimensionCapError(
+            f"state dimension {p} exceeds the configured cap {linalg.DIM_CAP}")
+    orbits = [linalg.symmetric_orbits(p, k) for k in (1, 2, 3, 4)]
+    eye = np.eye(p, dtype=int)
+    # the monomials of degree 0..4: the constant, then S
+    expo = np.concatenate([np.zeros((1, p), dtype=int)] + [
+        sum(eye[i] for i in np.unravel_index(rep, (p,) * k))
+        for k, (rep, _) in enumerate(orbits, start=1)])
+    index = _index(expo)
+    n = len(expo)
+
+    drift = np.zeros((n, n))
+    r, i = np.nonzero(expo)
+    r, i, l = np.repeat(r, p), np.repeat(i, p), np.tile(np.arange(p), r.size)
+    np.add.at(drift, (r, index(expo[r] - eye[i] + eye[l])),
+              expo[r, i] * params.lam[i, l])
+
+    lower = np.zeros((n, n))
+    count = expo[:, :, None] * (expo[:, None, :] - eye)
+    r, i, j = np.nonzero(count > 0)
+    np.add.at(lower, (r, index(expo[r] - eye[i] - eye[j])),
+              0.5 * count[r, i, j] * (params.b[i] * params.b[j]))
+
+    sym_offsets = tuple(int(o) for o in np.cumsum(
+        [0] + [rep.size for rep, _ in orbits]))
+    sym_inv = np.concatenate([off + inv for off, (_, inv) in
+                              zip(sym_offsets, orbits)])
+    coef = _sigma2_coefficients(params, sym_inv)
+    deg = expo.sum(axis=1)
+    r, c = np.nonzero(deg[:, None] + deg[None, :coef.size] <= 4)
+    times_sigma2 = np.zeros((n, n))
+    times_sigma2[r, index(expo[r] + expo[c])] = coef[c]
+    diffusion = lower @ times_sigma2
+
+    a_sym = drift[1:, 1:] - diffusion[1:, 1:]
+    source = diffusion[1:, 0]
+    blocks = [slice(sym_offsets[k - 1], sym_offsets[k]) for k in (1, 2, 3, 4)]
+    b2 = blocks[1]
+    m_sym = np.zeros(n - 1)
     try:
-        m2 = np.linalg.solve(blocks[(2, 2)], alpha * bbar)
-        m3 = np.linalg.solve(blocks[(3, 3)], -blocks[(3, 2)] @ m2)
-        m4 = np.linalg.solve(blocks[(4, 4)],
-                             -blocks[(4, 3)] @ m3 - blocks[(4, 2)] @ m2)
+        for blk in blocks[1:]:
+            rhs = source[blk] - a_sym[blk, :blk.start] @ m_sym[:blk.start]
+            m_sym[blk] = np.linalg.solve(a_sym[blk, blk], rhs)
+        # kappa = gamma' lam_(2)^-1 bbar, lam_(2) the drift part of A_22
+        kappa = float(coef[1:][b2] @ np.linalg.solve(drift[1:, 1:][b2, b2],
+                                                     lower[1:, 0][b2]))
     except np.linalg.LinAlgError as exc:
         raise SingularAError(f"singular moment block: {exc}") from exc
-    m_blocks += [m2, m3, m4]
-    m_infty = np.concatenate(m_blocks)
-    if not np.all(np.isfinite(m_infty)):
+    if not np.all(np.isfinite(m_sym)):
         raise SingularAError("stationary moments are not finite")
 
-    # restrict every block to S: rows at each orbit's representative,
-    # columns summed over each orbit (the duplication map D_j)
-    orbits = [linalg.symmetric_orbits(p, k) for k in (1, 2, 3, 4)]
-    dup = [np.eye(rep.size)[inv] for rep, inv in orbits]
-    sym_blocks = {(i, j): blk[orbits[i - 1][0]] @ dup[j - 1]
-                  for (i, j), blk in blocks.items()}
-    sym_offsets = np.concatenate([[0], np.cumsum([rep.size
-                                                  for rep, _ in orbits])])
-    eig_min = tuple(
-        float(linalg.eigenvalues(sym_blocks[(k, k)])[0].real)
-        for k in (2, 3, 4))
+    offsets = np.cumsum([0, p, p**2, p**3, p**4])
+    eig_min = tuple(float(linalg.eigenvalues(a_sym[blk, blk])[0].real)
+                    for blk in blocks[1:])
     return MomentSystem(
         p=p,
         params=params,
-        ops=ops,
-        a_blocks=blocks,
-        a_full=a_full,
+        exponents=expo[1:],
+        a_sym=a_sym,
         source=source,
-        m_infty=m_infty,
-        a_tilde=a_full[:p + p**2, :p + p**2],
-        a_sym=_stack(sym_blocks, sym_offsets),
+        m_infty=m_sym[sym_inv],
         sym_rep=np.concatenate([offsets[k] + rep
                                 for k, (rep, _) in enumerate(orbits)]),
-        sym_inv=np.concatenate([sym_offsets[k] + inv
-                                for k, (_, inv) in enumerate(orbits)]),
+        sym_inv=sym_inv,
         block_offsets=tuple(int(o) for o in offsets),
+        sym_offsets=sym_offsets,
         stable=all(e > 0 for e in eig_min),
         block_eig_min=eig_min,
+        kappa=kappa,
     )
-
-
-def _stack(blocks, offsets):
-    """Square matrix holding blocks[(i, j)] at block row i, block column j."""
-    out = np.zeros((offsets[-1], offsets[-1]))
-    for (i, j), blk in blocks.items():
-        out[offsets[i - 1]:offsets[i], offsets[j - 1]:offsets[j]] = blk
-    return out
 
 
 @dataclass(frozen=True)
@@ -244,7 +293,7 @@ def check_stability_sufficient(params):
 def stationary_summary(sys, params):
     """Stationary variance level, fourth moment and kurtosis.
 
-    sigma2_infty = alpha/(1-kappa) with kappa = gamma_vec' lambar^-1 bbar;
+    sigma2_infty = alpha/(1-kappa) with kappa = g_q' lam_(2)^-1 bbar on S;
     E[sigma^4] = E[(alpha + g'eta)^2] expanded with the stationary first and
     second moments of eta."""
     if not sys.stable:
@@ -256,10 +305,9 @@ def stationary_summary(sys, params):
         raise NotStationaryError(f"kappa = {kappa:.4g} >= 1")
     sigma2 = params.alpha / (1.0 - kappa)
     g = sys.g
-    eta_inf = sys.eta_infty
-    second = _eta_second_moment(sys)
+    eta_inf = sys.eta_infty_sym
     e_sig4 = params.alpha**2 + 2.0 * params.alpha * float(g @ eta_inf) \
-        + float(g @ second @ g)
+        + float(g @ _eta_second_moment(sys) @ g)
     kappa_tilde, _ = check_stability_sufficient(params)
     return StationarySummary(
         q_infty=sys.m_infty[sys.block(2)].copy(),
@@ -273,32 +321,26 @@ def stationary_summary(sys, params):
 
 
 def _eta_second_moment(sys):
-    """E[eta eta'] assembled from the stationary moment blocks."""
-    p = sys.p
-    m2 = linalg.unvec(sys.m_infty[sys.block(2)], p, p)
-    m3 = linalg.unvec(sys.m_infty[sys.block(3)], p, p**2)
-    m4 = linalg.unvec(sys.m_infty[sys.block(4)], p**2, p**2)
-    top = np.hstack([m2, m3])
-    bottom = np.hstack([m3.T, m4])
-    out = np.vstack([top, bottom])
-    return 0.5 * (out + out.T)
+    """E[eta eta'] on S: E[y^a y^b] is the stationary moment of y^(a+b)."""
+    e = sys.exponents[:sys.n_eta]
+    return sys.m_infty[sys.sym_rep][_index(sys.exponents)(e[:, None] + e)]
 
 
 def omega(sys):
-    """Stationary covariance of eta: second moment minus eta_infty outer
-    product (the y block is already centered since E[y] = 0)."""
+    """Stationary covariance of eta in S coordinates: second moment minus
+    the eta_infty outer product (the y block is already centered since
+    E[y] = 0)."""
     if not sys.stable:
         raise NotStationaryError("omega undefined for unstable model")
-    eta_inf = sys.eta_infty
-    out = _eta_second_moment(sys) - np.outer(eta_inf, eta_inf)
-    return 0.5 * (out + out.T)
+    eta_inf = sys.eta_infty_sym
+    return _eta_second_moment(sys) - np.outer(eta_inf, eta_inf)
 
 
 def conditional_moments(sys, y0, t):
     """Conditional moments at horizon t from a point start y0:
     m0(t) = m_infty + e^{-At}(m0(0) - m_infty) with m0(0) stacking the
-    Kronecker powers of y0.  The decay runs on the symmetric subspace,
-    where m0(0) - m_infty lives: e^{-A_sym t} on its orbit coordinates."""
+    Kronecker powers of y0.  The decay runs on S: e^{-A_sym t} on the
+    monomial coordinates."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -313,12 +355,13 @@ def conditional_moments(sys, y0, t):
 
 def conditional_eta(sys, eta, s):
     """Conditional mean of eta at horizon s from state eta (first two moment
-    blocks only): eta_infty + e^{-A~s}(eta - eta_infty)."""
+    blocks only): eta_infty + e^{-A~s}(eta - eta_infty), returned in the
+    stacked layout of eta."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    vec0 = eta.vector if isinstance(eta, EtaState) else np.asarray(eta, float)
-    diff = vec0 - sys.eta_infty
-    return sys.eta_infty + linalg.expm(-sys.a_tilde * s) @ diff
+    diff = sys.eta_coordinates(eta) - sys.eta_infty_sym
+    decay = linalg.expm(-sys.a_tilde * s) @ diff
+    return sys.eta_infty + decay[sys.sym_inv[:sys.p + sys.p**2]]
 
 
 def variance_autocov(sys, omega_mat, s):
@@ -350,16 +393,14 @@ def squared_increment_autocov(sys, cov_eta_xi2, r, h):
     h_r = A~^-1 (e^{A~r} - I) Cov(eta_r, xi_r^2),
 
     valid for h >= r >= 0 (h measured between window starts).  The input
-    vector Cov(eta_r, xi_r^2) has no closed form and is estimated by
-    simulation elsewhere."""
+    vector Cov(eta_r, xi_r^2), in the stacked layout of eta, has no closed
+    form and is estimated by simulation elsewhere; its q part must be
+    symmetric."""
     if h < r:
         raise WindowOrderError("lag h must be at least the window r")
     if not sys.stable:
         raise NotStationaryError("autocovariance undefined: not stationary")
-    cov = np.asarray(cov_eta_xi2, dtype=float).reshape(-1)
-    n = sys.p + sys.p**2
-    if cov.shape != (n,):
-        raise ValueError(f"cov_eta_xi2 must have length {n}")
+    cov = sys.eta_coordinates(cov_eta_xi2)
     at = sys.a_tilde
-    h_r = np.linalg.solve(at, (linalg.expm(at * r) - np.eye(n)) @ cov)
+    h_r = np.linalg.solve(at, (linalg.expm(at * r) - np.eye(sys.n_eta)) @ cov)
     return float(sys.psi(h) @ h_r)

@@ -17,6 +17,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from kron_reference import full_system
 from qhr import forward, moments, pricing
 from qhr.mc import McConfig, StationaryInit, estimate_cov_eta_xi2, simulate
 from qhr.model import JordanSpec, ModelParams, diagnostics, load_fixture
@@ -124,10 +125,7 @@ def test_03_second_moment_spectra_reproduced():
         w = np.asarray(w)
         params = ModelParams(lam=lam, b=np.asarray(b), alpha=0.01,
                              beta=np.zeros(2), gamma_mat=g0 * np.outer(w, w))
-        sys_ = build_moment_system(params)
-        eigs = np.linalg.eigvals(sys_.a_blocks[(2, 2)])
-        order = np.lexsort((eigs.imag, eigs.real))
-        eigs = eigs[order]
+        eigs = diagnostics(params).eig_block2
         if np.all(np.abs(lam - np.diag(np.diag(lam))) < 1e-14):
             # distinct diagonal filter rates: the spectrum must be real
             if np.abs(eigs.imag).max() > 1e-8:
@@ -179,7 +177,7 @@ def test_04_sufficient_stability_condition_sound():
         params = _random_canonical_model(rng)
         kt, passes = check_stability_sufficient(params)
         assert passes, f"draw {i}: statistic {kt:.4f} not below 2/3"
-        eigs = np.linalg.eigvals(build_moment_system(params).a_full)
+        eigs = np.linalg.eigvals(full_system(params).a_full)
         worst = float(eigs.real.min())
         if worst <= 0.0:
             bad.append(f"draw {i}: kappa_tilde = {kt:.4f} < 2/3 but "

@@ -89,6 +89,84 @@ class TestGolden:
             assert out == fh.read()
 
 
+def data_rows(text):
+    """Numeric rows of a CSV after its # lines and header."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+class TestGoldenAgainstHighPrecision:
+    """Sampled cells of the curves and pca goldens against references
+    computed in 50-digit mpmath arithmetic from the same float inputs: an
+    independent monomial-by-monomial generator, the stationary moments, the
+    loading curve e^{-A~'s} g, the slice minimum and, for pca, the Lyapunov
+    solve and the eigenpairs of L'F L.  The samples include the worst cell
+    of each column."""
+
+    # (row, (vol_y0_1, vol_y0_2, vol_forward, vol_min)) of curves_mm3.csv
+    CURVES = [
+        (0, (0.06550577350216887, 0.11114586548731954, 0.12000674030817932,
+             0.05000280846174142)),
+        (39, (0.06596467130865313, 0.11196803210222815, 0.12003623645720564,
+              0.05001509852384218)),
+        (76, (0.06809605935449263, 0.11561330566309037, 0.12018670163079789,
+              0.05007779236544804)),
+        (99, (0.07225562682139305, 0.12196112335487767, 0.12054888896995139,
+              0.05022870678618829)),
+        (135, (0.0890410964607254, 0.1378236843423568, 0.12308851893042091,
+               0.051296606937187954)),
+        (136, (0.08971058983390491, 0.1381270629177349, 0.12322502861521178,
+               0.051355885472456606)),
+        (150, (0.0999935076680159, 0.13995277742627366, 0.12547414817870686,
+               0.052516213756166094)),
+        (176, (0.12082823142205622, 0.13408417101412273, 0.12899886493205048,
+               0.06653647478704408)),
+        (179, (0.12274223935663729, 0.13318587516840896, 0.12917210337371113,
+               0.07077581931933169)),
+        (199, (0.1291038163259109, 0.12974340193290043, 0.12949695342574644,
+               0.10726239798494229)),
+    ]
+    # component variances and (row, |pc1|, |pc2|, |pc3|) of pca_mm1.csv;
+    # the sign of a component is a convention
+    VARIANCES = (1.3149064186422186e-06, 3.80361359417037e-09,
+                 2.421145429189811e-12)
+    PCA = [
+        (0, (0.0018821348389805672, 0.000229061452750222,
+             7.5649574482866565e-06)),
+        (60, (0.0018679775068338492, 0.00020337073144221742,
+              5.118935225308997e-06)),
+        (93, (0.0018094750702871058, 0.0001308039820235876,
+              3.4769032104123936e-08)),
+        (120, (0.001586950452636312, 9.604671654240063e-06,
+               2.5463964564600983e-06)),
+        (122, (0.0015552390645342184, 4.921253046200558e-07,
+               2.3789077970211534e-06)),
+        (195, (1.4498080820593518e-06, 9.27292842103581e-08,
+               2.6081575230432177e-09)),
+        (199, (3.6577007070076694e-07, 2.339454253995082e-08,
+               6.580084455463111e-10)),
+    ]
+
+    def test_curves(self, capsys):
+        _, out, _ = run(capsys, "curves", "--model", "MM3",
+                        "--y0=0.08,0.03", "--y0=-0.05,0.02")
+        rows = data_rows(out)
+        for i, ref in self.CURVES:
+            assert rows[i, 1:] == pytest.approx(ref, rel=1e-14, abs=0), i
+
+    def test_pca(self, capsys):
+        _, out, _ = run(capsys, "pca", "--model", "MM1")
+        variances = [float(ln.split("=")[1]) for ln in out.splitlines()
+                     if ln.startswith("# component")]
+        assert variances == pytest.approx(self.VARIANCES, rel=1e-12, abs=0)
+        rows = data_rows(out)
+        for i, ref in self.PCA:
+            got = np.abs(rows[i, 1:])
+            assert got[:2] == pytest.approx(ref[:2], rel=1e-12, abs=0), i
+            # pc3 carries 2e-6 of the variance
+            assert got[2] == pytest.approx(ref[2], rel=1e-10, abs=0), i
+
+
 class TestValidate:
     def test_all_fixtures_ok(self, capsys):
         for name in ("M1", "M2", "M3", "M4", "MM1", "MM2", "MM3", "MM4",

@@ -3,12 +3,30 @@
 import numpy as np
 import pytest
 
-from qhr import forward, linalg, model, moments
+from qhr import forward, model, moments
 
 
 @pytest.fixture(scope="module")
 def omegas(systems):
     return {name: moments.omega(sys) for name, sys in systems.items()}
+
+
+def _seeded_rank_one(blocks, seed):
+    """Rank-one model with the given canonical rate ladder, each rate scaled
+    by U(0.9, 1.1), Dirichlet weights w, and Gamma scaled so that the
+    fastest-rate kappa_tilde lies in [0.15, 0.5]."""
+    rng = np.random.default_rng(seed)
+    spec = model.JordanSpec(tuple((rate * rng.uniform(0.9, 1.1), n)
+                                  for rate, n in blocks))
+    w = rng.dirichlet(np.ones(spec.p))
+    alpha = float(np.exp(rng.uniform(np.log(0.005), np.log(0.03))))
+    lam = spec.lambda_matrix()
+    x = np.linalg.solve(lam, spec.b_vector())
+    gamma0 = rng.uniform(0.15, 0.5) / (np.linalg.eigvals(lam).real.max()
+                                       * float(w @ x) ** 2)
+    beta0 = -rng.uniform(0.0, 0.9) * np.sqrt(alpha * gamma0)
+    return model.rank_one(spec, w=w, alpha=alpha, beta0=beta0,
+                          gamma0=gamma0)
 
 
 def _r4():
@@ -103,6 +121,11 @@ class TestForwardVariance:
         assert vmin[0] == pytest.approx(model.variance_min(params)[1]**2,
                                         rel=1e-8)
 
+    def test_asymmetric_state_rejected(self, systems):
+        eta = np.array([0.1, 0.2, 0.01, 0.02, 0.03, 0.04])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            forward.forward_variance(systems["MM3"], eta, 0.5)
+
     def test_negative_horizon_rejected(self, systems):
         with pytest.raises(ValueError):
             forward.forward_variance(systems["M1"], np.zeros(2), -0.1)
@@ -141,9 +164,9 @@ class TestGridEvaluation:
     def test_psi(self, systems, name):
         sys = systems[name]
         rows = sys.psi(self.GRID)
-        assert rows.shape == (self.GRID.size, sys.p + sys.p**2)
+        assert rows.shape == (self.GRID.size, sys.n_eta)
         assert np.array_equal(rows, np.array([sys.psi(s) for s in self.GRID]))
-        assert sys.psi(np.zeros(0)).shape == (0, sys.p + sys.p**2)
+        assert sys.psi(np.zeros(0)).shape == (0, sys.n_eta)
 
     @pytest.mark.parametrize("name", ["M3", "M4", "MM3", "MM5"])
     def test_forward_variance_and_envelope(self, systems, name):
@@ -167,20 +190,6 @@ class TestGridEvaluation:
                               [dec.factor_curves(t) for t in self.GRID])
 
 
-class TestDuplicationMatrix:
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_vech_identity(self, p, rng):
-        d = forward.duplication_matrix(p)
-        assert d.shape == (p * p, p * (p + 1) // 2)
-        s = rng.standard_normal((p, p))
-        s = s + s.T
-        vech = []
-        for j in range(p):
-            for i in range(j, p):
-                vech.append(s[i, j])
-        assert np.allclose(d @ np.array(vech), linalg.vec(s), atol=0)
-
-
 class TestPca:
     def test_rank_counts(self, systems, omegas):
         # beta = 0 scalar: only the q loading survives
@@ -189,6 +198,8 @@ class TestPca:
         assert forward.pca(systems["M3"], omegas["M3"]).rank == 2
         # beta = 0 two-factor: the three symmetric q coordinates
         assert forward.pca(systems["MM1"], omegas["MM1"]).rank == 3
+        # the fourth component carries 8e-11 of the variance and stays
+        assert forward.pca(systems["MM5"], omegas["MM5"]).rank == 4
 
     def test_eigenvalues_sorted_nonnegative(self, systems, omegas):
         dec = forward.pca(systems["MM3"], omegas["MM3"])
@@ -197,10 +208,35 @@ class TestPca:
         assert vals.min() > -1e-15
 
     def test_factor_gram_identity(self, systems, omegas):
+        # integral of u u' = projection F_S projection' = I on the retained
+        # components; entry (i, j) is resolved to eps lambda_1 / (lambda_i
+        # lambda_j)^1/2, so it is checked scaled by that
         dec = forward.pca(systems["MM3"], omegas["MM3"])
         assert dec.eigenvalues.sum() > 0
-        assert np.allclose(dec.f_matrix, dec.r_factor @ dec.r_factor.T,
-                           atol=1e-12 * max(1.0, np.abs(dec.f_matrix).max()))
+        gram = dec.projection @ dec.f_matrix @ dec.projection.T
+        root = np.sqrt(dec.eigenvalues)
+        scaled = root[:, None] * (gram - np.eye(dec.rank)) * root
+        assert np.abs(scaled).max() < 1e-12 * dec.eigenvalues[0]
+
+    # the canonical rate ladders of perfbench's generated models
+    @pytest.mark.parametrize("blocks", [
+        ((20.0, 1), (4.0, 1), (0.8, 1)),
+        ((12.0, 2), (1.5, 1)),
+        ((25.0, 1), (8.0, 1), (2.5, 1), (0.8, 1)),
+        ((20.0, 2), (4.0, 1), (0.8, 1)),
+        ((30.0, 1), (12.0, 1), (4.0, 1), (1.5, 1), (0.6, 1)),
+        ((25.0, 2), (5.0, 2), (0.8, 1)),
+    ])
+    def test_components_carry_the_whole_variance(self, blocks):
+        # sum_i lambda_i u_i(0)^2 = Var(sigma^2): no component is lost
+        for seed in (7, 8):
+            sys = moments.build_moment_system(_seeded_rank_one(blocks, seed))
+            om = moments.omega(sys)
+            dec = forward.pca(sys, om)
+            var0 = float(np.sum(dec.eigenvalues
+                                * dec.factor_curves(0.0) ** 2))
+            assert var0 == pytest.approx(
+                moments.variance_autocov(sys, om, 0.0), rel=1e-12), seed
 
     def test_reconstruction(self, systems, omegas):
         for name in ("M3", "MM1", "MM3"):

@@ -1,8 +1,9 @@
-"""Kronecker algebra, operator recursions, Lyapunov solve, pivoted Cholesky.
+"""Symmetric orbits, matrix exponentials, eigenvalues, the Lyapunov solve,
+and the Kronecker operator recursions kept as the moment-matrix reference.
 
-Oracles: brute-force Kronecker products, tensor calculus identities for the
-operator family, scipy's Bartels-Stewart Lyapunov solver, and hand-computable
-factorizations.
+Oracles: brute-force permutation classes, Taylor series, tensor calculus
+identities for the operator family (kron_reference), and closed-form and
+Kronecker-system Lyapunov solutions.
 """
 
 import itertools
@@ -11,46 +12,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qhr import linalg
-
-
-def brute_kron(a, b):
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    m, n = a.shape
-    q, r = b.shape
-    out = np.zeros((m * q, n * r))
-    for i in range(m):
-        for j in range(n):
-            out[i * q:(i + 1) * q, j * r:(j + 1) * r] = a[i, j] * b
-    return out
-
-
-class TestKronVec:
-    def test_kron_matches_brute_force(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((4, 2))
-        assert np.allclose(linalg.kron(a, b), brute_kron(a, b), atol=0)
-
-    def test_vec_stacks_columns(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.vec(a), [1.0, 3.0, 2.0, 4.0])
-
-    def test_unvec_round_trip(self, rng):
-        a = rng.standard_normal((3, 5))
-        assert np.array_equal(linalg.unvec(linalg.vec(a), 3, 5), a)
-
-    def test_vec_kron_identity(self, rng):
-        # vec(A X B) = (B' (x) A) vec(X)
-        a = rng.standard_normal((3, 3))
-        x = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        lhs = linalg.vec(a @ x @ b)
-        rhs = linalg.kron(b.T, a) @ linalg.vec(x)
-        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+from kron_reference import build_kron_operators
+from qhr import linalg, model, moments
 
 
 class TestSymmetricOrbits:
@@ -153,7 +117,7 @@ def insert_b_patterns(vectors, b, n_b):
 class TestOperatorRecursions:
     def test_scalar_unroll(self):
         lam = 1.7
-        ops = linalg.build_kron_operators([[lam]], [1.0])
+        ops = build_kron_operators([[lam]], [1.0])
         assert [m.item() for m in ops.lambda_k] == pytest.approx(
             [lam, 2 * lam, 3 * lam, 4 * lam])
         assert [m.item() for m in ops.c_k] == pytest.approx([1.0, 2.0, 3.0,
@@ -165,7 +129,7 @@ class TestOperatorRecursions:
     def test_shapes(self):
         p = 3
         lam = np.diag([1.0, 2.0, 3.0])
-        ops = linalg.build_kron_operators(lam, np.ones(p))
+        ops = build_kron_operators(lam, np.ones(p))
         for k in range(1, 5):
             assert ops.lambda_k[k - 1].shape == (p**k, p**k)
             assert ops.c_k[k - 1].shape == (p**k, p**(k - 1))
@@ -176,16 +140,16 @@ class TestOperatorRecursions:
     def test_lambda2_is_lyapunov_operator(self, rng):
         # lambda_(2) vec(X) = vec(lam X + X lam')
         lam = rng.standard_normal((3, 3))
-        ops = linalg.build_kron_operators(lam, np.ones(3), order=2)
+        ops = build_kron_operators(lam, np.ones(3), order=2)
         x = rng.standard_normal((3, 3))
-        lhs = ops.lambda_k[1] @ linalg.vec(x)
-        rhs = linalg.vec(lam @ x + x @ lam.T)
+        lhs = ops.lambda_k[1] @ x.reshape(-1, order="F")
+        rhs = (lam @ x + x @ lam.T).reshape(-1, order="F")
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_lambda_k_leibniz_rule(self, rng):
         # lambda_(k) acts on elementary tensors as a sum over slots
         lam = rng.standard_normal((2, 2))
-        ops = linalg.build_kron_operators(lam, np.ones(2))
+        ops = build_kron_operators(lam, np.ones(2))
         vecs = [rng.standard_normal(2) for _ in range(4)]
 
         def tensor(factors):
@@ -203,7 +167,7 @@ class TestOperatorRecursions:
 
     def test_c_k_inserts_one_b(self, rng):
         b = rng.standard_normal(2)
-        ops = linalg.build_kron_operators(np.eye(2), b)
+        ops = build_kron_operators(np.eye(2), b)
         vecs = [rng.standard_normal(2) for _ in range(3)]
 
         def tensor(factors):
@@ -220,7 +184,7 @@ class TestOperatorRecursions:
 
     def test_b_k_inserts_two_bs(self, rng):
         b = rng.standard_normal(2)
-        ops = linalg.build_kron_operators(np.eye(2), b)
+        ops = build_kron_operators(np.eye(2), b)
         vecs = [rng.standard_normal(2) for _ in range(2)]
 
         def tensor(factors):
@@ -236,14 +200,16 @@ class TestOperatorRecursions:
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_dimension_cap(self):
-        with pytest.raises(linalg.DimensionCapError):
-            linalg.build_kron_operators(np.eye(7), np.ones(7))
-        with pytest.raises(linalg.DimensionCapError):
-            linalg.build_kron_operators(np.eye(3), np.ones(3), dim_cap=2)
+        params = model.ModelParams(lam=np.eye(7), b=np.ones(7), alpha=0.01,
+                                   beta=np.zeros(7), gamma_mat=np.zeros((7, 7)))
+        with pytest.raises(linalg.DimensionCapError, match="dimension 7"):
+            moments.build_moment_system(params)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            linalg.build_kron_operators(np.eye(2), np.ones(3))
+            moments.build_moment_system(model.ModelParams(
+                lam=np.eye(2), b=np.ones(3), alpha=0.01, beta=np.zeros(2),
+                gamma_mat=np.zeros((2, 2))))
 
 
 class TestSolveLyapunov:
@@ -260,6 +226,15 @@ class TestSolveLyapunov:
         f = linalg.solve_lyapunov(a, g)
         ref = scipy.linalg.solve_lyapunov(a.T, np.outer(g, g))
         assert np.allclose(f, ref, rtol=1e-9, atol=1e-12)
+
+    def test_matches_kronecker_system(self, rng):
+        # vec(F) = (a (x) I + I (x) a)^-T vec(g g')
+        a = np.diag([1.0, 3.0, 9.0, 30.0]) + 0.1 * rng.standard_normal((4, 4))
+        g = rng.standard_normal(4)
+        big = np.kron(a, np.eye(4)) + np.kron(np.eye(4), a)
+        ref = np.linalg.solve(big.T, np.kron(g, g)).reshape((4, 4), order="F")
+        f = linalg.solve_lyapunov(a, g)
+        assert np.abs(f - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_residual_and_symmetry(self, rng):
         a = np.diag([1.0, 3.0, 7.0]) + 0.2 * rng.standard_normal((3, 3))
@@ -285,57 +260,3 @@ class TestSolveLyapunov:
             linalg.solve_lyapunov(np.array([[-1.0]]), np.array([1.0]))
         with pytest.raises(linalg.UnstableError):
             linalg.solve_lyapunov(np.array([[0.0]]), np.array([1.0]))
-
-
-class TestPivotedCholesky:
-    def test_diagonal_example(self):
-        f = np.diag([4.0, 1.0, 0.0])
-        r, rank, r_pinv = linalg.pivoted_cholesky(f)
-        assert rank == 2
-        assert r.shape == (3, 2)
-        assert np.allclose(r @ r.T, f, atol=1e-14)
-        assert np.allclose(r_pinv @ r, np.eye(2), atol=1e-12)
-
-    def test_low_rank_reconstruction(self, rng):
-        b = rng.standard_normal((6, 2))
-        f = b @ b.T
-        r, rank, r_pinv = linalg.pivoted_cholesky(f)
-        assert rank == 2
-        assert np.abs(r @ r.T - f).max() < 1e-10
-        assert np.allclose(r_pinv @ r, np.eye(rank), atol=1e-10)
-
-    def test_full_rank(self, rng):
-        m = rng.standard_normal((4, 4))
-        f = m @ m.T + 0.1 * np.eye(4)
-        r, rank, _ = linalg.pivoted_cholesky(f)
-        assert rank == 4
-        assert np.allclose(r @ r.T, f, rtol=1e-12, atol=1e-12)
-
-    def test_zero_matrix(self):
-        r, rank, r_pinv = linalg.pivoted_cholesky(np.zeros((3, 3)))
-        assert rank == 0
-        assert r.shape == (3, 0)
-        assert r_pinv.shape == (0, 3)
-
-    def test_indefinite_raises(self):
-        with pytest.raises(linalg.NotPsdError):
-            linalg.pivoted_cholesky(np.diag([1.0, -1.0]))
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            linalg.pivoted_cholesky(np.ones((2, 3)))
-
-    @settings(deadline=None, max_examples=60)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n=st.integers(min_value=1, max_value=5),
-           r=st.integers(min_value=0, max_value=5))
-    def test_random_psd_property(self, seed, n, r):
-        gen = np.random.default_rng(seed)
-        b = gen.standard_normal((n, min(r, n)))
-        f = b @ b.T
-        rr, rank, r_pinv = linalg.pivoted_cholesky(f)
-        assert rank <= min(r, n)
-        scale = max(np.abs(f).max(), 1.0)
-        assert np.abs(rr @ rr.T - f).max() < 1e-9 * scale
-        if rank:
-            assert np.allclose(r_pinv @ rr, np.eye(rank), atol=1e-8)

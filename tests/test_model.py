@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kron_reference import full_system
 from qhr import model
 
 
@@ -380,6 +381,16 @@ class TestDiagnostics:
         assert diag.mu4 == pytest.approx(4 * lam - 6 * gam, rel=1e-12)
         assert diag.sigma_min == pytest.approx(0.08, rel=1e-12)
         assert diag.kurt_infty == pytest.approx(3.0, abs=0.01)
+
+    def test_second_block_spectrum_matches_full_block(self, models):
+        # eig(A_22 on S) and lam_i + lam_j (i < j) are the whole spectrum
+        # of the Kronecker block A_22
+        for name, params in models.items():
+            got = model.diagnostics(params).eig_block2
+            want = np.linalg.eigvals(full_system(params).blocks[(2, 2)])
+            want = want[np.lexsort((want.imag, want.real))]
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), name
 
     def test_sigma_infty_consistency(self, models):
         for name, params in models.items():

@@ -1,6 +1,7 @@
 """Moment ODE assembly, stationary solution, stability tests, covariances.
 
-Independent oracles: scalar closed-form moments, scipy's Lyapunov solver for
+Independent oracles: the Kronecker construction of the full moment matrix
+(kron_reference), scalar closed-form moments, scipy's Lyapunov solver for
 the stationary second moment, an ODE integrator for the conditional decay,
 and exact rational values for the sufficient stability scalar.
 """
@@ -10,6 +11,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from kron_reference import duplication, full_system
 from qhr import linalg, model, moments, scalar
 
 
@@ -18,19 +20,26 @@ def scalar_model(lam, alpha, beta, gamma):
                              beta=[beta], gamma_mat=[[gamma]])
 
 
+def sym_block(sys, i, j=None):
+    """Block (i, j) of a_sym (1-based moment orders; j defaults to i)."""
+    o = sys.sym_offsets
+    j = i if j is None else j
+    return sys.a_sym[o[i - 1]:o[i], o[j - 1]:o[j]]
+
+
 class TestAssembly:
     def test_scalar_diagonal_blocks(self, systems):
         sys = systems["M1"]
         lam, gam = 6.0, 3.6334
-        assert sys.a_blocks[(2, 2)].item() == pytest.approx(2 * lam - gam)
-        assert sys.a_blocks[(3, 3)].item() == pytest.approx(3 * lam - 3 * gam)
-        assert sys.a_blocks[(4, 4)].item() == pytest.approx(4 * lam - 6 * gam)
+        assert sym_block(sys, 2).item() == pytest.approx(2 * lam - gam)
+        assert sym_block(sys, 3).item() == pytest.approx(3 * lam - 3 * gam)
+        assert sym_block(sys, 4).item() == pytest.approx(4 * lam - 6 * gam)
 
     def test_zero_beta_removes_subdiagonal(self, systems):
         for name in ("M1", "M2", "MM1", "MM2"):
             sys = systems[name]
             for k in (2, 3, 4):
-                assert np.all(sys.a_blocks[(k, k - 1)] == 0.0), name
+                assert np.all(sym_block(sys, k, k - 1) == 0.0), name
 
     def test_block_slices(self, systems):
         sys = systems["MM3"]
@@ -38,24 +47,28 @@ class TestAssembly:
         assert sys.block(2) == slice(2, 6)
         assert sys.block(3) == slice(6, 14)
         assert sys.block(4) == slice(14, 30)
-        assert sys.a_full.shape == (30, 30)
+        assert sys.sym_offsets == (0, 2, 5, 9, 14)
+        assert sys.a_sym.shape == (14, 14)
 
     def test_g_layout(self, systems, models):
         sys = systems["MM3"]
         params = models["MM3"]
+        gam = params.gamma_mat
         assert np.array_equal(sys.g[:2], 2.0 * params.beta)
-        assert np.array_equal(sys.g[2:], params.gamma_mat.reshape(-1,
-                                                                  order="F"))
+        # coefficients of y1^2, y1 y2, y2^2
+        assert np.array_equal(sys.g[2:], [gam[0, 0], gam[0, 1] + gam[1, 0],
+                                          gam[1, 1]])
 
     def test_stationary_point_solves_system(self, systems):
         for name, sys in systems.items():
-            resid = sys.a_full @ sys.m_infty - sys.source
+            resid = sys.a_sym @ sys.m_infty[sys.sym_rep] - sys.source
             scale = max(np.abs(sys.source).max(), 1e-30)
             assert np.abs(resid).max() < 1e-10 * scale, name
 
-    def test_stationary_matches_full_solve(self, systems):
+    def test_stationary_matches_full_solve(self, models, systems):
         sys = systems["MM5"]
-        direct = np.linalg.solve(sys.a_full, sys.source)
+        full = full_system(models["MM5"])
+        direct = np.linalg.solve(full.a_full, full.source)
         assert np.allclose(sys.m_infty, direct, rtol=1e-9, atol=1e-16)
 
     def test_first_moment_vanishes(self, systems):
@@ -64,8 +77,9 @@ class TestAssembly:
 
     def test_a_tilde_is_top_corner(self, systems):
         sys = systems["MM1"]
-        n = sys.p + sys.p**2
-        assert np.array_equal(sys.a_tilde, sys.a_full[:n, :n])
+        n = sys.p + sys.p * (sys.p + 1) // 2
+        assert sys.n_eta == n
+        assert np.array_equal(sys.a_tilde, sys.a_sym[:n, :n])
 
 
 class TestStationarySummary:
@@ -108,7 +122,7 @@ class TestStationarySummary:
 
     def test_second_moment_matrix(self, models, systems):
         sys = systems["MM4"]
-        m2 = linalg.unvec(sys.m_infty[sys.block(2)], 2, 2)
+        m2 = sys.m_infty[sys.block(2)].reshape(2, 2)
         assert np.allclose(m2, m2.T, atol=1e-14)
         assert np.linalg.eigvalsh(m2).min() > 0
         q = scipy.linalg.solve_lyapunov(
@@ -202,8 +216,9 @@ class TestConditionalMoments:
             for _ in range(3):
                 start.append(np.kron(start[-1], y0))
             start = np.concatenate(start)
+            full = full_system(sys.params)
             sol = scipy.integrate.solve_ivp(
-                lambda t, m: sys.source - sys.a_full @ m, (0.0, 0.5), start,
+                lambda t, m: full.source - full.a_full @ m, (0.0, 0.5), start,
                 rtol=1e-11, atol=1e-14, dense_output=True)
             ref = sol.y[:, -1]
             scale = np.abs(ref).max()
@@ -216,6 +231,17 @@ class TestConditionalMoments:
         out = moments.conditional_eta(sys, eta, 0.7)
         full = moments.conditional_moments(sys, y0, 0.7)
         assert np.allclose(out, full[:6], rtol=1e-11, atol=1e-16)
+
+    def test_asymmetric_q_rejected(self, systems):
+        # an eta whose q part is not symmetric has no S coordinates
+        sys = systems["MM3"]
+        eta = moments.EtaState.from_y([0.04, 0.01]).vector
+        eta[3] += 1e-4
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            moments.conditional_eta(sys, eta, 0.7)
+        eta[4] = eta[3]
+        out = moments.conditional_eta(sys, eta, 0.7)
+        assert np.array_equal(out[2:].reshape(2, 2), out[2:].reshape(2, 2).T)
 
     def test_negative_time_rejected(self, systems):
         with pytest.raises(ValueError):
@@ -235,7 +261,7 @@ def reference_conditional_moments(sys, y0, t):
     for _ in range(3):
         m0.append(np.kron(m0[-1], y0))
     m0 = np.concatenate(m0)
-    decay = linalg.expm(-sys.a_full * t)
+    decay = linalg.expm(-full_system(sys.params).a_full * t)
     return sys.m_infty + decay @ (m0 - sys.m_infty)
 
 
@@ -256,7 +282,8 @@ def cascade_systems():
 
 def full_block_eig_min(sys):
     """Smallest real part of each full diagonal block A_kk, k = 2..4."""
-    return tuple(float(linalg.eigenvalues(sys.a_blocks[(k, k)])[0].real)
+    blocks = full_system(sys.params).blocks
+    return tuple(float(linalg.eigenvalues(blocks[(k, k)])[0].real)
                  for k in (2, 3, 4))
 
 
@@ -295,16 +322,35 @@ def random_jordan_model(rng):
 
 class TestSymmetricSubspace:
     def test_a_maps_symmetric_subspace_into_itself(self, systems):
-        # a_full D = D a_sym, D the duplication map of the stacked orbits
+        # a_full D = D a_sym, D the duplication map of the stacked orbits:
+        # the generator's matrix is the Kronecker one restricted to S
         for name, sys in {**systems, **cascade_systems()}.items():
-            dup = np.eye(sys.a_sym.shape[0])[sys.sym_inv]
-            resid = np.abs(sys.a_full @ dup - dup @ sys.a_sym).max()
-            assert resid <= 1e-12 * np.abs(sys.a_full).max(), name
+            full = full_system(sys.params)
+            dup = duplication(sys)
+            resid = np.abs(full.a_full @ dup - dup @ sys.a_sym).max()
+            assert resid <= 1e-12 * np.abs(full.a_full).max(), name
+            assert np.array_equal(full.source, dup @ sys.source), name
+
+    @pytest.mark.parametrize("blocks", [
+        ((30.0, 1), (12.0, 1), (4.0, 1), (1.5, 1), (0.6, 1)),
+        ((30.0, 2), (8.0, 2), (2.0, 1), (0.6, 1)),
+    ])
+    def test_generator_matches_kronecker_at_higher_p(self, blocks):
+        spec = model.JordanSpec(blocks)
+        w = np.linspace(1.0, 2.0, spec.p) / spec.p
+        params = model.rank_one(spec, w=w, alpha=0.01, beta0=-0.05,
+                                gamma0=2.0)
+        sys = moments.build_moment_system(params)
+        full = full_system(params)
+        dup = duplication(sys)
+        resid = np.abs(full.a_full @ dup - dup @ sys.a_sym).max()
+        assert resid <= 1e-12 * np.abs(full.a_full).max()
+        assert sys.stable == all(e > 0 for e in full_block_eig_min(sys))
 
     def test_dimension(self, systems):
         sys = systems["MM1"]
         assert sys.a_sym.shape == (2 + 3 + 4 + 5,) * 2
-        assert sys.sym_inv.shape == (sys.a_full.shape[0],)
+        assert sys.sym_inv.shape == (2 + 4 + 8 + 16,)
         assert np.array_equal(sys.sym_inv[sys.sym_rep],
                               np.arange(sys.a_sym.shape[0]))
 
@@ -355,13 +401,27 @@ class TestOmega:
     def test_structure(self, models, systems):
         sys = systems["MM3"]
         om = moments.omega(sys)
-        n = sys.p + sys.p**2
+        n = sys.p + sys.p * (sys.p + 1) // 2
         assert om.shape == (n, n)
-        assert np.allclose(om, om.T, atol=0)
+        assert np.array_equal(om, om.T)
         assert np.linalg.eigvalsh(om).min() > -1e-12
         # y block is the raw second moment (E[y] = 0)
-        m2 = linalg.unvec(sys.m_infty[sys.block(2)], 2, 2)
+        m2 = sys.m_infty[sys.block(2)].reshape(2, 2)
         assert np.allclose(om[:2, :2], m2, rtol=1e-12)
+
+    def test_matches_kronecker_blocks(self, systems):
+        # spread to the stacked layout, Omega is the Kronecker assembly of
+        # E[eta eta'] from the moment blocks minus eta_infty eta_infty'
+        for name, sys in {**systems, **cascade_systems()}.items():
+            p = sys.p
+            m = sys.m_infty
+            m2 = m[sys.block(2)].reshape(p, p)
+            m3 = m[sys.block(3)].reshape(p, p * p)
+            m4 = m[sys.block(4)].reshape(p * p, p * p)
+            kron = np.block([[m2, m3], [m3.T, m4]]) - np.outer(
+                sys.eta_infty, sys.eta_infty)
+            dup = np.eye(sys.n_eta)[sys.sym_inv[:p + p * p]]
+            assert np.array_equal(dup @ moments.omega(sys) @ dup.T, kron), name
 
     def test_lag_zero_is_variance_of_variance(self, models, systems):
         for name in ("M4", "MM3"):
@@ -415,6 +475,15 @@ class TestSquaredIncrements:
         assert abs(far) < 1e-9 * max(abs(val), 1e-30)
         with pytest.raises(moments.WindowOrderError):
             moments.squared_increment_autocov(sys, cov, h, r)
+
+    def test_asymmetric_covariance_rejected(self, systems):
+        sys = systems["MM3"]
+        cov = np.array([1e-6, -2e-6, 3e-7, 4e-7, 4e-7, 5e-7])
+        assert np.isfinite(moments.squared_increment_autocov(sys, cov,
+                                                             0.1, 0.2))
+        cov[4] = -4e-7
+        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+            moments.squared_increment_autocov(sys, cov, 0.1, 0.2)
 
     def test_requires_stationarity(self):
         params = scalar_model(1.0, 0.01, 0.0, 1.2)
