@@ -84,13 +84,17 @@ def _parse_values(text):
     try:
         if text.startswith("geom:"):
             a, b, n = text[5:].split(":")
-            return np.geomspace(float(a), float(b), int(n))
-        if ":" in text:
+            values = np.geomspace(float(a), float(b), int(n))
+        elif ":" in text:
             a, b, n = text.split(":")
-            return np.linspace(float(a), float(b), int(n))
-        return np.array([float(tok) for tok in text.split(",")])
+            values = np.linspace(float(a), float(b), int(n))
+        else:
+            values = np.array([float(tok) for tok in text.split(",")])
     except (ValueError, TypeError):
         raise UsageError(f"cannot parse grid '{text}'")
+    if values.size == 0:
+        raise UsageError(f"grid '{text}' is empty")
+    return values
 
 
 def _parse_keyed_grid(text):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, stats
+from scipy.special import ndtr, ndtri, stdtrit
 
 from .moments import NotStationaryError
 
@@ -130,6 +130,9 @@ class PearsonIV:
         self._sqd = math.sqrt(delta)
         self._a = 2.0 * lam / gamma
         self._nu = 2.0 * lam * beta / (gamma * self._sqd)
+        # only this build needs quadrature and splines; importing them here
+        # keeps scipy.integrate and scipy.interpolate out of `import qhr`
+        from scipy import integrate, interpolate
         # normalization in the angle variable
         theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, self._GRID)
         h = np.full_like(theta, -np.inf)
@@ -181,7 +184,8 @@ class PearsonIV:
         y = np.asarray(y, dtype=float)
         sp = self.params
         if self.gaussian:
-            out = stats.norm.logpdf(y, scale=self._sd)
+            out = (-(y / self._sd)**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
+                   - np.log(self._sd))
         else:
             sig2 = sp.alpha + 2.0 * sp.beta * y + sp.gamma * y * y
             out = self._log_c + (-sp.lam / sp.gamma - 1.0) * np.log(sig2) \
@@ -209,7 +213,7 @@ class PearsonIV:
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         if self.gaussian:
-            out = stats.norm.cdf(y, scale=self._sd)
+            out = ndtr(y / self._sd)
         else:
             out = np.clip(self._cdf_spline(self._theta_of_y(y)), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
@@ -226,24 +230,27 @@ class PearsonIV:
         return 2.0 * sp.lam / sp.gamma + 1.0
 
     def ppf(self, u):
-        """Quantile function.  beta = 0 maps exactly through the Student t;
-        otherwise spline inverse plus a few Newton corrections."""
+        """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
+        beta = 0 maps exactly through the Student t; otherwise spline
+        inverse plus a few Newton corrections."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
-            out = stats.norm.ppf(u, scale=self._sd)
+            out = ndtri(u) * self._sd
             return float(out) if u.ndim == 0 else out
         sp = self.params
         if sp.beta == 0.0:
-            out = self.student_scale * stats.t.ppf(u, df=self.student_df)
+            out = _quantile_ends(u, self.student_scale
+                                 * stdtrit(self.student_df, u))
             return float(out) if u.ndim == 0 else out
-        uu = np.clip(np.atleast_1d(u), self._cdf_grid[1], self._cdf_grid[-2])
+        u1 = np.atleast_1d(u)
+        uu = np.clip(u1, self._cdf_grid[1], self._cdf_grid[-2])
         theta = self._ppf_spline(uu)
         lo, hi = self._theta_grid[1], self._theta_grid[-2]
         for _ in range(4):
             f = np.exp(self._theta_logpdf(theta))
             step = (self._cdf_spline(theta) - uu) / np.maximum(f, 1e-300)
             theta = np.clip(theta - step, lo, hi)
-        out = self._y_of_theta(theta)
+        out = _quantile_ends(u1, self._y_of_theta(theta))
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def sample(self, n, seed):
@@ -254,6 +261,13 @@ class PearsonIV:
             return self.student_scale * rng.standard_t(self.student_df,
                                                        size=n)
         return self.ppf(rng.random(n))
+
+
+def _quantile_ends(u, out):
+    """Set the quantiles at and beyond u = 0 and 1 as ndtri does: stdtrit
+    returns +inf at u = 0, and the spline inverse clips to its grid."""
+    out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, out))
+    return np.where((u < 0.0) | (u > 1.0), np.nan, out)
 
 
 def pearson4_density(pp, y):

@@ -70,6 +70,20 @@ class TestExitCodes:
         assert rc == 2
         assert "cannot parse model file" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("curves", "--grid", "0:1:0"),
+        ("pca", "--grid", "geom:0.01:1:0"),
+        ("density", "--grid", "0:1:0"),
+        ("simulate", "--paths", "100", "--grid", "0:1:0"),
+        ("smile", "--paths", "100", "--grid", "T=0:1:0"),
+        ("atm", "--paths", "100", "--grid", "T=0:1:0"),
+    ], ids=lambda argv: argv[0])
+    def test_empty_grid(self, capsys, argv):
+        rc, out, err = run(capsys, argv[0], "--model", "M1", *argv[1:])
+        assert rc == 2
+        assert out == ""
+        assert "is empty" in err
+
 
 class TestGolden:
     @pytest.mark.parametrize("fname,argv", [

@@ -1,11 +1,17 @@
 """One-factor closed forms and the stationary Pearson density."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import qhr
 from qhr import moments, scalar
 
 
@@ -174,6 +180,44 @@ class TestPearsonDensity:
         draws = pp.sample(50_000, seed=11)
         assert draws.std() == pytest.approx(sd, rel=0.02)
 
+    def test_bit_identical_to_scipy_stats(self, sp_m2):
+        # the closed forms are what scipy.stats.norm and .t evaluate
+        rng = np.random.default_rng(41)
+        us = np.concatenate([rng.random(2000), [0.5, 1e-12, 1.0 - 1e-12]])
+        gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
+        sd = gauss._sd
+        ys = rng.normal(scale=4.0 * sd, size=2000)
+        assert np.array_equal(gauss.logpdf(ys),
+                              stats.norm.logpdf(ys, scale=sd))
+        assert np.array_equal(gauss.cdf(ys), stats.norm.cdf(ys, scale=sd))
+        assert np.array_equal(gauss.ppf(us), stats.norm.ppf(us, scale=sd))
+        for y, u in zip(ys[:50], us[:50]):
+            assert gauss.logpdf(y) == stats.norm.logpdf(y, scale=sd)
+            assert gauss.cdf(y) == stats.norm.cdf(y, scale=sd)
+            assert gauss.ppf(u) == stats.norm.ppf(u, scale=sd)
+        for sp in (sp_m2, scalar.ScalarParams(3.0, 0.01, 0.0, 1.2),
+                   scalar.ScalarParams(3.0, 0.01, 0.0, 0.3)):
+            pp = scalar.PearsonIV(sp)
+            want = pp.student_scale * stats.t.ppf(us, pp.student_df)
+            assert np.array_equal(pp.ppf(us), want)
+            for u in us[:50]:
+                assert pp.ppf(u) == pp.student_scale * stats.t.ppf(
+                    u, pp.student_df)
+
+    def test_quantile_ends(self, sp_m2, sp_m3):
+        # all three branches: NaN outside [0, 1], -inf at 0, +inf at 1
+        gauss = scalar.ScalarParams(3.0, 0.018, 0.0, 0.0)
+        us = np.array([-0.2, 0.0, 1.0, 1.5, np.nan])
+        for sp in (gauss, sp_m2, sp_m3):
+            pp = scalar.PearsonIV(sp)
+            out = pp.ppf(us)
+            assert np.isnan(out[[0, 3, 4]]).all()
+            assert out[1] == -np.inf and out[2] == np.inf
+            assert [pp.ppf(u) for u in (0.0, 1.0)] == [-np.inf, np.inf]
+            assert math.isnan(pp.ppf(-0.2)) and math.isnan(pp.ppf(1.5))
+            inner = pp.ppf(np.array([1e-12, 0.5, 1.0 - 1e-12]))
+            assert np.isfinite(inner).all() and np.all(np.diff(inner) > 0)
+
     def test_rejects_inadmissible_links(self):
         with pytest.raises(ValueError):
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.05, 0.0))
@@ -189,3 +233,31 @@ class TestPearsonDensity:
         assert np.array_equal(scalar.pearson4_logpdf(pp, ys), pp.logpdf(ys))
         assert np.array_equal(scalar.pearson4_sample(pp, 64, seed=3),
                               pp.sample(64, seed=3))
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # a fresh interpreter: this process already holds scipy.stats
+    code = textwrap.dedent("""
+        import json, sys
+        import qhr, qhr.cli
+        heavy = [m for m in ("scipy.stats", "scipy.integrate",
+                             "scipy.interpolate", "scipy.optimize")
+                 if m in sys.modules]
+        from qhr import scalar
+        skewed = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+            qhr.load_fixture("M3")))
+        gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
+        print(json.dumps([heavy, skewed.ppf(0.3), gauss.ppf(0.3)]))
+    """)
+    src = os.path.dirname(os.path.dirname(qhr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    heavy, skewed_q, gauss_q = json.loads(proc.stdout)
+    assert heavy == []
+    m3 = scalar.ScalarParams.from_model_params(qhr.load_fixture("M3"))
+    assert skewed_q == scalar.PearsonIV(m3).ppf(0.3)
+    assert gauss_q == scalar.PearsonIV(
+        scalar.ScalarParams(3.0, 0.018, 0.0, 0.0)).ppf(0.3)
