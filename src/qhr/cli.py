@@ -6,7 +6,9 @@ atm / simulate run the Monte Carlo engine.  CSV output carries a provenance
 header (package version, model hash, seed; for the Monte Carlo commands
 also the path count, steps per year and starting state) and
 full-precision numbers; table output rounds the way the reference tables
-do.
+do.  Each subcommand accepts only the options its handler reads; a handler
+returns (exit code, report lines) and main writes the report once, to
+stdout or to --out.
 
 Exit codes: 0 success, 1 invalid or non-stationary model (or a numerical
 failure downstream), 2 usage or parse errors.
@@ -188,28 +190,25 @@ def cmd_validate(args):
         "bordered matrix not psd",
     ]
     label = params.label or args.model
-    print(f"model {label} ({_model_hash(params)})")
+    lines = [f"model {label} ({_model_hash(params)})"]
     for clause in clauses:
         state = "FAIL" if clause in failures else "PASS"
-        print(f"  {state}  {clause}")
+        lines.append(f"  {state}  {clause}")
     if failures:
-        print("result: INVALID")
-        return 1
+        return 1, lines + ["result: INVALID"]
     sys_ = moments.build_moment_system(params)
     kt, suff = moments.check_stability_sufficient(params)
-    print(f"  kappa       = {sys_.kappa:.4f}")
-    print(f"  kappa_tilde = {kt:.4f}  "
-          f"({'PASS' if suff else 'FAIL'}: sufficient condition < 2/3)")
+    lines.append(f"  kappa       = {sys_.kappa:.4f}")
+    lines.append(f"  kappa_tilde = {kt:.4f}  "
+                 f"({'PASS' if suff else 'FAIL'}: sufficient condition < 2/3)")
     for k in (2, 3, 4):
-        print(f"  min Re eig moment block {k}: "
-              f"{sys_.block_eig_min[k - 2]:+.4f}")
+        lines.append(f"  min Re eig moment block {k}: "
+                     f"{sys_.block_eig_min[k - 2]:+.4f}")
     state = "PASS" if sys_.stable else "FAIL"
-    print(f"  {state}  stationarity (moment blocks 2-4 stable)")
+    lines.append(f"  {state}  stationarity (moment blocks 2-4 stable)")
     if not sys_.stable:
-        print("result: NOT STATIONARY")
-        return 1
-    print("result: OK")
-    return 0
+        return 1, lines + ["result: NOT STATIONARY"]
+    return 0, lines + ["result: OK"]
 
 
 def cmd_diagnostics(args):
@@ -263,7 +262,6 @@ def cmd_diagnostics(args):
         lines.append("label,mu2,mu3,mu4,kappa,kappa_tilde,sigma_min,"
                      "sigma_infty,kurt_infty,y_min,eig_block2")
         lines.extend(rows_csv)
-        _emit(lines, args.out)
     else:
         lines = []
         if rows_scalar:
@@ -282,8 +280,7 @@ def cmd_diagnostics(args):
             lines.extend(_table(
                 ["model", "eig(second-moment block)"],
                 [[lab, _fmt_eigs(e)] for lab, e in eig_rows]))
-        _emit(lines, args.out)
-    return 1 if failed else 0
+    return (1 if failed else 0), lines
 
 
 def cmd_curves(args):
@@ -308,8 +305,7 @@ def cmd_curves(args):
     vols = np.sqrt(np.maximum(np.column_stack(curves + [v0, vmin]), 0.0))
     for s, row in zip(grid, vols):
         lines.append(",".join([_g(s)] + [_g(v) for v in row]))
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 def cmd_pca(args):
@@ -321,8 +317,7 @@ def cmd_pca(args):
             else _parse_values(args.grid))
     body = forward.pca_curves_csv(dec, np.asarray(grid, dtype=float))
     lines = _provenance([params], args.seed) + body.splitlines()
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 def cmd_density(args):
@@ -350,8 +345,7 @@ def cmd_density(args):
         if student:
             row.append(_g(ref[i]))
         lines.append(",".join(row))
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 def _mc_config(args, horizon):
@@ -390,8 +384,7 @@ def cmd_smile(args):
                 v = surf.ivol[i, j]
                 row.append("-" if np.isnan(v) else f"{100.0 * v:.2f}")
             rows.append(row)
-        _emit(_table(headers, rows), args.out)
-        return 0
+        return 0, _table(headers, rows)
     lines = _provenance([params], args.seed)
     lines.append(_mc_provenance(args, y0))
     for i, t in enumerate(surf.maturities):
@@ -406,8 +399,7 @@ def cmd_smile(args):
                 _g(surf.put_price[i, j]), _g(surf.put_se[i, j]),
                 _g(surf.ivol[i, j]),
             ]))
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 def cmd_atm(args):
@@ -427,8 +419,7 @@ def cmd_atm(args):
     lines.append("maturity,atm_vol,atm_skew")
     for i, t in enumerate(surf.maturities):
         lines.append(f"{_g(t)},{_g(atm_vol[i])},{_g(atm_skew[i])}")
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 def cmd_simulate(args):
@@ -453,8 +444,7 @@ def cmd_simulate(args):
         row = [_g(t), _g(mx), _g(sx), _g(me), _g(se_e), _g(ms), _g(ss)]
         row += [_g(v) for v in ymeans]
         lines.append(",".join(row))
-    _emit(lines, args.out)
-    return 0
+    return 0, lines
 
 
 # ---------------------------------------------------------------------------
@@ -470,57 +460,57 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"qhr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, multi_model=False, multi_y0=False):
-        if multi_model:
-            p.add_argument("--model", nargs="+", required=True,
-                           help="model file(s) or bundled fixture name(s)")
-        else:
-            p.add_argument("--model", required=True,
-                           help="model file or bundled fixture name")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--paths", type=int, default=100_000)
-        p.add_argument("--steps-per-year", type=int, default=250)
-        if multi_y0:
-            p.add_argument("--y0", action="append",
-                           help="initial factor vector, comma separated; "
-                                "repeatable")
-        else:
-            p.add_argument("--y0",
-                           help="initial factor vector (comma separated) or "
-                                "'stationary'")
-        p.add_argument("--grid", help="grid spec: comma list, a:b:n, "
-                                      "geom:a:b:n, or key=... parts")
-        p.add_argument("--format", choices=("csv", "table"), default=None)
-
-    for name, fn, kw in (
-            ("validate", cmd_validate, {}),
-            ("diagnostics", cmd_diagnostics, {"multi_model": True}),
-            ("curves", cmd_curves, {"multi_y0": True}),
-            ("pca", cmd_pca, {}),
-            ("density", cmd_density, {}),
-            ("smile", cmd_smile, {}),
-            ("atm", cmd_atm, {}),
-            ("simulate", cmd_simulate, {}),
+    shared = {
+        "--seed": dict(type=int, default=12345),
+        "--paths": dict(type=int, default=100_000),
+        "--steps-per-year": dict(type=int, default=250),
+        "--y0": dict(help="initial factor vector (comma separated) or "
+                          "'stationary'"),
+        "--grid": dict(help="grid spec: comma list, a:b:n, geom:a:b:n, or "
+                            "key=... parts"),
+    }
+    mc_options = ("--seed", "--paths", "--steps-per-year", "--y0", "--grid")
+    for name, fn, names, own in (
+            ("validate", cmd_validate, (), {}),
+            ("diagnostics", cmd_diagnostics, ("--seed",), {
+                "--model": dict(nargs="+", required=True,
+                                help="model file(s) or bundled fixture "
+                                     "name(s)"),
+                "--format": dict(choices=("csv", "table"), default="table")}),
+            ("curves", cmd_curves, ("--seed", "--grid"), {
+                "--y0": dict(action="append",
+                             help="initial factor vector, comma separated; "
+                                  "repeatable")}),
+            ("pca", cmd_pca, ("--seed", "--grid"), {}),
+            ("density", cmd_density, ("--seed", "--grid"), {}),
+            ("smile", cmd_smile, mc_options, {
+                "--format": dict(choices=("csv", "table"), default="csv")}),
+            ("atm", cmd_atm, mc_options, {}),
+            ("simulate", cmd_simulate, mc_options, {}),
     ):
         p = sub.add_parser(name)
-        common(p, **kw)
         p.set_defaults(func=fn)
+        options = {"--model": dict(required=True,
+                                   help="model file or bundled fixture name"),
+                   "--out": dict(help="output file (default: stdout)"),
+                   **{flag: shared[flag] for flag in names}, **own}
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.format is None:
-        args.format = "table" if args.command in ("validate",
-                                                  "diagnostics") else "csv"
     try:
-        return args.func(args)
+        rc, lines = args.func(args)
+        _emit(lines, args.out)
+        return rc
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -353,7 +353,7 @@ def estimate_cov_eta_xi2(params, r, cfg):
 
     Returns (cov, se) with one entry per eta component (p + p^2).  This is
     the simulation input of the squared-increment autocovariance formula;
-    no closed form is available."""
+    qhr does not compute it in closed form yet (ROADMAP item 2)."""
     _check_cfg(cfg)
     burn = cfg.y0.burn_in if isinstance(cfg.y0, StationaryInit) else None
     y0_all = stationary_init(params, burn, cfg)

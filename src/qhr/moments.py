@@ -393,9 +393,9 @@ def squared_increment_autocov(sys, cov_eta_xi2, r, h):
     h_r = A~^-1 (e^{A~r} - I) Cov(eta_r, xi_r^2),
 
     valid for h >= r >= 0 (h measured between window starts).  The input
-    vector Cov(eta_r, xi_r^2), in the stacked layout of eta, has no closed
-    form and is estimated by simulation elsewhere; its q part must be
-    symmetric."""
+    vector Cov(eta_r, xi_r^2), in the stacked layout of eta, is estimated
+    by simulation elsewhere (qhr does not compute it in closed form yet,
+    ROADMAP item 2); its q part must be symmetric."""
     if h < r:
         raise WindowOrderError("lag h must be at least the window r")
     if not sys.stable:

@@ -133,7 +133,6 @@ class OptionGrid:
 
     maturities: tuple
     log_moneyness: tuple
-    side: str = "call"
     normalized: bool = False
 
     def __post_init__(self):
@@ -143,8 +142,6 @@ class OptionGrid:
             raise ValueError("maturities must be positive and non-empty")
         if not ells:
             raise ValueError("log_moneyness must be non-empty")
-        if self.side not in ("call", "put"):
-            raise ValueError("side must be 'call' or 'put'")
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "log_moneyness", ells)
 
@@ -156,7 +153,6 @@ class SmileSurface:
 
     maturities: np.ndarray            # actual (grid-snapped) maturities
     ell: np.ndarray                   # (nT, nL) log strikes
-    side: str
     call_price: np.ndarray
     call_se: np.ndarray
     put_price: np.ndarray
@@ -166,14 +162,6 @@ class SmileSurface:
     seed: int
     n_paths: int
     ivol: np.ndarray = None
-
-    @property
-    def price(self):
-        return self.call_price if self.side == "call" else self.put_price
-
-    @property
-    def se(self):
-        return self.call_se if self.side == "call" else self.put_se
 
     def parity_gap(self):
         """call - put - (1 - K) per node; zero in exact arithmetic."""
@@ -213,9 +201,9 @@ def price_options(params, y0, grid, cfg):
         put_m[i], put_s[i] = batch.mean_se(
             np.maximum(k[:, None] - ex[None, :], 0.0))
         fwd_m[i], fwd_s[i] = batch.mean_se(ex)
-    return SmileSurface(maturities=actual, ell=ell, side=grid.side,
-                        call_price=call_m, call_se=call_s, put_price=put_m,
-                        put_se=put_s, forward_mean=fwd_m, forward_se=fwd_s,
+    return SmileSurface(maturities=actual, ell=ell, call_price=call_m,
+                        call_se=call_s, put_price=put_m, put_se=put_s,
+                        forward_mean=fwd_m, forward_se=fwd_s,
                         seed=cfg.seed, n_paths=batch.n_paths)
 
 

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, output layout, determinism."""
 
+import argparse
 import json
 import os
 
@@ -196,6 +197,19 @@ class TestValidate:
         assert "kappa       = " in out
         assert "kappa_tilde = " in out
         assert "min Re eig moment block 2:" in out
+
+    def test_no_partial_report_when_the_build_raises(self, capsys,
+                                                     tmp_path):
+        p = 7  # admissible, but above the moment system's dimension cap
+        eye = np.eye(p)
+        path = write_model(tmp_path, "p7.json", {
+            "lambda": np.diag(np.arange(1.0, p + 1)).tolist(),
+            "b": [1.0 / p] * p, "alpha": 0.01, "beta": [0.0] * p,
+            "gamma": (0.01 * eye).tolist()})
+        rc, out, err = run(capsys, "validate", "--model", path)
+        assert rc == 1
+        assert out == ""
+        assert "exceeds the configured cap" in err
 
 
 class TestDiagnosticsCsv:
@@ -415,3 +429,85 @@ class TestOutFile:
         text = target.read_text()
         assert text.startswith("# qhr 0.1.0\n")
         assert "M1" in text
+
+    # one small, fast invocation per subcommand
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--model", "M1"),
+        ("diagnostics", "--model", "M1", "MM1"),
+        ("curves", "--model", "MM3", "--y0=0.08,0.03", "--grid", "0.1:2:5"),
+        ("pca", "--model", "MM1", "--grid", "geom:0.01:3.0:6"),
+        ("density", "--model", "M3", "--grid=-0.1,0.0,0.1"),
+        ("smile", "--model", "M2", "--paths", "200", "--steps-per-year",
+         "20", "--grid", "T=0.25;L=-0.1,0.0,0.1"),
+        ("atm", "--model", "M3", "--paths", "200", "--steps-per-year", "20",
+         "--grid", "T=0.25"),
+        ("simulate", "--model", "MM1", "--paths", "200", "--steps-per-year",
+         "20", "--grid", "0.1"),
+    ], ids=lambda argv: argv[0])
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        rc, want, _ = run(capsys, *argv)
+        target = tmp_path / "report"
+        rc_out, out, _ = run(capsys, *argv, "--out", str(target))
+        assert (rc_out, out) == (rc, "")
+        assert target.read_bytes() == want.encode()
+
+
+# options each subcommand reads; any other option is a usage error
+OPTIONS = {
+    "validate": {"--model", "--out"},
+    "diagnostics": {"--model", "--out", "--seed", "--format"},
+    "curves": {"--model", "--out", "--seed", "--grid", "--y0"},
+    "pca": {"--model", "--out", "--seed", "--grid"},
+    "density": {"--model", "--out", "--seed", "--grid"},
+    "smile": {"--model", "--out", "--seed", "--paths", "--steps-per-year",
+              "--y0", "--grid", "--format"},
+    "atm": {"--model", "--out", "--seed", "--paths", "--steps-per-year",
+            "--y0", "--grid"},
+    "simulate": {"--model", "--out", "--seed", "--paths", "--steps-per-year",
+                 "--y0", "--grid"},
+}
+ALL_OPTIONS = set().union(*OPTIONS.values())
+OPTION_VALUE = {"--seed": "1", "--paths": "10", "--steps-per-year": "3",
+                "--y0": "0.1", "--grid": "0.5", "--format": "table"}
+REMOVED = [(cmd, opt) for cmd in OPTIONS
+           for opt in sorted(ALL_OPTIONS - OPTIONS[cmd])]
+
+
+class TestOptionSurface:
+    def test_subparsers_declare_the_table(self):
+        sub = next(a for a in cli._PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {s for a in p._actions for s in a.option_strings}
+                    - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert declared == OPTIONS
+        assert len(REMOVED) == 23
+        assert sum(map(len, OPTIONS.values())) == 41
+
+    @pytest.mark.parametrize("command,option", REMOVED,
+                             ids=[f"{c}{o}" for c, o in REMOVED])
+    def test_unread_option_is_a_usage_error(self, capsys, command, option):
+        rc, out, err = run(capsys, command, "--model", "M1", option,
+                           OPTION_VALUE[option])
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        rc, out, _ = run(capsys, "curves", "--model", "M1", "--grid", "0.5",
+                         "--y0", "0.0", "--y0", "0.1")
+        assert rc == 0
+        assert "t,vol_y0_1,vol_y0_2,vol_forward,vol_min" in out.splitlines()
+        rc, out, _ = run(capsys, "curves", "--model", "M1", "--grid", "0.5")
+        assert rc == 0
+        assert "t,vol_forward,vol_min" in out.splitlines()
+        assert "vol_y0_" not in out
+        smile = ("smile", "--model", "M2", "--paths", "200",
+                 "--steps-per-year", "20", "--grid", "T=0.25;L=0.0")
+        rc, out, _ = run(capsys, *smile, "--format", "table")
+        assert rc == 0
+        assert out.startswith("log-moneyness")
+        rc, out, _ = run(capsys, *smile)
+        assert rc == 0
+        assert out.startswith("# qhr ")
+        assert ("maturity,log_moneyness,call,call_se,put,put_se,ivol"
+                in out.splitlines())

@@ -161,9 +161,6 @@ class TestOptionGrid:
             pricing.OptionGrid(maturities=(0.0, 1.0), log_moneyness=(0.0,))
         with pytest.raises(ValueError):
             pricing.OptionGrid(maturities=(1.0,), log_moneyness=())
-        with pytest.raises(ValueError):
-            pricing.OptionGrid(maturities=(1.0,), log_moneyness=(0.0,),
-                               side="digital")
 
     def test_coerces_floats(self):
         g = pricing.OptionGrid(maturities=(1,), log_moneyness=(0,))
