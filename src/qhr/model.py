@@ -309,9 +309,10 @@ def filter_phi(params, w, t_grid):
     if abs(w @ params.b - 1.0) > 1e-9:
         warnings.warn("w'b != 1: filter weights are not normalized",
                       stacklevel=2)
-    front = w @ params.lam
-    return np.array([front @ linalg.expm(-params.lam * t) @ params.b
-                     for t in t_grid])
+    front = w @ params.lam @ linalg.expm(-params.lam, t_grid)
+    # a (1, p) row per lag keeps each lag's own dot product with b, so a
+    # lag's value does not depend on the rest of the grid
+    return (front[:, None, :] @ params.b)[:, 0]
 
 
 def filter_check(params, w, points=2000, horizon=None):

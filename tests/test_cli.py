@@ -451,6 +451,17 @@ class TestOutFile:
         assert (rc_out, out) == (rc, "")
         assert target.read_bytes() == want.encode()
 
+    def test_unwritable_target_is_an_error(self, capsys, tmp_path):
+        # the directory part of --out names an existing regular file
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        rc, out, err = run(capsys, "validate", "--model", "M1",
+                           "--out", str(blocker / "x.txt"))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert blocker.read_text() == "kept"
+
 
 # options each subcommand reads; any other option is a usage error
 OPTIONS = {

@@ -82,6 +82,42 @@ class TestExpm:
         assert np.array_equal(linalg.expm(a, ts),
                               [linalg.expm(a * t) for t in ts])
 
+    def test_long_grid_rows_equal_single_exponentials(self, rng):
+        # rows with and without squarings share chunks, and the grid spans
+        # several chunks
+        a = rng.standard_normal((27, 27)) * 0.5
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 120)])
+        assert ts.size > 3 * (linalg._BLOCK // 27**2)
+        grid = linalg.expm(a, ts)
+        for t, row in zip(ts, grid):
+            assert np.array_equal(row, linalg.expm(a * t)), t
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_nonfinite_input_names_first_bad_time(self):
+        with pytest.raises(OverflowError, match="t=inf"):
+            linalg.expm(np.array([[-1.0]]), [1.0, np.inf])
+        with pytest.raises(OverflowError, match="t=2000.0"):
+            linalg.expm(np.array([[1.0]]), [1.0, 2e3, np.nan])
+
+    def test_matches_scipy_on_bundled_loading_operators(self, systems):
+        # -A~ of the nine bundled models and R4 over the curves grid; scipy's
+        # expm is the reference
+        r4 = model.rank_one(model.JordanSpec(((20, 2), (19, 1), (15, 1))),
+                            w=(0.03, 0.14, 0.02, 0.81), alpha=0.01,
+                            beta0=-0.08, gamma0=2.0)
+        operators = [sys.a_tilde for sys in systems.values()]
+        operators.append(moments.build_moment_system(r4).a_tilde)
+        for a_tilde in operators:
+            slowest = linalg.eigenvalues(a_tilde)[0].real
+            ts = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 600),
+                                 [60.0 / slowest]])
+            got = linalg.expm(-a_tilde, ts)
+            ref = scipy.linalg.expm(-a_tilde * ts[:, None, None])
+            err = np.abs(got - ref).sum(axis=1).max(axis=1)
+            scale = np.abs(ref).sum(axis=1).max(axis=1)
+            assert np.all(err <= 1e-12 * scale), a_tilde.shape
+
 
 class TestEigenvalues:
     def test_ordering_real_then_imag(self):
