@@ -12,18 +12,28 @@ Each worker thread advances a super-block of up to 8 consecutive blocks,
 so every NumPy call in a step covers tens of thousands of paths and the
 threads overlap in native code.  Inside a super-block the state is held
 component-major, y with shape (p, n), and each step runs in preallocated
-buffers.  The partition into super-blocks depends on the thread count but
-the arithmetic per path does not: every block still fills its own slice
-of the normals from its own generator, and the contractions (Gamma' y,
-Lambda y and 2 beta' y through BLAS, the quadratic summed over components
-in order) round each path alike wherever it sits in a super-block.  A
-short final block keeps row-major contractions on its own, because BLAS
-rounds the ragged end of a short matrix differently.  For p <= 2 the
-results are bit-identical to a row-major step over each block alone
-(tests/test_mc.py keeps that step as the reference); for p >= 3 BLAS and
-einsum may order the contractions differently, and results differ from it
-at rounding level (a few 1e-16 relative), while staying bit-identical
-across thread counts.
+buffers: one product [Gamma'; Lambda] y gives Gamma' y and Lambda y, 2 beta' y
+is its own product, the quadratic is summed over components in order, the
+floor is tested with one minimum, and the Gamma' y rows serve as scratch for
+the rest of the step (y += b shock - (Lambda y) dt runs over all
+components at once).  The partition into super-blocks depends on
+the thread count but the arithmetic per path does not: every block still
+fills its own slice of the normals from its own generator, and the
+contractions round each path alike wherever it sits in a super-block.  A
+short final block keeps row-major contractions on its own (y' [Gamma |
+Lambda'] and y' 2 beta), because BLAS rounds the ragged end of a short
+matrix differently.  For p <= 2 the results are bit-identical to a
+row-major step over each block alone (tests/test_mc.py keeps that step as
+the reference); for p >= 3 BLAS and einsum may order the contractions
+differently, and results differ from it at rounding level (a few 1e-16
+relative), while staying bit-identical across thread counts.
+
+A stationary start is drawn by a burn-in from zero on its own random
+streams (phase _PHASE_BURNIN), so main-phase draws are untouched.  The
+burn-in advances y alone: x and the integrated variance are neither
+updated nor stored, and each super-block writes its terminal y straight
+into the (n_paths, p) result.  Its y is bit-identical to what a full run
+over the same draws would reach.
 """
 
 from __future__ import annotations
@@ -170,75 +180,81 @@ def _check_cfg(cfg):
 
 def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
                  sinks, col):
-    """Advance one super-block of paths in place, writing snapshots into
-    the shared output arrays at column range col.
+    """Advance one super-block of paths in place and return the number of
+    floored variance steps.
 
     y is component-major, shape (p, n), and rngs holds one generator per
-    sub-block of _BLOCK paths (the last may be shorter), in path order."""
+    sub-block of _BLOCK paths (the last may be shorter), in path order.
+    Snapshots go into the shared output arrays sinks at column range col.
+    With sinks None (the burn-in, which asks for no snapshots) only y is
+    advanced: x and ivar are neither updated nor stored, and y is left at
+    its terminal state."""
     p, nb = y.shape
     n_base = nb // 2 if antithetic else nb
     alpha = params.alpha
     beta2 = 2.0 * params.beta
-    gam = params.gamma_mat
-    gam_t = gam.T
-    lam = params.lam
-    lam_t = lam.T
-    b = params.b
+    # [Gamma'; Lambda] y in one product; the tail uses y' [Gamma | Lambda']
+    stacked = np.vstack([params.gamma_mat.T, params.lam])
+    stacked_rm = np.ascontiguousarray(stacked.T)
+    b = params.b[:, None]
     sqdt = math.sqrt(dt)
     half = 0.5 * dt
-    x = np.zeros(nb)
-    ivar = np.zeros(nb)
+    track_x = sinks is not None
+    if track_x:
+        x = np.zeros(nb)
+        ivar = np.zeros(nb)
     sig2 = np.empty(nb)
     shock = np.empty(nb)
-    tmp = np.empty(nb)
     bad = np.empty(nb, dtype=bool)
+    # rows [0, p) hold Gamma' y and rows [p, 2p) Lambda y.  Once sig2 is
+    # formed the Gamma' y rows are free: row 0 serves as scratch (and holds
+    # the normals before they are interleaved) and all p rows take the
+    # b shock - (Lambda y) dt increment.
+    contracted = np.empty((2 * p, nb))
+    quad = contracted[:p]
+    lam_y = contracted[p:]
+    tmp = contracted[0]
     # normals land in shock directly unless they are interleaved into it
-    z = np.empty(n_base) if antithetic else shock
+    z = tmp[:n_base] if antithetic else shock
     # sub-block i owns paths [i, i + 1) * _BLOCK and their share of z
     per = _BLOCK // 2 if antithetic else _BLOCK
     draws = [(rng, z[i * per:(i + 1) * per]) for i, rng in enumerate(rngs)]
-    # Gamma' y, then Lambda y
-    contracted = np.empty((p, nb))
     # A short final sub-block keeps its own row-major contractions: BLAS
     # rounds the ragged end of a short matrix differently from the same
     # columns inside a long one.
     tail = nb % _BLOCK
     y_tail = np.empty((tail, p))
-    c_tail = np.empty((tail, p))
+    c_tail = np.empty((tail, 2 * p))
     floored = 0
-    x_out, y_out, ivar_out = sinks
 
     def record(row):
+        x_out, y_out, ivar_out = sinks
         x_out[row, col] = x
         y_out[row, col] = y.T
         ivar_out[row, col] = ivar
-
-    def contract(mat, mat_row_major):
-        np.matmul(mat, y, out=contracted)
-        if tail:
-            np.matmul(y_tail, mat_row_major, out=c_tail)
-            contracted[:, nb - tail:] = c_tail.T
 
     if 0 in snap_rows:
         record(snap_rows[0])
     for step in range(1, n_steps + 1):
         # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order, with
-        # the quadratic summed over components in shock
+        # the quadratic summed over components in row 0
         np.matmul(beta2, y, out=sig2)
+        np.matmul(stacked, y, out=contracted)
         if tail:
             np.copyto(y_tail, y[:, nb - tail:].T)
             np.matmul(y_tail, beta2, out=sig2[nb - tail:])
+            np.matmul(y_tail, stacked_rm, out=c_tail)
+            contracted[:, nb - tail:] = c_tail.T
         np.add(sig2, alpha, out=sig2)
-        contract(gam_t, gam)
-        np.multiply(contracted[0], y[0], out=shock)
+        np.multiply(quad, y, out=quad)
         for k in range(1, p):
-            np.multiply(contracted[k], y[k], out=tmp)
-            np.add(shock, tmp, out=shock)
-        np.add(sig2, shock, out=sig2)
-        np.less(sig2, 0.0, out=bad)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            floored += n_bad
+            np.add(tmp, quad[k], out=tmp)
+        np.add(sig2, tmp, out=sig2)
+        # min() is NaN if any entry is, which also fails the test and
+        # leaves the decision to the elementwise floor
+        if not sig2.min() >= 0.0:
+            np.less(sig2, 0.0, out=bad)
+            floored += int(np.count_nonzero(bad))
             np.copyto(sig2, 0.0, where=bad)
         # shock = sig * (sqrt(dt) z); scaling before the +z/-z interleave
         # is exact
@@ -250,18 +266,17 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
             np.negative(z, out=shock[1::2])
         np.sqrt(sig2, out=tmp)
         np.multiply(tmp, shock, out=shock)
-        np.multiply(sig2, half, out=tmp)
-        np.subtract(shock, tmp, out=tmp)
-        np.add(x, tmp, out=x)
-        np.multiply(sig2, dt, out=tmp)
-        np.add(ivar, tmp, out=ivar)
-        # y += b shock - (Lambda y) dt, one component at a time
-        contract(lam, lam_t)
-        np.multiply(contracted, dt, out=contracted)
-        for k in range(p):
-            np.multiply(shock, b[k], out=tmp)
-            np.subtract(tmp, contracted[k], out=tmp)
-            np.add(y[k], tmp, out=y[k])
+        if track_x:
+            np.multiply(sig2, half, out=tmp)
+            np.subtract(shock, tmp, out=tmp)
+            np.add(x, tmp, out=x)
+            np.multiply(sig2, dt, out=tmp)
+            np.add(ivar, tmp, out=ivar)
+        # y += b shock - (Lambda y) dt, over all components at once
+        np.multiply(lam_y, dt, out=lam_y)
+        np.multiply(b, shock, out=quad)
+        np.subtract(quad, lam_y, out=quad)
+        np.add(y, quad, out=y)
         if step in snap_rows:
             record(snap_rows[step])
     return floored
@@ -275,11 +290,44 @@ def _super_blocks(n_blocks, threads):
     return [r for r in np.array_split(np.arange(n_blocks), count) if r.size]
 
 
-def _run(params, cfg, probes, phase, y0_all):
-    dt = 1.0 / cfg.steps_per_year
+def _n_steps(cfg):
     n_steps = int(round(cfg.horizon * cfg.steps_per_year))
     if n_steps < 1:
         raise ConfigInvalidError("horizon shorter than one time step")
+    return n_steps
+
+
+def _advance(params, cfg, phase, y, snap_rows, sinks):
+    """Advance the (n_paths, p) start states y over cfg.horizon in
+    super-blocks on the worker threads, and return the number of floored
+    variance steps.  With sinks None only y is advanced, and its terminal
+    state is written back into y."""
+    n = cfg.n_paths
+    n_steps = _n_steps(cfg)
+    dt = 1.0 / cfg.steps_per_year
+    threads = _n_threads()
+    supers = _super_blocks((n + _BLOCK - 1) // _BLOCK, threads)
+
+    def work(blocks):
+        lo = int(blocks[0]) * _BLOCK
+        hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
+        rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
+        yb = y[lo:hi].T.copy()
+        floored = _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
+                               snap_rows, sinks, slice(lo, hi))
+        if sinks is None:
+            y[lo:hi] = yb.T
+        return floored
+
+    workers = min(threads, len(supers))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return sum(pool.map(work, supers))
+    return sum(map(work, supers))
+
+
+def _run(params, cfg, probes, y0_all):
+    n_steps = _n_steps(cfg)
     snap_steps = set()
     for t in probes or ():
         idx = int(round(t * cfg.steps_per_year))
@@ -289,31 +337,14 @@ def _run(params, cfg, probes, phase, y0_all):
     snap_steps.add(n_steps)
     ordered = sorted(snap_steps)
     snap_rows = {s: i for i, s in enumerate(ordered)}
+    dt = 1.0 / cfg.steps_per_year
     times = np.array([s * dt for s in ordered])
 
     n, p = cfg.n_paths, params.p
     sinks = (np.empty((len(ordered), n)),
              np.empty((len(ordered), n, p)),
              np.empty((len(ordered), n)))
-
-    threads = _n_threads()
-    supers = _super_blocks((n + _BLOCK - 1) // _BLOCK, threads)
-
-    def work(blocks):
-        lo = int(blocks[0]) * _BLOCK
-        hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
-        rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
-        yb = y0_all[lo:hi].T.copy()
-        return _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
-                            snap_rows, sinks, slice(lo, hi))
-
-    workers = min(threads, len(supers))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            floored = sum(pool.map(work, supers))
-    else:
-        floored = sum(map(work, supers))
-
+    floored = _advance(params, cfg, _PHASE_MAIN, y0_all, snap_rows, sinks)
     return PathBatch(params=params, times=times, x=sinks[0], y=sinks[1],
                      ivar=sinks[2], antithetic=cfg.antithetic, seed=cfg.seed,
                      steps_per_year=cfg.steps_per_year, floored_steps=floored)
@@ -324,7 +355,7 @@ def simulate(params, cfg, probes=None):
     at the probe times (snapped to the step grid) and at the horizon."""
     _check_cfg(cfg)
     y0_all = _resolve_y0(params, cfg)
-    return _run(params, cfg, probes, _PHASE_MAIN, y0_all)
+    return _run(params, cfg, probes, y0_all)
 
 
 def default_burn_in(params):
@@ -344,8 +375,9 @@ def stationary_init(params, burn_in, cfg):
     bcfg = McConfig(n_paths=cfg.n_paths, horizon=burn_in, seed=cfg.seed,
                     steps_per_year=cfg.steps_per_year,
                     antithetic=cfg.antithetic)
-    y0 = np.zeros((cfg.n_paths, params.p))
-    return _run(params, bcfg, None, _PHASE_BURNIN, y0).y_terminal.copy()
+    y = np.zeros((cfg.n_paths, params.p))
+    _advance(params, bcfg, _PHASE_BURNIN, y, {}, None)
+    return y
 
 
 def estimate_cov_eta_xi2(params, r, cfg):
@@ -360,7 +392,7 @@ def estimate_cov_eta_xi2(params, r, cfg):
     rcfg = McConfig(n_paths=cfg.n_paths, horizon=r, seed=cfg.seed,
                     steps_per_year=cfg.steps_per_year,
                     antithetic=cfg.antithetic)
-    batch = _run(params, rcfg, None, _PHASE_MAIN, y0_all)
+    batch = _run(params, rcfg, None, y0_all)
     yr = batch.y_terminal
     n, p = yr.shape
     q = np.einsum("na,nb->nab", yr, yr).reshape(n, p * p)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtrit
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .moments import NotStationaryError
 
@@ -231,7 +231,8 @@ class PearsonIV:
 
     def ppf(self, u):
         """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
-        beta = 0 maps exactly through the Student t; otherwise spline
+        beta = 0 maps exactly through the Student t (NaN where that
+        quantile cannot be trusted, see _student_quantile); otherwise spline
         inverse plus a few Newton corrections."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
@@ -240,7 +241,7 @@ class PearsonIV:
         sp = self.params
         if sp.beta == 0.0:
             out = _quantile_ends(u, self.student_scale
-                                 * stdtrit(self.student_df, u))
+                                 * _student_quantile(self.student_df, u))
             return float(out) if u.ndim == 0 else out
         u1 = np.atleast_1d(u)
         uu = np.clip(u1, self._cdf_grid[1], self._cdf_grid[-2])
@@ -261,6 +262,16 @@ class PearsonIV:
             return self.student_scale * rng.standard_t(self.student_df,
                                                        size=n)
         return self.ppf(rng.random(n))
+
+
+def _student_quantile(df, u):
+    """stdtrit(df, u), with NaN for 0 < u < 1 wherever that quantile is not
+    finite or stdtr(df, q) misses u by more than 1e-6 relative.  scipy's
+    stdtrit returns +inf at u = 1e-300 for df 3, 5 and 9, and at df 3 and
+    u = 1e-200 a quantile whose stdtr is 8e-200."""
+    q = stdtrit(df, u)
+    trusted = np.isfinite(q) & (np.abs(stdtr(df, q) - u) <= 1e-6 * u)
+    return np.where((u > 0.0) & (u < 1.0) & ~trusted, np.nan, q)
 
 
 def _quantile_ends(u, out):

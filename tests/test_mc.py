@@ -89,9 +89,9 @@ def reference_euler_block(params, y, n_steps, dt, rng, antithetic, snap_rows,
     return floored
 
 
-def reference_simulate(params, cfg, probes):
+def reference_simulate(params, cfg, probes, phase=mc._PHASE_MAIN):
     """(x, y, ivar, floored_steps) from reference_euler_block run serially
-    over the _BLOCK-path blocks, each on its own substream."""
+    over the _BLOCK-path blocks, each on its own substream of phase."""
     n_steps = int(round(cfg.horizon * cfg.steps_per_year))
     steps = sorted({int(round(t * cfg.steps_per_year)) for t in probes}
                    | {n_steps})
@@ -99,11 +99,12 @@ def reference_simulate(params, cfg, probes):
     n, p = cfg.n_paths, params.p
     sinks = (np.empty((len(steps), n)), np.empty((len(steps), n, p)),
              np.empty((len(steps), n)))
-    y0 = np.tile(np.asarray(cfg.y0, dtype=float), (n, 1))
+    start = np.zeros(p) if cfg.y0 is None else cfg.y0
+    y0 = np.tile(np.asarray(start, dtype=float), (n, 1))
     floored = 0
     for lo in range(0, n, mc._BLOCK):
         hi = min(lo + mc._BLOCK, n)
-        rng = mc._block_rng(cfg.seed, mc._PHASE_MAIN, lo // mc._BLOCK)
+        rng = mc._block_rng(cfg.seed, phase, lo // mc._BLOCK)
         floored += reference_euler_block(
             params, y0[lo:hi].copy(), n_steps, 1.0 / cfg.steps_per_year, rng,
             cfg.antithetic, snap_rows, sinks, slice(lo, hi))
@@ -113,16 +114,30 @@ def reference_simulate(params, cfg, probes):
 class TestKernelMatchesRowMajorReference:
     # a partial last block; three threads split the ten blocks 4/3/3
     N_PATHS = 9 * mc._BLOCK + 2
+    BURN_IN = 0.2
 
-    def _compare(self, params, antithetic, threads, monkeypatch):
+    def _compare(self, params, antithetic, threads, monkeypatch, y0=0.02):
         monkeypatch.setenv("QHR_THREADS", threads)
         cfg = mc.McConfig(n_paths=self.N_PATHS, horizon=0.1, seed=31,
                           steps_per_year=100, antithetic=antithetic,
-                          y0=np.full(params.p, 0.02))
+                          y0=np.full(params.p, y0))
         batch = mc.simulate(params, cfg, probes=[0.0, 0.05])
         ref = reference_simulate(params, cfg, [0.0, 0.05])
         got = (batch.x, batch.y, batch.ivar, batch.floored_steps)
         return got, ref
+
+    def _compare_burn_in(self, params, antithetic, threads, monkeypatch):
+        """stationary_init against the reference run from zero over the
+        burn-in on the burn-in substreams: (got, reference (x, y, ivar,
+        floored_steps))."""
+        monkeypatch.setenv("QHR_THREADS", threads)
+        cfg = mc.McConfig(n_paths=self.N_PATHS, horizon=0.1, seed=31,
+                          steps_per_year=100, antithetic=antithetic,
+                          y0=mc.StationaryInit(self.BURN_IN))
+        got = mc.stationary_init(params, self.BURN_IN, cfg)
+        bcfg = mc.McConfig(n_paths=self.N_PATHS, horizon=self.BURN_IN,
+                           seed=31, steps_per_year=100, antithetic=antithetic)
+        return got, reference_simulate(params, bcfg, [], mc._PHASE_BURNIN)
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("antithetic", [True, False])
@@ -134,11 +149,34 @@ class TestKernelMatchesRowMajorReference:
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["M3", "MM3", "MM5"])
+    def test_burn_in_bit_identical_for_p_up_to_two(self, models, name,
+                                                   antithetic, threads,
+                                                   monkeypatch):
+        got, ref = self._compare_burn_in(models[name], antithetic, threads,
+                                         monkeypatch)
+        assert got.shape == (self.N_PATHS, models[name].p)
+        assert np.array_equal(got, ref[1][-1])
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_burn_in_floors_like_the_reference(self, antithetic,
+                                               monkeypatch):
+        # stable, with sigma^2 < 0 for 0.0177 < y < 0.282: some paths
+        # diffuse from zero into that band during the burn-in
+        params = scalar_model(4.0, 0.01, -0.3, 2.0)
+        got, ref = self._compare_burn_in(params, antithetic, "3",
+                                         monkeypatch)
+        assert ref[3] > 0
+        assert np.array_equal(got, ref[1][-1])
+
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_three_factors_agree_to_rounding(self, antithetic, monkeypatch):
         # for p >= 3 BLAS and einsum may order the contractions differently
         # from the component-major sums; 10 steps of double rounding on
         # values of order 0.1 stay far inside 1e-12 of the largest entry
+        # (20 burn-in steps from zero likewise)
         params = model.rank_one(model.JordanSpec(((12, 1), (4, 1), (1, 1))),
                                 w=(0.5, 0.3, 0.2), alpha=0.01, beta0=-0.1,
                                 gamma0=1.0)
@@ -146,6 +184,25 @@ class TestKernelMatchesRowMajorReference:
         for g, r in zip(got[:3], ref[:3]):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
         assert got[3] == ref[3]
+        got, ref = self._compare_burn_in(params, antithetic, "3",
+                                         monkeypatch)
+        ref = ref[1][-1]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("y0, every_step", [(0.15, True), (0.0178, False)])
+    def test_floored_steps_match_exactly(self, antithetic, y0, every_step,
+                                         monkeypatch):
+        # TestFlooring's model has sigma^2 < 0 for 0.0177 < y < 0.282: from
+        # 0.15 every path floors on every step; from 0.0178 the paths leave
+        # the band after one step and only some of them come back
+        params = scalar_model(1.0, 0.01, -0.3, 2.0)
+        got, ref = self._compare(params, antithetic, "3", monkeypatch, y0)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        all_steps = 10 * self.N_PATHS
+        assert (got[3] == all_steps) == every_step
+        assert got[3] >= self.N_PATHS
 
 
 class TestDeterminism:

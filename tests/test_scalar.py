@@ -218,6 +218,21 @@ class TestPearsonDensity:
             inner = pp.ppf(np.array([1e-12, 0.5, 1.0 - 1e-12]))
             assert np.isfinite(inner).all() and np.all(np.diff(inner) > 0)
 
+    def test_untrusted_student_quantile_is_nan(self, sp_m2):
+        # scipy's stdtrit returns +inf at u = 1e-300 for df 5 (M2), and at
+        # df 3 and u = 1e-200 a quantile whose stdtr is 8e-200
+        pp = scalar.PearsonIV(sp_m2)
+        assert pp.student_df == 5.0
+        assert math.isnan(pp.ppf(1e-300))
+        out = pp.ppf(np.array([1e-300, 1e-200, 0.5]))
+        assert math.isnan(out[0]) and np.isfinite(out[1:]).all()
+        df3 = scalar.PearsonIV(scalar.ScalarParams(1.0, 0.01, 0.0, 1.0))
+        assert df3.student_df == 3.0
+        assert math.isnan(df3.ppf(1e-200))
+        # a quantile that passes the check keeps its bits
+        assert df3.ppf(1e-150) == df3.student_scale * stats.t.ppf(1e-150,
+                                                                  3.0)
+
     def test_rejects_inadmissible_links(self):
         with pytest.raises(ValueError):
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.05, 0.0))
