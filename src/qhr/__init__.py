@@ -51,7 +51,6 @@ from .moments import (
     check_stability_sufficient,
     conditional_eta,
     conditional_moments,
-    increment_cov,
     omega,
     squared_increment_autocov,
     squared_increment_mean,
@@ -70,9 +69,6 @@ from .forward import (
 from .scalar import (
     PearsonIV,
     ScalarParams,
-    pearson4_density,
-    pearson4_logpdf,
-    pearson4_sample,
     scalar_closed_moments,
     scalar_kurtosis,
     scalar_kurtosis_bounds,

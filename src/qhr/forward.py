@@ -145,9 +145,13 @@ def pca(sys, omega_mat):
                             system=sys)
 
 
-def default_grid(points=200, start=1e-3, end=5.0):
+# default_grid's first and last horizon and its number of points
+_GRID_START, _GRID_END, _GRID_POINTS = 1e-3, 5.0, 200
+
+
+def default_grid():
     """Geometric maturity grid used for curve emission."""
-    return np.geomspace(start, end, points)
+    return np.geomspace(_GRID_START, _GRID_END, _GRID_POINTS)
 
 
 def pca_curves_csv(dec, grid):

@@ -149,14 +149,18 @@ def eigenvalues(a):
     return vals[order]
 
 
-def solve_lyapunov(a_tilde, g, rtol=1e-9):
+# solve_lyapunov's bound on its residual, relative to |g g'|
+_LYAP_RTOL = 1e-9
+
+
+def solve_lyapunov(a_tilde, g):
     """Solve a_tilde' F + F a_tilde = g g' for the symmetric psd F.
 
     F is the accumulated outer product of the decaying loading curve
     psi(t) = exp(-a_tilde t)' g, so a_tilde must have eigenvalues with
     strictly positive real part.  Solved by Bartels-Stewart
-    (scipy.linalg.solve_continuous_lyapunov); a residual above rtol times
-    |g g'| raises ArithmeticError.
+    (scipy.linalg.solve_continuous_lyapunov); a residual above _LYAP_RTOL
+    times |g g'| raises ArithmeticError.
     """
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -167,6 +171,6 @@ def solve_lyapunov(a_tilde, g, rtol=1e-9):
     f = 0.5 * (f + f.T)
     resid = np.linalg.norm(a_tilde.T @ f + f @ a_tilde - rhs)
     scale = max(np.linalg.norm(rhs), np.finfo(float).tiny)
-    if resid > rtol * scale:
+    if resid > _LYAP_RTOL * scale:
         raise ArithmeticError(f"Lyapunov residual {resid:.3e} too large")
     return f

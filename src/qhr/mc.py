@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -326,7 +326,11 @@ def _advance(params, cfg, phase, y, snap_rows, sinks):
     return sum(map(work, supers))
 
 
-def _run(params, cfg, probes, y0_all):
+def simulate(params, cfg, probes=None):
+    """Simulate cfg.n_paths joint paths to cfg.horizon, snapshotting state
+    at the probe times (snapped to the step grid) and at the horizon."""
+    _check_cfg(cfg)
+    y0_all = _resolve_y0(params, cfg)
     n_steps = _n_steps(cfg)
     snap_steps = set()
     for t in probes or ():
@@ -348,14 +352,6 @@ def _run(params, cfg, probes, y0_all):
     return PathBatch(params=params, times=times, x=sinks[0], y=sinks[1],
                      ivar=sinks[2], antithetic=cfg.antithetic, seed=cfg.seed,
                      steps_per_year=cfg.steps_per_year, floored_steps=floored)
-
-
-def simulate(params, cfg, probes=None):
-    """Simulate cfg.n_paths joint paths to cfg.horizon, snapshotting state
-    at the probe times (snapped to the step grid) and at the horizon."""
-    _check_cfg(cfg)
-    y0_all = _resolve_y0(params, cfg)
-    return _run(params, cfg, probes, y0_all)
 
 
 def default_burn_in(params):
@@ -383,27 +379,19 @@ def stationary_init(params, burn_in, cfg):
 def estimate_cov_eta_xi2(params, r, cfg):
     """Monte Carlo estimate of Cov(eta_r, xi_r^2) from a stationary start.
 
-    Returns (cov, se) with one entry per eta component (p + p^2).  This is
-    the simulation input of the squared-increment autocovariance formula;
-    qhr does not compute it in closed form yet (ROADMAP item 2)."""
-    _check_cfg(cfg)
-    burn = cfg.y0.burn_in if isinstance(cfg.y0, StationaryInit) else None
-    y0_all = stationary_init(params, burn, cfg)
-    rcfg = McConfig(n_paths=cfg.n_paths, horizon=r, seed=cfg.seed,
-                    steps_per_year=cfg.steps_per_year,
-                    antithetic=cfg.antithetic)
-    batch = _run(params, rcfg, None, y0_all)
+    Simulates over the window r from cfg.y0 if that is a StationaryInit and
+    from StationaryInit() otherwise (cfg.horizon is not read).  Returns
+    (cov, se) with one entry per eta component (p + p^2).  This is the
+    simulation input of the squared-increment autocovariance formula; qhr
+    does not compute it in closed form yet (ROADMAP item 2)."""
+    init = cfg.y0 if isinstance(cfg.y0, StationaryInit) else StationaryInit()
+    batch = simulate(params, replace(cfg, horizon=r, y0=init))
     yr = batch.y_terminal
     n, p = yr.shape
     q = np.einsum("na,nb->nab", yr, yr).reshape(n, p * p)
     eta = np.hstack([yr, q])
     s = batch.xi(-1) ** 2
     d = (eta - eta.mean(axis=0)) * (s - s.mean())[:, None]
+    cov, se = batch.mean_se(d.T)
     scale = n / (n - 1.0)
-    cov = d.mean(axis=0) * scale
-    if cfg.antithetic:
-        dp = 0.5 * (d[0::2] + d[1::2])
-        se = dp.std(axis=0, ddof=1) / math.sqrt(dp.shape[0]) * scale
-    else:
-        se = d.std(axis=0, ddof=1) / math.sqrt(n) * scale
-    return cov, se
+    return cov * scale, se * scale

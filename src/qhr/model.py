@@ -315,14 +315,18 @@ def filter_phi(params, w, t_grid):
     return (front[:, None, :] @ params.b)[:, 0]
 
 
-def filter_check(params, w, points=2000, horizon=None):
+# filter_check's grid: _FILTER_POINTS lags out to _FILTER_SPAN over the
+# slowest rate
+_FILTER_POINTS = 2000
+_FILTER_SPAN = 20.0
+
+
+def filter_check(params, w):
     """Numerical admissibility probe for a weight vector: minimum of phi on
-    a dense grid and its trapezoid integral.  Default horizon 20 over the
-    slowest rate."""
+    a dense grid of lags and its trapezoid integral."""
     rates = np.linalg.eigvals(params.lam).real
-    if horizon is None:
-        horizon = 20.0 / max(rates.min(), 1e-12)
-    grid = np.linspace(0.0, horizon, points)
+    horizon = _FILTER_SPAN / max(rates.min(), 1e-12)
+    grid = np.linspace(0.0, horizon, _FILTER_POINTS)
     vals = filter_phi(params, w, grid)
     return {"min_phi": float(vals.min()),
             "integral": float(np.trapezoid(vals, grid))}

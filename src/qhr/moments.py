@@ -379,13 +379,6 @@ def squared_increment_mean(sys, r):
     return float(r) * sys.sigma2_infty
 
 
-def increment_cov(sys, r, h):
-    """Cov(xi increments over disjoint windows) vanishes: returns 0.0."""
-    if h < r:
-        raise WindowOrderError("lag h must be at least the window r")
-    return 0.0
-
-
 def squared_increment_autocov(sys, cov_eta_xi2, r, h):
     """Autocovariance of squared increments of the martingale part:
 

@@ -20,6 +20,9 @@ from . import mc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = np.finfo(float).eps
+# implied_vol's relative tolerance on the time value, and its vol bracket
+_IVOL_TOL = 1e-10
+_IVOL_BRACKET = (1e-6, 5.0)
 
 
 class OutOfBoundsError(ValueError):
@@ -59,18 +62,18 @@ def bs_vega(strike, maturity, vol):
     return np.exp(-(d1 * d1) / 2.0) / _SQRT_2PI * math.sqrt(maturity)
 
 
-def implied_vol(price, strike, maturity, tol=1e-10, bracket=(1e-6, 5.0)):
+def implied_vol(price, strike, maturity):
     """Invert the call price for volatility.
 
-    Safeguarded Newton on vega with bisection fallback inside the bracket;
-    terminates when the repriced error is below tol relative to the time
-    value C - (1-K)+ (the out-of-the-money price), or no larger than the
-    rounding of the call's leading term N(d1), whose argument's own rounding
-    is amplified by about d1^2 in the tails.  An absolute tolerance would
-    accept the bracket floor for any deep out-of-the-money price below it.
-    Prices at or outside the static bounds (1-K)+ < C < 1, or whose
-    volatility escapes the bracket, raise OutOfBoundsError with boundary
-    'lower' or 'upper'."""
+    Safeguarded Newton on vega with bisection fallback inside the bracket
+    _IVOL_BRACKET; terminates when the repriced error is below _IVOL_TOL
+    relative to the time value C - (1-K)+ (the out-of-the-money price), or
+    no larger than the rounding of the call's leading term N(d1), whose
+    argument's own rounding is amplified by about d1^2 in the tails.  An
+    absolute tolerance would accept the bracket floor for any deep
+    out-of-the-money price below it.  Prices at or outside the static
+    bounds (1-K)+ < C < 1, or whose volatility escapes the bracket, raise
+    OutOfBoundsError with boundary 'lower' or 'upper'."""
     if maturity <= 0 or strike <= 0:
         raise ValueError("maturity and strike must be positive")
     intrinsic = max(1.0 - strike, 0.0)
@@ -84,10 +87,10 @@ def implied_vol(price, strike, maturity, tol=1e-10, bracket=(1e-6, 5.0)):
     def converged(v, err):
         sq = v * math.sqrt(maturity)
         d1 = -math.log(strike) / sq + 0.5 * sq
-        return err <= max(tol * time_value,
+        return err <= max(_IVOL_TOL * time_value,
                           4.0 * _EPS * (1.0 + d1 * d1) * ndtr(d1))
 
-    lo, hi = bracket
+    lo, hi = _IVOL_BRACKET
     if bs_price(strike, maturity, lo) - price >= 0:
         raise OutOfBoundsError("volatility below bracket", "lower")
     if bs_price(strike, maturity, hi) - price <= 0:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
+from scipy.special import gammaln, loggamma, ndtr, ndtri, stdtr, stdtrit
 
 from .moments import NotStationaryError
 
@@ -102,13 +102,16 @@ def scalar_kurtosis_bounds(lam, gamma):
 class PearsonIV:
     """Stationary law of the one-factor offset.
 
-    Built once per parameter set: normalization by adaptive quadrature on
-    the compactified angle theta = arctan((beta + gamma*y)/sqrt(delta)),
-    where the density becomes proportional to cos(theta)^(2 lam/gamma) *
-    exp(nu*theta); the CDF is cached on a dense theta grid with a monotone
-    spline inverse.  A Gaussian branch covers gamma -> 0 (OU limit), and
-    beta = 0 quantiles map exactly to a scaled Student t with
-    2*lam/gamma + 1 degrees of freedom.
+    Three branches, each with one way to evaluate pdf, cdf and ppf.  gamma
+    -> 0 (the OU limit) is Gaussian.  beta = 0 is a Student t with
+    2*lam/gamma + 1 degrees of freedom and scale sqrt(alpha/(2 lam + gamma))
+    (stdtr, stdtrit).  Otherwise the angle theta = arctan((beta +
+    gamma*y)/sqrt(delta)) has density proportional to cos(theta)^a *
+    exp(nu*theta), a = 2 lam/gamma, whose integral over (-pi/2, pi/2) is
+    pi Gamma(a+1) / (2^a |Gamma(1 + a/2 + i nu/2)|^2) (Heinrich 2004, "A
+    guide to the Pearson type IV distribution"); the CDF is cached on a
+    dense theta grid as a monotone spline, and ppf takes Newton steps on it
+    from linear interpolation of the grid.
     """
 
     _GRID = 4096
@@ -126,40 +129,34 @@ class PearsonIV:
         delta = alpha * gamma - beta**2
         if delta <= 0:
             raise ValueError("alpha*gamma - beta^2 must be positive")
-        self._delta = delta
         self._sqd = math.sqrt(delta)
-        self._a = 2.0 * lam / gamma
-        self._nu = 2.0 * lam * beta / (gamma * self._sqd)
-        # only this build needs quadrature and splines; importing them here
-        # keeps scipy.integrate and scipy.interpolate out of `import qhr`
-        from scipy import integrate, interpolate
-        # normalization in the angle variable
-        theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, self._GRID)
-        h = np.full_like(theta, -np.inf)
-        inner = slice(1, -1)
-        h[inner] = self._a * np.log(np.cos(theta[inner])) + self._nu * theta[inner]
-        self._hmax = h[inner].max()
-        val, _ = integrate.quad(
-            lambda x: math.exp(self._a * math.log(math.cos(x))
-                               + self._nu * x - self._hmax),
-            -0.5 * math.pi, 0.5 * math.pi)
-        self._log_i = self._hmax + math.log(val)
+        self._a = a = 2.0 * lam / gamma
+        self._nu = nu = 2.0 * lam * beta / (gamma * self._sqd)
+        # log of the angle normalizer I = int cos(t)^a exp(nu t) dt
+        self._log_i = (math.log(math.pi) + gammaln(a + 1.0)
+                       - a * math.log(2.0)
+                       - 2.0 * loggamma(complex(1.0 + 0.5 * a, 0.5 * nu)).real)
         # log C from  1 = C * (sqd/gamma) * (delta/gamma)^(-lam/gamma-1) * I
         self._log_c = -(math.log(self._sqd / gamma)
                         + (-lam / gamma - 1.0) * math.log(delta / gamma)
                         + self._log_i)
         self.norm_const = math.exp(self._log_c)
-        # CDF cache on the angle grid
-        dens = np.exp(h - self._log_i)
-        dens[0] = dens[-1] = 0.0
-        cdf = integrate.cumulative_trapezoid(dens, theta, initial=0.0)
+        if beta == 0.0:
+            return
+        # only this branch needs the trapezoid CDF and its spline; importing
+        # them here keeps scipy.integrate and scipy.interpolate out of
+        # `import qhr`
+        from scipy import integrate, interpolate
+        theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, self._GRID)
+        cdf = integrate.cumulative_trapezoid(
+            np.exp(self._theta_logpdf(theta)), theta, initial=0.0)
         cdf /= cdf[-1]
         self._theta_grid = theta
         self._cdf_grid = cdf
-        self._cdf_spline = interpolate.PchipInterpolator(theta, cdf)
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        self._ppf_spline = interpolate.PchipInterpolator(cdf[keep],
-                                                         theta[keep])
+        # subnormal tail slopes overflow Pchip's harmonic mean to inf, and
+        # the derivative it then takes, 1/inf = 0, is the right limit
+        with np.errstate(over="ignore"):
+            self._cdf_spline = interpolate.PchipInterpolator(theta, cdf)
 
     # -- coordinate maps ---------------------------------------------------
     def _theta_of_y(self, y):
@@ -214,6 +211,8 @@ class PearsonIV:
         y = np.asarray(y, dtype=float)
         if self.gaussian:
             out = ndtr(y / self._sd)
+        elif self.params.beta == 0.0:
+            out = stdtr(self.student_df, y / self.student_scale)
         else:
             out = np.clip(self._cdf_spline(self._theta_of_y(y)), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
@@ -232,8 +231,8 @@ class PearsonIV:
     def ppf(self, u):
         """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
         beta = 0 maps exactly through the Student t (NaN where that
-        quantile cannot be trusted, see _student_quantile); otherwise spline
-        inverse plus a few Newton corrections."""
+        quantile cannot be trusted, see _student_quantile); otherwise Newton
+        steps on the CDF spline from linear interpolation of its grid."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
             out = ndtri(u) * self._sd
@@ -245,11 +244,13 @@ class PearsonIV:
             return float(out) if u.ndim == 0 else out
         u1 = np.atleast_1d(u)
         uu = np.clip(u1, self._cdf_grid[1], self._cdf_grid[-2])
-        theta = self._ppf_spline(uu)
+        theta = np.interp(uu, self._cdf_grid, self._theta_grid)
         lo, hi = self._theta_grid[1], self._theta_grid[-2]
+        # the spline's own slope: in the tail cells the density differs from
+        # it by a large factor, and Newton on the density's slope stalls
         for _ in range(4):
-            f = np.exp(self._theta_logpdf(theta))
-            step = (self._cdf_spline(theta) - uu) / np.maximum(f, 1e-300)
+            slope = self._cdf_spline(theta, 1)
+            step = (self._cdf_spline(theta) - uu) / np.maximum(slope, 1e-300)
             theta = np.clip(theta - step, lo, hi)
         out = _quantile_ends(u1, self._y_of_theta(theta))
         return float(out[0]) if np.ndim(u) == 0 else out
@@ -276,18 +277,7 @@ def _student_quantile(df, u):
 
 def _quantile_ends(u, out):
     """Set the quantiles at and beyond u = 0 and 1 as ndtri does: stdtrit
-    returns +inf at u = 0, and the spline inverse clips to its grid."""
+    returns +inf at u = 0, and the Newton quantile clips to its grid."""
     out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, out))
     return np.where((u < 0.0) | (u > 1.0), np.nan, out)
 
-
-def pearson4_density(pp, y):
-    return pp.pdf(y)
-
-
-def pearson4_logpdf(pp, y):
-    return pp.logpdf(y)
-
-
-def pearson4_sample(pp, n, seed):
-    return pp.sample(n, seed)

@@ -1,0 +1,46 @@
+"""The public surface: the names `import qhr` exports and the signatures of
+functions whose tolerances and grids are module constants."""
+
+import inspect
+
+import qhr
+
+PUBLIC = [
+    "CanonicalModel", "ComplexEigenvaluesError", "ConfigInvalidError",
+    "ConstraintViolationError", "Diagnostics", "DimensionCapError",
+    "EtaState", "JordanSpec", "McConfig", "MissingNodesError", "ModelParams",
+    "MomentSystem", "NonConvexSliceError", "NotStationaryError",
+    "OptionGrid", "OutOfBoundsError", "PathBatch", "PcaDecomposition",
+    "PearsonIV", "RepeatedEigenvalueAcrossBlocksError", "ScalarParams",
+    "SingularAError", "SingularTransformError", "SmileSurface",
+    "StationaryInit", "StationarySummary", "UnstableError",
+    "WindowOrderError", "atm_term_structures", "bs_price",
+    "build_moment_system", "canonicalize", "change_of_measure",
+    "check_stability_sufficient", "conditional_eta", "conditional_moments",
+    "default_burn_in", "default_grid", "diagnostics", "estimate_cov_eta_xi2",
+    "filter_check", "filter_phi", "filter_psi", "forward",
+    "forward_min_envelope", "forward_variance", "implied_vol", "linalg",
+    "list_fixtures", "load_fixture", "load_model", "mc", "model", "moments",
+    "omega", "pca", "pca_curves_csv", "price_options", "pricing", "rank_one",
+    "save_model", "scalar", "scalar_closed_moments", "scalar_kurtosis",
+    "scalar_kurtosis_bounds", "simulate", "solve_lyapunov",
+    "squared_increment_autocov", "squared_increment_mean", "stationary_init",
+    "stationary_summary", "validate", "variance", "variance_autocov",
+    "variance_min", "with_implied_vols",
+]
+
+
+def test_exported_names():
+    assert sorted(qhr.__all__) == PUBLIC
+
+
+def test_signatures_without_tolerance_options():
+    # their tolerances, brackets and grids are private module constants
+    assert {f.__name__: str(inspect.signature(f)) for f in (
+        qhr.implied_vol, qhr.solve_lyapunov, qhr.default_grid,
+        qhr.filter_check)} == {
+        "implied_vol": "(price, strike, maturity)",
+        "solve_lyapunov": "(a_tilde, g)",
+        "default_grid": "()",
+        "filter_check": "(params, w)",
+    }

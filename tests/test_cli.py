@@ -298,6 +298,19 @@ class TestDensity:
         assert [l for l in out.splitlines()
                 if not l.startswith("#")][0] == "y,pdf,cdf"
 
+    def test_small_gamma_skewed_model(self, capsys, tmp_path):
+        # gamma/lam = 1/60: the law's angle density is cos^120
+        path = write_model(tmp_path, "narrow.json", {
+            "lambda": [[3.0]], "b": [1.0], "alpha": 0.01, "beta": [-0.01],
+            "gamma": [[0.05]]})
+        rc, out, err = run(capsys, "density", "--model", path)
+        assert rc == 0, err
+        rows = np.array([[float(v) for v in l.split(",")]
+                         for l in out.splitlines()
+                         if not l.startswith(("#", "y,"))])
+        assert rows.shape == (401, 3) and np.isfinite(rows).all()
+        assert np.all(np.diff(rows[:, 2]) > 0)
+
     def test_multifactor_rejected(self, capsys):
         rc, _, err = run(capsys, "density", "--model", "MM1")
         assert rc == 2

@@ -450,11 +450,6 @@ class TestSquaredIncrements:
         assert moments.squared_increment_mean(sys, r) == pytest.approx(
             r * summ.sigma2_infty, rel=1e-14)
 
-    def test_disjoint_increments_uncorrelated(self, systems):
-        assert moments.increment_cov(systems["M2"], 0.1, 0.25) == 0.0
-        with pytest.raises(moments.WindowOrderError):
-            moments.increment_cov(systems["M2"], 0.25, 0.1)
-
     def test_autocov_formula_properties(self, systems, rng):
         sys = systems["M2"]
         cov = rng.standard_normal(2) * 1e-6

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -87,6 +88,26 @@ class TestKurtosis:
             scalar.scalar_kurtosis_bounds(1.0, -0.1)
 
 
+def _unnormalized_mass(sp):
+    """Integral of sigma^2(y)^(-lam/gamma-1) exp(nu arctan((beta +
+    gamma y)/sqrt(delta))) over the real line, in 30-digit arithmetic and
+    in y itself, apart from the angle map of the closed form."""
+    with mp.workdps(30):
+        lam, alpha, beta, gamma = (mp.mpf(v) for v in (
+            sp.lam, sp.alpha, sp.beta, sp.gamma))
+        sqd = mp.sqrt(alpha * gamma - beta**2)
+        nu = 2 * lam * beta / (gamma * sqd)
+
+        def unnormalized(y):
+            return ((alpha + 2 * beta * y + gamma * y * y)
+                    ** (-lam / gamma - 1)
+                    * mp.exp(nu * mp.atan((beta + gamma * y) / sqd)))
+
+        mode = -beta / (lam + gamma)
+        return mp.quad(unnormalized,
+                       [-mp.inf, mode - 1, mode, mode + 1, mp.inf])
+
+
 class TestPearsonDensity:
     def test_normalized(self, sp_m2, sp_m3):
         for sp in (sp_m2, sp_m3):
@@ -126,11 +147,19 @@ class TestPearsonDensity:
         ref_q = scale * stats.t.ppf(us, df)
         assert np.allclose(pp.ppf(us), ref_q, rtol=1e-8, atol=1e-12)
 
-    def test_cdf_ppf_round_trip(self, sp_m3):
+    def test_cdf_ppf_round_trip(self, sp_m3, models):
         pp = scalar.PearsonIV(sp_m3)
         us = np.linspace(0.001, 0.999, 25)
         back = pp.cdf(pp.ppf(us))
         assert np.abs(back - us).max() < 1e-9
+        # the heavy lower tails of M3 (df 5) and M4 (df 4.16), where the
+        # angle density is a high power of the distance to the grid's end
+        tail = np.geomspace(1e-10, 1e-4, 13)
+        for name in ("M3", "M4"):
+            pp = scalar.PearsonIV(
+                scalar.ScalarParams.from_model_params(models[name]))
+            back = pp.cdf(pp.ppf(tail))
+            assert np.abs(back / tail - 1.0).max() < 1e-9, name
 
     def test_cdf_monotone_with_limits(self, sp_m3):
         pp = scalar.PearsonIV(sp_m3)
@@ -241,28 +270,54 @@ class TestPearsonDensity:
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.01, math.sqrt(0.01),
                                                  1.0))
 
-    def test_module_wrappers(self, sp_m3):
-        pp = scalar.PearsonIV(sp_m3)
-        ys = np.array([-0.1, 0.0, 0.2])
-        assert np.array_equal(scalar.pearson4_density(pp, ys), pp.pdf(ys))
-        assert np.array_equal(scalar.pearson4_logpdf(pp, ys), pp.logpdf(ys))
-        assert np.array_equal(scalar.pearson4_sample(pp, 64, seed=3),
-                              pp.sample(64, seed=3))
+    def test_normalizer_matches_mpmath(self, models):
+        for name in ("M1", "M2", "M3", "M4"):
+            sp = scalar.ScalarParams.from_model_params(models[name])
+            mass = _unnormalized_mass(sp)
+            pp = scalar.PearsonIV(sp)
+            assert abs(float(pp.norm_const * mass - 1)) < 1e-13, name
+
+    def test_symmetric_cdf_is_student_t(self, models):
+        rng = np.random.default_rng(43)
+        for name in ("M1", "M2"):
+            pp = scalar.PearsonIV(
+                scalar.ScalarParams.from_model_params(models[name]))
+            ys = rng.normal(scale=4.0 * pp.student_scale, size=500)
+            assert np.array_equal(pp.cdf(ys), stats.t.cdf(
+                ys, pp.student_df, scale=pp.student_scale))
+
+    # lam = 3, alpha = 0.01: admissible laws down to gamma/lam = 1/150, with
+    # a = 2 lam/gamma up to 300
+    @pytest.mark.parametrize("gamma,beta", [
+        (0.15, 0.0), (0.1, 0.0), (0.08, 0.0), (0.05, 0.0), (0.02, 0.0),
+        (0.05, -0.01), (0.02, -0.005)])
+    def test_small_gamma_law_round_trips(self, gamma, beta):
+        pp = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.01, beta, gamma))
+        us = np.concatenate([np.geomspace(1e-6, 0.5, 40),
+                             1.0 - np.geomspace(1e-4, 0.5, 40)])
+        qs = pp.ppf(us)
+        assert np.isfinite(qs).all()
+        assert np.abs(pp.cdf(qs) / us - 1.0).max() < 1e-12
 
 
 def test_import_leaves_heavy_scipy_unloaded():
-    # a fresh interpreter: this process already holds scipy.stats
+    # a fresh interpreter: this process already holds scipy.stats.  The
+    # Gaussian and Student laws load neither integrate nor interpolate.
     code = textwrap.dedent("""
         import json, sys
         import qhr, qhr.cli
-        heavy = [m for m in ("scipy.stats", "scipy.integrate",
-                             "scipy.interpolate", "scipy.optimize")
-                 if m in sys.modules]
+        heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
+                 "scipy.optimize")
+        loaded = [[m for m in heavy if m in sys.modules]]
         from qhr import scalar
+        gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
+        student = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+            qhr.load_fixture("M2")))
+        quantiles = [gauss.ppf(0.3), student.ppf(0.3), student.cdf(0.1)]
+        loaded.append([m for m in heavy if m in sys.modules])
         skewed = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
             qhr.load_fixture("M3")))
-        gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
-        print(json.dumps([heavy, skewed.ppf(0.3), gauss.ppf(0.3)]))
+        print(json.dumps([loaded, quantiles + [skewed.ppf(0.3)]]))
     """)
     src = os.path.dirname(os.path.dirname(qhr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -270,9 +325,12 @@ def test_import_leaves_heavy_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    heavy, skewed_q, gauss_q = json.loads(proc.stdout)
-    assert heavy == []
-    m3 = scalar.ScalarParams.from_model_params(qhr.load_fixture("M3"))
-    assert skewed_q == scalar.PearsonIV(m3).ppf(0.3)
-    assert gauss_q == scalar.PearsonIV(
-        scalar.ScalarParams(3.0, 0.018, 0.0, 0.0)).ppf(0.3)
+    loaded, values = json.loads(proc.stdout)
+    assert loaded == [[], []]
+    gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
+    student = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+        qhr.load_fixture("M2")))
+    skewed = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+        qhr.load_fixture("M3")))
+    assert values == [gauss.ppf(0.3), student.ppf(0.3), student.cdf(0.1),
+                      skewed.ppf(0.3)]
