@@ -41,7 +41,6 @@ from .model import (
     variance_min,
 )
 from .moments import (
-    EtaState,
     MomentSystem,
     NotStationaryError,
     SingularAError,
@@ -51,6 +50,7 @@ from .moments import (
     check_stability_sufficient,
     conditional_eta,
     conditional_moments,
+    monomials,
     omega,
     squared_increment_autocov,
     squared_increment_mean,

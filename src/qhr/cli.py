@@ -293,15 +293,15 @@ def cmd_curves(args):
         if y0.size != params.p:
             raise UsageError(f"y0 has {y0.size} entries, model has "
                              f"{params.p} factors")
-    moments.stationary_summary(sys_, params)  # raises when not stationary
+    sys_.require_stable()
     header = ["t"]
     header += [f"vol_y0_{i + 1}" for i in range(len(y0_list))]
     header += ["vol_forward", "vol_min"]
     lines = _provenance([params], args.seed)
     lines.append(",".join(header))
     v0, vmin = forward.forward_min_envelope(sys_, grid)
-    curves = [forward.forward_variance(sys_, moments.EtaState.from_y(y0),
-                                       grid) for y0 in y0_list]
+    curves = [forward.forward_variance(sys_, moments.monomials(y0, 2), grid)
+              for y0 in y0_list]
     vols = np.sqrt(np.maximum(np.column_stack(curves + [v0, vmin]), 0.0))
     for s, row in zip(grid, vols):
         lines.append(",".join([_g(s)] + [_g(v) for v in row]))
@@ -330,19 +330,18 @@ def cmd_density(args):
         ys = _parse_values(args.grid)
     else:
         ys = np.linspace(pp.ppf(1e-4), pp.ppf(1.0 - 1e-4), 401)
-    student = abs(sp.beta) < 1e-14 and not pp.gaussian
-    header = "y,pdf,cdf" + (",student_t_pdf" if student else "")
+    header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
     lines = _provenance([params], args.seed)
     lines.append(header)
     pdf = pp.pdf(ys)
     cdf = pp.cdf(ys)
-    if student:
+    if pp.student:
         from scipy import stats
         ref = stats.t.pdf(ys / pp.student_scale,
                           pp.student_df) / pp.student_scale
     for i, y in enumerate(ys):
         row = [_g(y), _g(pdf[i]), _g(cdf[i])]
-        if student:
+        if pp.student:
             row.append(_g(ref[i]))
         lines.append(",".join(row))
     return 0, lines
@@ -350,7 +349,8 @@ def cmd_density(args):
 
 def _mc_config(args, horizon):
     return mc.McConfig(n_paths=args.paths, horizon=horizon, seed=args.seed,
-                       steps_per_year=args.steps_per_year)
+                       steps_per_year=args.steps_per_year,
+                       y0=_resolve_y0(args.y0))
 
 
 def _mc_provenance(args, y0):
@@ -372,9 +372,7 @@ def cmd_smile(args):
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=tuple(ells))
     cfg = _mc_config(args, float(np.max(mats)))
-    y0 = _resolve_y0(args.y0)
-    surf = pricing.price_options(params, y0, grid, cfg)
-    surf = pricing.with_implied_vols(surf)
+    surf = pricing.with_implied_vols(pricing.price_options(params, grid, cfg))
     if args.format == "table":
         headers = ["log-moneyness"] + [f"T={t:.4g}" for t in surf.maturities]
         rows = []
@@ -386,7 +384,7 @@ def cmd_smile(args):
             rows.append(row)
         return 0, _table(headers, rows)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, y0))
+    lines.append(_mc_provenance(args, cfg.y0))
     for i, t in enumerate(surf.maturities):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
@@ -410,11 +408,10 @@ def cmd_atm(args):
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=(-eps, 0.0, eps))
     cfg = _mc_config(args, float(np.max(mats)))
-    y0 = _resolve_y0(args.y0)
-    surf = pricing.price_options(params, y0, grid, cfg)
+    surf = pricing.price_options(params, grid, cfg)
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, y0))
+    lines.append(_mc_provenance(args, cfg.y0))
     lines.append(f"# eps {_g(eps)}")
     lines.append("maturity,atm_vol,atm_skew")
     for i, t in enumerate(surf.maturities):
@@ -425,10 +422,7 @@ def cmd_atm(args):
 def cmd_simulate(args):
     params = _load_params(args.model)
     probes = _parse_values(args.grid) if args.grid else np.array([1.0])
-    horizon = float(np.max(probes))
-    cfg = mc.McConfig(n_paths=args.paths, horizon=horizon, seed=args.seed,
-                      steps_per_year=args.steps_per_year,
-                      y0=_resolve_y0(args.y0))
+    cfg = _mc_config(args, float(np.max(probes)))
     batch = mc.simulate(params, cfg, probes=list(probes))
     lines = _provenance([params], args.seed)
     lines.append(_mc_provenance(args, cfg.y0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .moments import MomentSystem, NotStationaryError
+from .moments import MomentSystem, pairs
 
 
 class NonConvexSliceError(ValueError):
@@ -44,11 +44,10 @@ def _dot(a, b):
 def forward_variance(sys, eta, s):
     """v_t(s) for a given state, at a horizon or over a 1-D grid of them; at
     s=0 this equals sigma^2(y) exactly when the state was formed from a path
-    (q = y (x) y).  eta is an EtaState or a raw stacked vector (y; q) with
-    q symmetric."""
-    if not sys.stable:
-        raise NotStationaryError("forward variance undefined: not stationary")
-    diff = sys.eta_coordinates(eta) - sys.eta_infty_sym
+    (eta = monomials(y, 2)).  eta holds the n_eta S coordinates of the
+    state."""
+    sys.require_stable()
+    diff = sys.as_eta(eta) - sys.eta_infty
     v = sys.sigma2_infty + _dot(sys.psi(s), diff)
     return float(v) if np.ndim(v) == 0 else v
 
@@ -63,15 +62,16 @@ def forward_min_envelope(sys, s):
     c_k^2 <= 4 mu_k v0, so a dropped direction with c_k^2 > 4 cut v0, or a
     negative eigenvalue, makes it unbounded below; the error names the
     first such horizon."""
-    if not sys.stable:
-        raise NotStationaryError("envelope undefined: not stationary")
+    sys.require_stable()
     p = sys.p
     grid = np.atleast_1d(np.asarray(s, dtype=float))
     psi = sys.psi(grid)
-    v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty_sym)
+    v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty)
     # the coefficient of y_i y_j (i < j) is split evenly over (i, j), (j, i)
-    half = np.where(np.eye(p, dtype=bool), 1.0, 0.5).reshape(-1)
-    q_mat = (psi[:, sys.sym_inv[p:p + p * p]] * half).reshape(-1, p, p)
+    i, j = pairs(sys.exponents)
+    q_mat = np.empty((grid.size, p, p))
+    q_mat[:, i, j] = q_mat[:, j, i] = \
+        psi[:, p:] * np.where(i == j, 1.0, 0.5)
     mu, vecs = np.linalg.eigh(q_mat)
     c2 = _matvec(vecs.swapaxes(1, 2), psi[:, :p])**2
     mu_abs = np.abs(mu).max(axis=1)
@@ -129,8 +129,7 @@ def pca(sys, omega_mat):
     psi(t).  Components whose variance is at the rounding level of the
     largest one (n eps lambda_max, n the number of S coordinates) carry no
     curve and are dropped."""
-    if not sys.stable:
-        raise NotStationaryError("pca undefined: not stationary")
+    sys.require_stable()
     f = linalg.solve_lyapunov(sys.a_tilde, sys.g)
     w, v = np.linalg.eigh(omega_mat)
     low = v * np.sqrt(np.maximum(w, 0.0))

@@ -1,8 +1,6 @@
 """Dense linear algebra substrate.
 
-Symmetric-tensor index orbits (the coordinates of the symmetric subspace
-the moment system lives on), matrix exponentials, Lyapunov solves and
-eigenvalue extraction.  Everything here is plain dense numpy and scipy; the
+Matrix exponentials, Lyapunov solves and eigenvalue extraction.  Everything here is plain dense numpy and scipy; the
 state dimension is capped so the largest matrix stays at desk scale.  The
 matrix exponential is qhr's own scaling-and-squaring Pade (13, 13),
 vectorised over a grid of times; scipy supplies the Lyapunov solve.
@@ -30,20 +28,6 @@ class DimensionCapError(ValueError):
 
 class UnstableError(ValueError):
     """An operator expected to be stable (positive real spectrum) is not."""
-
-
-def symmetric_orbits(p, k):
-    """Orbits of the index tuples of a k-fold Kronecker power of R^p under
-    permutation; a symmetric tensor is constant on each orbit.
-
-    Returns (rep, inv): rep[o] is the flat index of orbit o's sorted tuple,
-    and inv[f] the orbit of flat index f, so x[rep] keeps one entry per
-    orbit of a symmetric x and v[inv] spreads it back.  There are
-    C(p+k-1, k) orbits."""
-    tuples = np.indices((p,) * k).reshape(k, -1)
-    sorted_flat = np.ravel_multi_index(np.sort(tuples, axis=0), (p,) * k)
-    rep, inv = np.unique(sorted_flat, return_inverse=True)
-    return rep, inv
 
 
 def expm(a, t=1.0):

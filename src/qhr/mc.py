@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import NotStationaryError, build_moment_system
+from .moments import build_moment_system, monomials
 
 _BLOCK = 4096
 _SUPER = 8
@@ -364,8 +364,7 @@ def stationary_init(params, burn_in, cfg):
     by simulating the offset from zero for burn_in years on a separate
     random stream (so main-phase draws are untouched)."""
     _check_cfg(cfg)
-    if not build_moment_system(params).stable:
-        raise NotStationaryError("burn-in start undefined: model unstable")
+    build_moment_system(params).require_stable()
     if burn_in is None:
         burn_in = default_burn_in(params)
     bcfg = McConfig(n_paths=cfg.n_paths, horizon=burn_in, seed=cfg.seed,
@@ -381,15 +380,13 @@ def estimate_cov_eta_xi2(params, r, cfg):
 
     Simulates over the window r from cfg.y0 if that is a StationaryInit and
     from StationaryInit() otherwise (cfg.horizon is not read).  Returns
-    (cov, se) with one entry per eta component (p + p^2).  This is the
-    simulation input of the squared-increment autocovariance formula; qhr
-    does not compute it in closed form yet (ROADMAP item 2)."""
+    (cov, se) with one entry per S coordinate of eta (p + p(p+1)/2).  This
+    is the simulation input of the squared-increment autocovariance
+    formula; qhr does not compute it in closed form yet (ROADMAP item 2)."""
     init = cfg.y0 if isinstance(cfg.y0, StationaryInit) else StationaryInit()
     batch = simulate(params, replace(cfg, horizon=r, y0=init))
-    yr = batch.y_terminal
-    n, p = yr.shape
-    q = np.einsum("na,nb->nab", yr, yr).reshape(n, p * p)
-    eta = np.hstack([yr, q])
+    eta = monomials(batch.y_terminal, 2)
+    n = eta.shape[0]
     s = batch.xi(-1) ** 2
     d = (eta - eta.mean(axis=0)) * (s - s.mean())[:, None]
     cov, se = batch.mean_se(d.T)

@@ -7,8 +7,9 @@ sigma^2(y) b b' quadratic, so the generator
 
 maps polynomials of degree <= 4 into themselves.  The moments E[y^(x)k] are
 symmetric tensors, so they live in the symmetric subspace S whose
-coordinates are the monomials y^e of degree 1..4 (one per orbit of index
-tuples, linalg.symmetric_orbits).  On S the moments follow the lower block
+coordinates are the monomials y^e of degree 1..4: degree by degree, and
+within a degree in the lexicographic order of the sorted index tuple
+(exponents, monomials).  On S the moments follow the lower block
 triangular linear ODE
 
     dm/dt = source - A m,
@@ -18,12 +19,14 @@ constant.  This module assembles that system straight from L, solves for
 the stationary point, exposes conditional moment evolution, the stationary
 covariance Omega of eta = (y; y(x)y), stability tests and the stationary
 autocovariance functions of the variance and of squared price increments.
-Omega, the loadings g and psi, and A~ are in S coordinates; stacked
-Kronecker moments and raw eta vectors stay the layout at the API edge.
+S is the only layout: every moment vector taken or returned, eta included,
+holds the S coordinates, and monomials(y, k) gives them for a point y.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,37 +46,53 @@ class WindowOrderError(ValueError):
     """Lag must be at least the averaging window length."""
 
 
-@dataclass(frozen=True)
-class EtaState:
-    """State of the first two moment blocks: y and q (= y(x)y on a path)."""
+@functools.lru_cache(maxsize=None)
+def _monomial_tree(p, degree):
+    """The monomials of degree 1..degree in p variables, in S order, as
+    (exponents, parent, last, offsets): y^e = y^parent * y_last, where last
+    is the largest index of e's sorted index tuple and parent the row of
+    e with that index removed (-1 at degree 1); offsets are the degree
+    boundaries.  The arrays are read-only."""
+    by_degree = [list(itertools.combinations_with_replacement(range(p), k))
+                 for k in range(1, degree + 1)]
+    offsets = tuple(itertools.accumulate(map(len, by_degree), initial=0))
+    tuples = list(itertools.chain.from_iterable(by_degree))
+    row = {t: i for i, t in enumerate(tuples)}
+    expo = np.array([[t.count(i) for i in range(p)] for t in tuples])
+    parent = np.array([row.get(t[:-1], -1) for t in tuples])
+    last = np.array([t[-1] for t in tuples])
+    for a in (expo, parent, last):
+        a.flags.writeable = False
+    return expo, parent, last, offsets
 
-    y: np.ndarray
-    q: np.ndarray
 
-    @classmethod
-    def from_y(cls, y):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        return cls(y=y, q=np.kron(y, y))
-
-    @property
-    def vector(self):
-        return np.concatenate([self.y, self.q])
+def monomials(y, degree):
+    """S coordinates of a point: y^e for the monomials of degree 1..degree,
+    in the order of MomentSystem.exponents.  y is one point (p entries) or
+    holds one point per row along its last axis.  Each degree is one
+    product y^parent * y_last over the degree below, so the values equal
+    the Kronecker powers of y at the sorted index tuples bit for bit.
+    monomials(y, 2) is the eta of a path state."""
+    y = np.asarray(y, dtype=float)
+    _, parent, last, offsets = _monomial_tree(y.shape[-1], degree)
+    out = np.empty(y.shape[:-1] + (offsets[-1],))
+    out[..., :offsets[1]] = y
+    for lo, hi in zip(offsets[1:-1], offsets[2:]):
+        out[..., lo:hi] = out[..., parent[lo:hi]] * y[..., last[lo:hi]]
+    return out
 
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Assembled moment ODE for one model.
+    """Assembled moment ODE for one model, in S coordinates.
 
     The S coordinates are the monomials y^e, e = exponents[i], of degree
-    1..4, degree by degree (sym_offsets); 209 of them at p = 6, where the
-    stacked Kronecker moments have 1554 entries (block_offsets).  a_sym is
-    -L on them and source the image of the constant.  m_infty is the
-    stationary point in the stacked Kronecker layout; sym_rep holds the
-    stacked index of each orbit's representative (m[sym_rep] are the S
-    coordinates of a symmetric m) and sym_inv the orbit of each stacked
-    index (x[sym_inv] spreads S coordinates back).  block_eig_min
-    (mu_2..mu_4) and stable come from the diagonal blocks of a_sym; kappa
-    is the stationarity scalar of the variance level."""
+    1..4, degree by degree (sym_offsets) and within a degree in the
+    lexicographic order of the sorted index tuple; 209 of them at p = 6.
+    a_sym is -L on them, source the image of the constant and m_infty the
+    stationary point.  eta = (y; y(x)y) is the first n_eta of them.
+    block_eig_min (mu_2..mu_4) and stable come from the diagonal blocks of
+    a_sym; kappa is the stationarity scalar of the variance level."""
 
     p: int
     params: object
@@ -81,17 +100,10 @@ class MomentSystem:
     a_sym: np.ndarray
     source: np.ndarray
     m_infty: np.ndarray
-    sym_rep: np.ndarray
-    sym_inv: np.ndarray
-    block_offsets: tuple
     sym_offsets: tuple
     stable: bool
     block_eig_min: tuple
     kappa: float
-
-    def block(self, k):
-        """Slice of a stacked moment vector holding the order-k block."""
-        return slice(self.block_offsets[k - 1], self.block_offsets[k])
 
     @property
     def n_eta(self):
@@ -105,41 +117,35 @@ class MomentSystem:
 
     @property
     def g(self):
-        """Loading of eta in the variance link, sigma^2 = alpha + g'eta_S:
+        """Loading of eta in the variance link, sigma^2 = alpha + g'eta:
         (2 beta; Gamma_ii for y_i^2, Gamma_ij + Gamma_ji for y_i y_j)."""
-        return _sigma2_coefficients(self.params, self.sym_inv)[1:self.n_eta + 1]
+        return _sigma2_coefficients(self.params, self.exponents)[
+            1:self.n_eta + 1]
 
     @property
     def eta_infty(self):
-        return self.m_infty[:self.p + self.p**2]
-
-    @property
-    def eta_infty_sym(self):
-        return self.m_infty[self.sym_rep[:self.n_eta]]
+        return self.m_infty[:self.n_eta]
 
     @property
     def sigma2_infty(self):
-        return self.params.alpha + float(
-            self.g @ self.eta_infty_sym)
+        return self.params.alpha + float(self.g @ self.eta_infty)
 
-    def eta_coordinates(self, eta):
-        """S coordinates of an eta given as EtaState or as a raw stacked
-        vector (y; q).  A q that is not symmetric has none: ValueError
-        naming the first asymmetric pair."""
-        vec = eta.vector if isinstance(eta, EtaState) else \
-            np.asarray(eta, dtype=float).reshape(-1)
-        p = self.p
-        if vec.shape != (p + p * p,):
-            raise ValueError(f"eta must have length {p + p * p}")
-        q = vec[p:].reshape(p, p)
-        # a NaN pair is left to propagate, as any other NaN input does
-        bad = np.argwhere((q != q.T) & ~(np.isnan(q) & np.isnan(q.T)))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"q is not symmetric: entry ({i}, {j}) is "
-                             f"{float(q[i, j])!r}, entry ({j}, {i}) is "
-                             f"{float(q[j, i])!r}")
-        return vec[self.sym_rep[:self.n_eta]]
+    def require_stable(self):
+        """Raise NotStationaryError, naming the smallest real part of each
+        diagonal block, unless every block of a_sym is stable."""
+        if not self.stable:
+            bad = ", ".join(f"{e:.4g}" for e in self.block_eig_min)
+            raise NotStationaryError(
+                f"moment blocks not all stable (smallest real parts: {bad})")
+
+    def as_eta(self, eta):
+        """eta as a float vector of its n_eta S coordinates; ValueError for
+        any other length."""
+        vec = np.asarray(eta, dtype=float).reshape(-1)
+        if vec.shape != (self.n_eta,):
+            raise ValueError(f"eta must have length {self.n_eta} (the S "
+                             f"coordinates of (y; y(x)y)), got {vec.size}")
+        return vec
 
     def psi(self, s):
         """Loading curve psi(s) = (e^{-A~ s})' g of the forward variance,
@@ -158,12 +164,20 @@ class MomentSystem:
         return (np.swapaxes(decay, -1, -2) @ self.g[:, None])[..., 0]
 
 
-def _sigma2_coefficients(params, sym_inv):
+def pairs(exponents):
+    """Index pairs (i, j), i <= j, of the degree-2 rows of exponents, in
+    their order: row y_i y_j."""
+    e = exponents[exponents.sum(axis=1) == 2]
+    ij = np.repeat(np.tile(np.arange(e.shape[1]), len(e)), e.reshape(-1))
+    return ij.reshape(-1, 2).T
+
+
+def _sigma2_coefficients(params, exponents):
     """Coefficients of sigma^2(y) on the monomials of degree 0..2, in the
     order 1, S coordinates of y, S coordinates of y(x)y."""
-    p = params.p
-    quad = np.bincount(sym_inv[p:p + p * p] - p,
-                       weights=params.gamma_mat.reshape(-1))
+    i, j = pairs(exponents)
+    gam = params.gamma_mat
+    quad = np.where(i == j, gam[i, j], gam[i, j] + gam[j, i])
     return np.concatenate([[params.alpha], 2.0 * params.beta, quad])
 
 
@@ -189,12 +203,10 @@ def build_moment_system(params):
     if p > linalg.DIM_CAP:
         raise linalg.DimensionCapError(
             f"state dimension {p} exceeds the configured cap {linalg.DIM_CAP}")
-    orbits = [linalg.symmetric_orbits(p, k) for k in (1, 2, 3, 4)]
+    sym_expo, _, _, sym_offsets = _monomial_tree(p, 4)
     eye = np.eye(p, dtype=int)
     # the monomials of degree 0..4: the constant, then S
-    expo = np.concatenate([np.zeros((1, p), dtype=int)] + [
-        sum(eye[i] for i in np.unravel_index(rep, (p,) * k))
-        for k, (rep, _) in enumerate(orbits, start=1)])
+    expo = np.concatenate([np.zeros((1, p), dtype=int), sym_expo])
     index = _index(expo)
     n = len(expo)
 
@@ -210,11 +222,7 @@ def build_moment_system(params):
     np.add.at(lower, (r, index(expo[r] - eye[i] - eye[j])),
               0.5 * count[r, i, j] * (params.b[i] * params.b[j]))
 
-    sym_offsets = tuple(int(o) for o in np.cumsum(
-        [0] + [rep.size for rep, _ in orbits]))
-    sym_inv = np.concatenate([off + inv for off, (_, inv) in
-                              zip(sym_offsets, orbits)])
-    coef = _sigma2_coefficients(params, sym_inv)
+    coef = _sigma2_coefficients(params, expo)
     deg = expo.sum(axis=1)
     r, c = np.nonzero(deg[:, None] + deg[None, :coef.size] <= 4)
     times_sigma2 = np.zeros((n, n))
@@ -238,20 +246,15 @@ def build_moment_system(params):
     if not np.all(np.isfinite(m_sym)):
         raise SingularAError("stationary moments are not finite")
 
-    offsets = np.cumsum([0, p, p**2, p**3, p**4])
     eig_min = tuple(float(linalg.eigenvalues(a_sym[blk, blk])[0].real)
                     for blk in blocks[1:])
     return MomentSystem(
         p=p,
         params=params,
-        exponents=expo[1:],
+        exponents=sym_expo,
         a_sym=a_sym,
         source=source,
-        m_infty=m_sym[sym_inv],
-        sym_rep=np.concatenate([offsets[k] + rep
-                                for k, (rep, _) in enumerate(orbits)]),
-        sym_inv=sym_inv,
-        block_offsets=tuple(int(o) for o in offsets),
+        m_infty=m_sym,
         sym_offsets=sym_offsets,
         stable=all(e > 0 for e in eig_min),
         block_eig_min=eig_min,
@@ -267,7 +270,6 @@ class StationarySummary:
     sigma2_infty: float
     e_sigma4: float
     kurt_infty: float
-    stable: bool
 
 
 def check_stability_sufficient(params):
@@ -295,87 +297,73 @@ def stationary_summary(sys, params):
 
     sigma2_infty = alpha/(1-kappa) with kappa = g_q' lam_(2)^-1 bbar on S;
     E[sigma^4] = E[(alpha + g'eta)^2] expanded with the stationary first and
-    second moments of eta."""
-    if not sys.stable:
-        bad = ", ".join(f"{e:.4g}" for e in sys.block_eig_min)
-        raise NotStationaryError(
-            f"moment blocks not all stable (smallest real parts: {bad})")
+    second moments of eta.  q_infty = E[y y'] in S coordinates (the
+    moments of y_i y_j, i <= j)."""
+    sys.require_stable()
     kappa = sys.kappa
     if kappa >= 1.0:
         raise NotStationaryError(f"kappa = {kappa:.4g} >= 1")
     sigma2 = params.alpha / (1.0 - kappa)
     g = sys.g
-    eta_inf = sys.eta_infty_sym
+    eta_inf = sys.eta_infty
     e_sig4 = params.alpha**2 + 2.0 * params.alpha * float(g @ eta_inf) \
         + float(g @ _eta_second_moment(sys) @ g)
     kappa_tilde, _ = check_stability_sufficient(params)
     return StationarySummary(
-        q_infty=sys.m_infty[sys.block(2)].copy(),
+        q_infty=sys.m_infty[sys.p:sys.n_eta].copy(),
         kappa=kappa,
         kappa_tilde=kappa_tilde,
         sigma2_infty=sigma2,
         e_sigma4=e_sig4,
         kurt_infty=e_sig4 / sigma2**2,
-        stable=sys.stable,
     )
 
 
 def _eta_second_moment(sys):
     """E[eta eta'] on S: E[y^a y^b] is the stationary moment of y^(a+b)."""
     e = sys.exponents[:sys.n_eta]
-    return sys.m_infty[sys.sym_rep][_index(sys.exponents)(e[:, None] + e)]
+    return sys.m_infty[_index(sys.exponents)(e[:, None] + e)]
 
 
 def omega(sys):
     """Stationary covariance of eta in S coordinates: second moment minus
     the eta_infty outer product (the y block is already centered since
     E[y] = 0)."""
-    if not sys.stable:
-        raise NotStationaryError("omega undefined for unstable model")
-    eta_inf = sys.eta_infty_sym
+    sys.require_stable()
+    eta_inf = sys.eta_infty
     return _eta_second_moment(sys) - np.outer(eta_inf, eta_inf)
 
 
 def conditional_moments(sys, y0, t):
-    """Conditional moments at horizon t from a point start y0:
-    m0(t) = m_infty + e^{-At}(m0(0) - m_infty) with m0(0) stacking the
-    Kronecker powers of y0.  The decay runs on S: e^{-A_sym t} on the
-    monomial coordinates."""
+    """Conditional moments at horizon t from a point start y0, in S
+    coordinates: m(t) = m_infty + e^{-A_sym t}(m(0) - m_infty) with m(0)
+    the monomials of y0."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m0 = [y0]
-    for _ in range(3):
-        m0.append(np.kron(m0[-1], y0))
-    m0 = np.concatenate(m0)
     decay = linalg.expm(-sys.a_sym * t)
-    diff = (m0 - sys.m_infty)[sys.sym_rep]
-    return sys.m_infty + (decay @ diff)[sys.sym_inv]
+    return sys.m_infty + decay @ (monomials(y0, 4) - sys.m_infty)
 
 
 def conditional_eta(sys, eta, s):
     """Conditional mean of eta at horizon s from state eta (first two moment
-    blocks only): eta_infty + e^{-A~s}(eta - eta_infty), returned in the
-    stacked layout of eta."""
+    blocks only, S coordinates): eta_infty + e^{-A~s}(eta - eta_infty)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    diff = sys.eta_coordinates(eta) - sys.eta_infty_sym
-    decay = linalg.expm(-sys.a_tilde * s) @ diff
-    return sys.eta_infty + decay[sys.sym_inv[:sys.p + sys.p**2]]
+    diff = sys.as_eta(eta) - sys.eta_infty
+    return sys.eta_infty + linalg.expm(-sys.a_tilde * s) @ diff
 
 
 def variance_autocov(sys, omega_mat, s):
     """Stationary autocovariance of the instantaneous variance at lag s:
     Cov(sigma^2_{t+s}, sigma^2_t) = psi(s)' Omega g, psi = MomentSystem.psi."""
-    if not sys.stable:
-        raise NotStationaryError("autocovariance undefined: not stationary")
+    sys.require_stable()
     return float(sys.psi(s) @ omega_mat @ sys.g)
 
 
 def squared_increment_mean(sys, r):
     """E[(xi_{t+r} - xi_t)^2] = r * sigma2_infty under stationarity."""
-    if not sys.stable:
-        raise NotStationaryError("mean undefined: not stationary")
+    sys.require_stable()
     return float(r) * sys.sigma2_infty
 
 
@@ -386,14 +374,13 @@ def squared_increment_autocov(sys, cov_eta_xi2, r, h):
     h_r = A~^-1 (e^{A~r} - I) Cov(eta_r, xi_r^2),
 
     valid for h >= r >= 0 (h measured between window starts).  The input
-    vector Cov(eta_r, xi_r^2), in the stacked layout of eta, is estimated
+    vector Cov(eta_r, xi_r^2), in the S coordinates of eta, is estimated
     by simulation elsewhere (qhr does not compute it in closed form yet,
-    ROADMAP item 2); its q part must be symmetric."""
+    ROADMAP item 2)."""
     if h < r:
         raise WindowOrderError("lag h must be at least the window r")
-    if not sys.stable:
-        raise NotStationaryError("autocovariance undefined: not stationary")
-    cov = sys.eta_coordinates(cov_eta_xi2)
+    sys.require_stable()
+    cov = sys.as_eta(cov_eta_xi2)
     at = sys.a_tilde
     h_r = np.linalg.solve(at, (linalg.expm(at * r) - np.eye(sys.n_eta)) @ cov)
     return float(sys.psi(h) @ h_r)

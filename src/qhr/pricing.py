@@ -171,16 +171,15 @@ class SmileSurface:
         return self.call_price - self.put_price - (1.0 - np.exp(self.ell))
 
 
-def price_options(params, y0, grid, cfg):
+def price_options(params, grid, cfg):
     """Monte Carlo prices on the grid from one common set of trajectories.
 
-    y0 overrides the configured start (vector, per-path array, or a
-    StationaryInit marker); the simulation horizon is the largest maturity
-    and every maturity is a snapshot of the same paths."""
+    The paths start from cfg.y0, as in mc.simulate; the simulation horizon
+    is the largest maturity (cfg.horizon is not read) and every maturity
+    is a snapshot of the same paths."""
     mats = np.asarray(grid.maturities, dtype=float)
-    cfg2 = replace(cfg, horizon=float(mats.max()),
-                   y0=cfg.y0 if y0 is None else y0)
-    batch = mc.simulate(params, cfg2, probes=list(mats))
+    batch = mc.simulate(params, replace(cfg, horizon=float(mats.max())),
+                        probes=list(mats))
     n_t = mats.size
     ells = np.asarray(grid.log_moneyness, dtype=float)
     n_l = ells.size

@@ -119,7 +119,9 @@ class PearsonIV:
     def __init__(self, sp):
         self.params = sp
         lam, alpha, beta, gamma = sp.lam, sp.alpha, sp.beta, sp.gamma
+        # the branch: gaussian, student (beta = 0) or neither
         self.gaussian = gamma < 1e-12 * lam
+        self.student = not self.gaussian and beta == 0.0
         if self.gaussian:
             if abs(beta) > 1e-8:
                 raise ValueError("gamma ~ 0 requires beta = 0 (psd link)")
@@ -141,7 +143,7 @@ class PearsonIV:
                         + (-lam / gamma - 1.0) * math.log(delta / gamma)
                         + self._log_i)
         self.norm_const = math.exp(self._log_c)
-        if beta == 0.0:
+        if self.student:
             return
         # only this branch needs the trapezoid CDF and its spline; importing
         # them here keeps scipy.integrate and scipy.interpolate out of
@@ -211,7 +213,7 @@ class PearsonIV:
         y = np.asarray(y, dtype=float)
         if self.gaussian:
             out = ndtr(y / self._sd)
-        elif self.params.beta == 0.0:
+        elif self.student:
             out = stdtr(self.student_df, y / self.student_scale)
         else:
             out = np.clip(self._cdf_spline(self._theta_of_y(y)), 0.0, 1.0)
@@ -237,8 +239,7 @@ class PearsonIV:
         if self.gaussian:
             out = ndtri(u) * self._sd
             return float(out) if u.ndim == 0 else out
-        sp = self.params
-        if sp.beta == 0.0:
+        if self.student:
             out = _quantile_ends(u, self.student_scale
                                  * _student_quantile(self.student_df, u))
             return float(out) if u.ndim == 0 else out
@@ -259,7 +260,7 @@ class PearsonIV:
         rng = np.random.default_rng(seed)
         if self.gaussian:
             return rng.normal(scale=self._sd, size=n)
-        if self.params.beta == 0.0:
+        if self.student:
             return self.student_scale * rng.standard_t(self.student_df,
                                                        size=n)
         return self.ppf(rng.random(n))

@@ -5,7 +5,9 @@ generator.  Before that it built the p^k x p^k Kronecker operators and
 stacked the full (p + p^2 + p^3 + p^4)-row matrix A; build_kron_operators
 and full_system below are that construction, verbatim apart from reading
 the parameters.  The tests hold the generator against it: A D = D A_sym,
-with D the duplication map of the stacked orbits.
+with D the duplication map of the stacked orbits.  symmetric_orbits and
+stacked_orbits map between the stacked layout and S, whose coordinates
+are the orbits of index tuples under permutation.
 """
 
 from dataclasses import dataclass
@@ -111,6 +113,45 @@ def _stack(blocks, offsets):
     return out
 
 
+def symmetric_orbits(p, k):
+    """Orbits of the index tuples of a k-fold Kronecker power of R^p under
+    permutation; a symmetric tensor is constant on each orbit.
+
+    Returns (rep, inv): rep[o] is the flat index of orbit o's sorted tuple,
+    and inv[f] the orbit of flat index f, so x[rep] keeps one entry per
+    orbit of a symmetric x and v[inv] spreads it back.  There are
+    C(p+k-1, k) orbits."""
+    tuples = np.indices((p,) * k).reshape(k, -1)
+    sorted_flat = np.ravel_multi_index(np.sort(tuples, axis=0), (p,) * k)
+    rep, inv = np.unique(sorted_flat, return_inverse=True)
+    return rep, inv
+
+
+def stacked_orbits(p, degree=4):
+    """symmetric_orbits over the stacked layout of orders 1..degree: rep[i]
+    is the stacked index of S coordinate i's sorted tuple and inv[f] the S
+    coordinate of stacked index f."""
+    reps, invs = [], []
+    flat = orbit = 0
+    for k in range(1, degree + 1):
+        rep, inv = symmetric_orbits(p, k)
+        reps.append(flat + rep)
+        invs.append(orbit + inv)
+        flat += p**k
+        orbit += rep.size
+    return np.concatenate(reps), np.concatenate(invs)
+
+
+def kron_powers(y, degree=4):
+    """Stacked Kronecker powers (y; y(x)y; ...) of one point, orders
+    1..degree."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    powers = [y]
+    for _ in range(degree - 1):
+        powers.append(np.kron(powers[-1], y))
+    return np.concatenate(powers)
+
+
 def duplication(sys):
     """D with m = D m_S for a symmetric stacked moment vector m."""
-    return np.eye(sys.a_sym.shape[0])[sys.sym_inv]
+    return np.eye(sys.a_sym.shape[0])[stacked_orbits(sys.p)[1]]

@@ -188,15 +188,10 @@ def test_04_sufficient_stability_condition_sound():
                      f"sufficient condition: " + "; ".join(bad[:6]))
 
 
-def _kron_power_estimates(batch, idx):
-    """Stacked Monte Carlo estimates of y, y(x)y, ..., up to fourth order
-    at one snapshot, with pair-aware standard errors."""
-    y = batch.y[idx]
-    pows = [y]
-    for _ in range(3):
-        pows.append(np.einsum("n...,nj->n...j", pows[-1], y))
-    comps = np.hstack([pw.reshape(y.shape[0], -1) for pw in pows])
-    return batch.mean_se(comps.T)
+def _monomial_estimates(batch, idx):
+    """Monte Carlo estimates of the monomials y^e of degree 1..4 (the S
+    coordinates) at one snapshot, with pair-aware standard errors."""
+    return batch.mean_se(moments.monomials(batch.y[idx], 4).T)
 
 
 def test_05_conditional_moments_match_simulation():
@@ -210,7 +205,7 @@ def test_05_conditional_moments_match_simulation():
         batch = simulate(params, cfg, probes=[0.1, 0.5])
         for t in (0.1, 0.5, 1.0):
             ana = moments.conditional_moments(sys_, np.zeros(p), t)
-            mean, se = _kron_power_estimates(batch, batch.time_index(t))
+            mean, se = _monomial_estimates(batch, batch.time_index(t))
             for j in range(ana.size):
                 _zband(mean[j], se[j], ana[j], f"{name} t={t} comp {j}", bad)
     assert not bad, "; ".join(bad)
@@ -227,7 +222,7 @@ def test_06_forward_variance_matches_simulation():
         sys_ = build_moment_system(params)
         for y0 in y0s:
             y0 = np.asarray(y0)
-            eta0 = np.concatenate([y0, np.kron(y0, y0)])
+            eta0 = moments.monomials(y0, 2)
             batch = simulate(params, replace(cfg, y0=y0),
                              probes=[0.25, 1.0])
             for s in (0.25, 1.0, 2.0):
@@ -240,8 +235,7 @@ def test_06_forward_variance_matches_simulation():
         params = load_fixture(name)
         sys_ = build_moment_system(params)
         rate = float(np.linalg.eigvals(params.lam).real.min())
-        n = params.lam.shape[0]
-        v_far = forward.forward_variance(sys_, np.zeros(n + n * n),
+        v_far = forward.forward_variance(sys_, np.zeros(sys_.n_eta),
                                          10.0 / rate)
         rel = abs(v_far - sys_.sigma2_infty) / sys_.sigma2_infty
         assert rel < 1e-3, f"{name}: relative gap {rel:.2e}"
@@ -319,7 +313,7 @@ def test_09_option_pricing_sanity():
         name = params.label
         t0 = time.monotonic()
         surf = pricing.with_implied_vols(
-            pricing.price_options(params, None, grid, cfg))
+            pricing.price_options(params, grid, cfg))
         for i, t in enumerate(surf.maturities):
             _zband(surf.forward_mean[i], surf.forward_se[i], 1.0,
                    f"{name} forward t={t:.3f}", bad)
@@ -356,7 +350,8 @@ def test_10_atm_skew_term_structure():
                    steps_per_year=500, antithetic=True)
 
     def skew_curve(params, y0):
-        surf = pricing.price_options(params, np.array([y0]), grid, cfg)
+        surf = pricing.price_options(params, grid,
+                                     replace(cfg, y0=np.array([y0])))
         surf = pricing.with_implied_vols(surf)
         _, skew = pricing.atm_term_structures(surf, eps=eps)
         return surf, skew

@@ -8,7 +8,7 @@ import qhr
 PUBLIC = [
     "CanonicalModel", "ComplexEigenvaluesError", "ConfigInvalidError",
     "ConstraintViolationError", "Diagnostics", "DimensionCapError",
-    "EtaState", "JordanSpec", "McConfig", "MissingNodesError", "ModelParams",
+    "JordanSpec", "McConfig", "MissingNodesError", "ModelParams",
     "MomentSystem", "NonConvexSliceError", "NotStationaryError",
     "OptionGrid", "OutOfBoundsError", "PathBatch", "PcaDecomposition",
     "PearsonIV", "RepeatedEigenvalueAcrossBlocksError", "ScalarParams",
@@ -21,12 +21,12 @@ PUBLIC = [
     "filter_check", "filter_phi", "filter_psi", "forward",
     "forward_min_envelope", "forward_variance", "implied_vol", "linalg",
     "list_fixtures", "load_fixture", "load_model", "mc", "model", "moments",
-    "omega", "pca", "pca_curves_csv", "price_options", "pricing", "rank_one",
-    "save_model", "scalar", "scalar_closed_moments", "scalar_kurtosis",
-    "scalar_kurtosis_bounds", "simulate", "solve_lyapunov",
-    "squared_increment_autocov", "squared_increment_mean", "stationary_init",
-    "stationary_summary", "validate", "variance", "variance_autocov",
-    "variance_min", "with_implied_vols",
+    "monomials", "omega", "pca", "pca_curves_csv", "price_options",
+    "pricing", "rank_one", "save_model", "scalar", "scalar_closed_moments",
+    "scalar_kurtosis", "scalar_kurtosis_bounds", "simulate",
+    "solve_lyapunov", "squared_increment_autocov", "squared_increment_mean",
+    "stationary_init", "stationary_summary", "validate", "variance",
+    "variance_autocov", "variance_min", "with_implied_vols",
 ]
 
 
@@ -44,3 +44,8 @@ def test_signatures_without_tolerance_options():
         "default_grid": "()",
         "filter_check": "(params, w)",
     }
+
+
+def test_price_options_reads_the_start_from_the_config():
+    # cfg.y0 is the one way to set the start state, as for simulate
+    assert str(inspect.signature(qhr.price_options)) == "(params, grid, cfg)"

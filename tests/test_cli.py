@@ -298,6 +298,18 @@ class TestDensity:
         assert [l for l in out.splitlines()
                 if not l.startswith("#")][0] == "y,pdf,cdf"
 
+    def test_tiny_beta_follows_the_law(self, capsys, tmp_path):
+        # beta = 1e-16 is not 0: the law takes its skewed branch, so there
+        # is no Student t column to compare against
+        path = write_model(tmp_path, "tiny.json", {
+            "lambda": [[6.0]], "b": [1.0], "alpha": 0.0064, "beta": [1e-16],
+            "gamma": [[3.0]]})
+        rc, out, err = run(capsys, "density", "--model", path,
+                           "--grid=-0.1,0.0,0.1")
+        assert rc == 0, err
+        assert [l for l in out.splitlines()
+                if not l.startswith("#")][0] == "y,pdf,cdf"
+
     def test_small_gamma_skewed_model(self, capsys, tmp_path):
         # gamma/lam = 1/60: the law's angle density is cos^120
         path = write_model(tmp_path, "narrow.json", {

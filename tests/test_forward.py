@@ -44,20 +44,20 @@ class TestForwardVariance:
             params = models[name]
             for _ in range(5):
                 y0 = rng.standard_normal(params.p) * 0.1
-                eta = moments.EtaState.from_y(y0)
+                eta = moments.monomials(y0, 2)
                 v = forward.forward_variance(sys, eta, 0.0)
                 assert v == pytest.approx(model.variance(params, y0),
                                           rel=1e-11), name
 
     def test_long_horizon_limit(self, systems):
         sys = systems["MM3"]
-        eta = moments.EtaState.from_y([0.3, -0.2])
+        eta = moments.monomials([0.3, -0.2], 2)
         v = forward.forward_variance(sys, eta, 50.0)
         assert v == pytest.approx(sys.sigma2_infty, rel=1e-12)
 
     def test_zero_state_curve_is_envelope_base(self, systems):
         sys = systems["MM4"]
-        zero = np.zeros(6)
+        zero = np.zeros(sys.n_eta)
         for s in (0.0, 0.3, 1.7):
             v0, _ = forward.forward_min_envelope(sys, s)
             assert v0 == pytest.approx(
@@ -86,7 +86,7 @@ class TestForwardVariance:
             _, vmin = forward.forward_min_envelope(sys, s)
             for _ in range(40):
                 y0 = rng.standard_normal(2) * 0.3
-                eta = moments.EtaState.from_y(y0)
+                eta = moments.monomials(y0, 2)
                 v = forward.forward_variance(sys, eta, s)
                 assert v >= vmin - 1e-12
 
@@ -121,9 +121,11 @@ class TestForwardVariance:
         assert vmin[0] == pytest.approx(model.variance_min(params)[1]**2,
                                         rel=1e-8)
 
-    def test_asymmetric_state_rejected(self, systems):
-        eta = np.array([0.1, 0.2, 0.01, 0.02, 0.03, 0.04])
-        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+    def test_wrong_length_state_rejected(self, systems):
+        # the 6 stacked entries (y; y (x) y) at p = 2 are not the 5 S
+        # coordinates
+        eta = np.array([0.1, 0.2, 0.01, 0.02, 0.02, 0.04])
+        with pytest.raises(ValueError, match="length 5"):
             forward.forward_variance(systems["MM3"], eta, 0.5)
 
     def test_negative_horizon_rejected(self, systems):
@@ -171,7 +173,7 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("name", ["M3", "M4", "MM3", "MM5"])
     def test_forward_variance_and_envelope(self, systems, name):
         sys = systems[name]
-        eta = moments.EtaState.from_y(np.full(sys.p, 0.05))
+        eta = moments.monomials(np.full(sys.p, 0.05), 2)
         v = forward.forward_variance(sys, eta, self.GRID)
         assert np.array_equal(v, [forward.forward_variance(sys, eta, s)
                                   for s in self.GRID])

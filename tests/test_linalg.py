@@ -1,5 +1,6 @@
-"""Symmetric orbits, matrix exponentials, eigenvalues, the Lyapunov solve,
-and the Kronecker operator recursions kept as the moment-matrix reference.
+"""Matrix exponentials, eigenvalues, the Lyapunov solve, and the symmetric
+orbits and Kronecker operator recursions kept as the moment-matrix
+reference.
 
 Oracles: brute-force permutation classes, Taylor series, tensor calculus
 identities for the operator family (kron_reference), and closed-form and
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kron_reference import build_kron_operators
+from kron_reference import build_kron_operators, symmetric_orbits
 from qhr import linalg, model, moments
 
 
@@ -21,7 +22,7 @@ class TestSymmetricOrbits:
     def test_orbit_count(self):
         for p in range(1, 7):
             for k in range(1, 5):
-                rep, inv = linalg.symmetric_orbits(p, k)
+                rep, inv = symmetric_orbits(p, k)
                 assert rep.size == math.comb(p + k - 1, k), (p, k)
                 assert inv.shape == (p**k,)
                 assert np.array_equal(inv[rep], np.arange(rep.size))
@@ -30,7 +31,7 @@ class TestSymmetricOrbits:
         # brute force: flat indices share an orbit iff their tuples are
         # permutations of each other; the representative is the sorted tuple
         p, k = 3, 3
-        rep, inv = linalg.symmetric_orbits(p, k)
+        rep, inv = symmetric_orbits(p, k)
         tuples = list(itertools.product(range(p), repeat=k))
         for f, tup in enumerate(tuples):
             assert tuples[rep[inv[f]]] == tuple(sorted(tup))
@@ -40,7 +41,7 @@ class TestSymmetricOrbits:
         # symmetric
         y = np.array([1.0, 2.0, 3.0, 5.0])
         power = np.kron(np.kron(np.kron(y, y), y), y)
-        rep, inv = linalg.symmetric_orbits(4, 4)
+        rep, inv = symmetric_orbits(4, 4)
         assert np.array_equal(power[rep][inv], power)
 
 

@@ -420,7 +420,7 @@ class TestCovEstimator:
                           y0=mc.StationaryInit(burn_in=2.0))
         cov1, se1 = mc.estimate_cov_eta_xi2(models["MM1"], 0.25, cfg)
         cov2, _ = mc.estimate_cov_eta_xi2(models["MM1"], 0.25, cfg)
-        assert cov1.shape == (6,)
+        assert cov1.shape == (5,)  # y1, y2, y1^2, y1 y2, y2^2
         assert np.all(np.isfinite(se1))
         assert np.array_equal(cov1, cov2)
 

@@ -11,7 +11,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from kron_reference import duplication, full_system
+from kron_reference import (duplication, full_system, kron_powers,
+                            stacked_orbits, symmetric_orbits)
 from qhr import linalg, model, moments, scalar
 
 
@@ -25,6 +26,16 @@ def sym_block(sys, i, j=None):
     o = sys.sym_offsets
     j = i if j is None else j
     return sys.a_sym[o[i - 1]:o[i], o[j - 1]:o[j]]
+
+
+def order(sys, k):
+    """The S coordinates of moment order k."""
+    return slice(sys.sym_offsets[k - 1], sys.sym_offsets[k])
+
+
+def stacked(sys, m):
+    """An S vector spread to the stacked Kronecker layout."""
+    return m[stacked_orbits(sys.p)[1]]
 
 
 class TestAssembly:
@@ -43,10 +54,6 @@ class TestAssembly:
 
     def test_block_slices(self, systems):
         sys = systems["MM3"]
-        assert sys.block(1) == slice(0, 2)
-        assert sys.block(2) == slice(2, 6)
-        assert sys.block(3) == slice(6, 14)
-        assert sys.block(4) == slice(14, 30)
         assert sys.sym_offsets == (0, 2, 5, 9, 14)
         assert sys.a_sym.shape == (14, 14)
 
@@ -61,7 +68,7 @@ class TestAssembly:
 
     def test_stationary_point_solves_system(self, systems):
         for name, sys in systems.items():
-            resid = sys.a_sym @ sys.m_infty[sys.sym_rep] - sys.source
+            resid = sys.a_sym @ sys.m_infty - sys.source
             scale = max(np.abs(sys.source).max(), 1e-30)
             assert np.abs(resid).max() < 1e-10 * scale, name
 
@@ -69,11 +76,12 @@ class TestAssembly:
         sys = systems["MM5"]
         full = full_system(models["MM5"])
         direct = np.linalg.solve(full.a_full, full.source)
-        assert np.allclose(sys.m_infty, direct, rtol=1e-9, atol=1e-16)
+        assert np.allclose(stacked(sys, sys.m_infty), direct, rtol=1e-9,
+                           atol=1e-16)
 
     def test_first_moment_vanishes(self, systems):
         for sys in systems.values():
-            assert np.all(sys.m_infty[sys.block(1)] == 0.0)
+            assert np.all(sys.m_infty[:sys.p] == 0.0)
 
     def test_a_tilde_is_top_corner(self, systems):
         sys = systems["MM1"]
@@ -104,11 +112,11 @@ class TestStationarySummary:
             sys = systems[name]
             sp = scalar.ScalarParams.from_model_params(models[name])
             q, m3, m4 = scalar.scalar_closed_moments(sp)
-            assert sys.m_infty[sys.block(2)].item() == pytest.approx(
+            assert sys.m_infty[order(sys, 2)].item() == pytest.approx(
                 q, rel=1e-12), name
-            assert sys.m_infty[sys.block(3)].item() == pytest.approx(
+            assert sys.m_infty[order(sys, 3)].item() == pytest.approx(
                 m3, rel=1e-12, abs=1e-18), name
-            assert sys.m_infty[sys.block(4)].item() == pytest.approx(
+            assert sys.m_infty[order(sys, 4)].item() == pytest.approx(
                 m4, rel=1e-12), name
             summ = moments.stationary_summary(sys, models[name])
             assert summ.kurt_infty == pytest.approx(
@@ -122,7 +130,7 @@ class TestStationarySummary:
 
     def test_second_moment_matrix(self, models, systems):
         sys = systems["MM4"]
-        m2 = sys.m_infty[sys.block(2)].reshape(2, 2)
+        m2 = stacked(sys, sys.m_infty)[2:6].reshape(2, 2)
         assert np.allclose(m2, m2.T, atol=1e-14)
         assert np.linalg.eigvalsh(m2).min() > 0
         q = scipy.linalg.solve_lyapunov(
@@ -187,6 +195,35 @@ class TestUnstableModels:
         with pytest.raises(moments.NotStationaryError):
             moments.omega(sys)
 
+    def test_one_gate_for_every_stationary_quantity(self):
+        # every quantity that needs the stationary law raises the same
+        # error, naming the smallest real part of each moment block
+        from qhr import forward, mc
+        params = scalar_model(1.0, 0.01, 0.0, 1.2)
+        sys = moments.build_moment_system(params)
+        om = np.eye(2)
+        cfg = mc.McConfig(n_paths=10, horizon=1.0, seed=1)
+        calls = {
+            "omega": lambda: moments.omega(sys),
+            "variance_autocov": lambda: moments.variance_autocov(sys, om, 0.0),
+            "squared_increment_mean":
+                lambda: moments.squared_increment_mean(sys, 0.1),
+            "squared_increment_autocov": lambda:
+                moments.squared_increment_autocov(sys, np.zeros(2), 0.1, 0.2),
+            "stationary_summary":
+                lambda: moments.stationary_summary(sys, params),
+            "forward_variance":
+                lambda: forward.forward_variance(sys, np.zeros(2), 0.5),
+            "forward_min_envelope":
+                lambda: forward.forward_min_envelope(sys, 0.5),
+            "pca": lambda: forward.pca(sys, om),
+            "stationary_init": lambda: mc.stationary_init(params, None, cfg),
+        }
+        want = r"not all stable \(smallest real parts: 0\.8, -0\.6, -3\.2\)"
+        for name, call in calls.items():
+            with pytest.raises(moments.NotStationaryError, match=want):
+                call()
+
     def test_exactly_singular_block(self):
         with pytest.raises(moments.SingularAError):
             moments.build_moment_system(scalar_model(1.0, 0.01, 0.0, 1.0))
@@ -197,9 +234,7 @@ class TestConditionalMoments:
         sys = systems["MM3"]
         y0 = np.array([0.05, -0.02])
         m0 = moments.conditional_moments(sys, y0, 0.0)
-        expected = np.concatenate([
-            y0, np.kron(y0, y0), np.kron(np.kron(y0, y0), y0),
-            np.kron(np.kron(np.kron(y0, y0), y0), y0)])
+        expected = kron_powers(y0)[stacked_orbits(sys.p)[0]]
         assert np.allclose(m0, expected, rtol=1e-12, atol=1e-18)
 
     def test_long_horizon_reaches_stationary(self, systems):
@@ -211,58 +246,45 @@ class TestConditionalMoments:
         for name, y0 in (("M3", [0.1]), ("MM3", [0.06, -0.03])):
             sys = systems[name]
             target = moments.conditional_moments(sys, y0, 0.5)
-            y0 = np.asarray(y0, dtype=float)
-            start = [y0]
-            for _ in range(3):
-                start.append(np.kron(start[-1], y0))
-            start = np.concatenate(start)
             full = full_system(sys.params)
             sol = scipy.integrate.solve_ivp(
-                lambda t, m: full.source - full.a_full @ m, (0.0, 0.5), start,
-                rtol=1e-11, atol=1e-14, dense_output=True)
-            ref = sol.y[:, -1]
+                lambda t, m: full.source - full.a_full @ m, (0.0, 0.5),
+                kron_powers(y0), rtol=1e-11, atol=1e-14, dense_output=True)
+            ref = sol.y[stacked_orbits(sys.p)[0], -1]
             scale = np.abs(ref).max()
             assert np.abs(target - ref).max() < 1e-8 * scale, name
 
     def test_conditional_eta_consistent(self, systems):
         sys = systems["MM1"]
         y0 = np.array([0.04, 0.01])
-        eta = moments.EtaState.from_y(y0)
+        eta = moments.monomials(y0, 2)
         out = moments.conditional_eta(sys, eta, 0.7)
         full = moments.conditional_moments(sys, y0, 0.7)
-        assert np.allclose(out, full[:6], rtol=1e-11, atol=1e-16)
+        assert np.allclose(out, full[:5], rtol=1e-11, atol=1e-16)
 
-    def test_asymmetric_q_rejected(self, systems):
-        # an eta whose q part is not symmetric has no S coordinates
+    def test_wrong_length_eta_rejected(self, systems):
+        # eta holds the 5 S coordinates at p = 2, not the 6 stacked entries
         sys = systems["MM3"]
-        eta = moments.EtaState.from_y([0.04, 0.01]).vector
-        eta[3] += 1e-4
-        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+        eta = kron_powers([0.04, 0.01], 2)
+        with pytest.raises(ValueError, match="length 5"):
             moments.conditional_eta(sys, eta, 0.7)
-        eta[4] = eta[3]
-        out = moments.conditional_eta(sys, eta, 0.7)
-        assert np.array_equal(out[2:].reshape(2, 2), out[2:].reshape(2, 2).T)
+        with pytest.raises(ValueError, match="length 5"):
+            moments.conditional_eta(sys, eta[:4], 0.7)
 
     def test_negative_time_rejected(self, systems):
         with pytest.raises(ValueError):
             moments.conditional_moments(systems["M1"], [0.0], -1.0)
         with pytest.raises(ValueError):
             moments.conditional_eta(systems["M1"],
-                                    moments.EtaState.from_y([0.0]), -0.5)
+                                    moments.monomials([0.0], 2), -0.5)
 
 
 def reference_conditional_moments(sys, y0, t):
-    """Full-space conditional moments, kept verbatim from before the decay
-    ran on the symmetric subspace: the values conditional_moments keeps."""
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    m0 = [y0]
-    for _ in range(3):
-        m0.append(np.kron(m0[-1], y0))
-    m0 = np.concatenate(m0)
+    """Full-space conditional moments in the stacked layout, as computed
+    before the decay ran on the symmetric subspace."""
     decay = linalg.expm(-full_system(sys.params).a_full * t)
-    return sys.m_infty + decay @ (m0 - sys.m_infty)
+    m_infty = stacked(sys, sys.m_infty)
+    return m_infty + decay @ (kron_powers(y0) - m_infty)
 
 
 def cascade_systems():
@@ -350,9 +372,22 @@ class TestSymmetricSubspace:
     def test_dimension(self, systems):
         sys = systems["MM1"]
         assert sys.a_sym.shape == (2 + 3 + 4 + 5,) * 2
-        assert sys.sym_inv.shape == (2 + 4 + 8 + 16,)
-        assert np.array_equal(sys.sym_inv[sys.sym_rep],
-                              np.arange(sys.a_sym.shape[0]))
+        rep, inv = stacked_orbits(sys.p)
+        assert inv.shape == (2 + 4 + 8 + 16,)
+        assert np.array_equal(inv[rep], np.arange(sys.a_sym.shape[0]))
+
+    def test_exponents_follow_orbit_order(self):
+        # row i of exponents counts the indices of the sorted tuple of
+        # orbit i: the orbits of each order, in order
+        for p in range(1, 7):
+            tuples = [np.unravel_index(rep, (p,) * k) for k in (1, 2, 3, 4)
+                      for rep in symmetric_orbits(p, k)[0]]
+            want = [np.bincount(np.ravel(t), minlength=p) for t in tuples]
+            params = model.ModelParams(lam=np.eye(p), b=np.ones(p),
+                                       alpha=0.01, beta=np.zeros(p),
+                                       gamma_mat=np.zeros((p, p)))
+            got = moments.build_moment_system(params).exponents
+            assert np.array_equal(got, want), p
 
     def test_block_eig_min_matches_full_blocks(self, systems):
         for name, sys in systems.items():
@@ -364,7 +399,8 @@ class TestSymmetricSubspace:
         for name, sys in {**systems, **cascade_systems()}.items():
             y0 = np.linspace(0.06, -0.04, sys.p)
             for t in (0.0, 0.5, 5.0):
-                want = reference_conditional_moments(sys, y0, t)
+                want = reference_conditional_moments(sys, y0, t)[
+                    stacked_orbits(sys.p)[0]]
                 got = moments.conditional_moments(sys, y0, t)
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-12 * scale, (name, t)
@@ -390,11 +426,24 @@ class TestSymmetricSubspace:
         assert not disagree, "; ".join(disagree)
 
 
-class TestEtaState:
+class TestMonomials:
     def test_layout(self):
-        eta = moments.EtaState.from_y([1.0, 2.0])
-        assert np.array_equal(eta.q, [1.0, 2.0, 2.0, 4.0])
-        assert np.array_equal(eta.vector, [1.0, 2.0, 1.0, 2.0, 2.0, 4.0])
+        # y1, y2, y1^2, y1 y2, y2^2
+        assert np.array_equal(moments.monomials([1.0, 2.0], 2),
+                              [1.0, 2.0, 1.0, 2.0, 4.0])
+        rows = moments.monomials([[1.0, 2.0], [3.0, -1.0]], 2)
+        assert np.array_equal(rows, [[1.0, 2.0, 1.0, 2.0, 4.0],
+                                     [3.0, -1.0, 9.0, -3.0, 1.0]])
+
+    def test_equal_kronecker_powers_at_orbit_representatives(self):
+        rng = np.random.default_rng(5)
+        for p in range(1, 7):
+            rep, _ = stacked_orbits(p)
+            ys = rng.standard_normal((50, p))
+            rows = moments.monomials(ys, 4)
+            for y, row in zip(ys, rows):
+                assert np.array_equal(row, kron_powers(y)[rep]), p
+                assert np.array_equal(moments.monomials(y, 4), row), p
 
 
 class TestOmega:
@@ -406,7 +455,7 @@ class TestOmega:
         assert np.array_equal(om, om.T)
         assert np.linalg.eigvalsh(om).min() > -1e-12
         # y block is the raw second moment (E[y] = 0)
-        m2 = sys.m_infty[sys.block(2)].reshape(2, 2)
+        m2 = stacked(sys, sys.m_infty)[2:6].reshape(2, 2)
         assert np.allclose(om[:2, :2], m2, rtol=1e-12)
 
     def test_matches_kronecker_blocks(self, systems):
@@ -414,13 +463,14 @@ class TestOmega:
         # E[eta eta'] from the moment blocks minus eta_infty eta_infty'
         for name, sys in {**systems, **cascade_systems()}.items():
             p = sys.p
-            m = sys.m_infty
-            m2 = m[sys.block(2)].reshape(p, p)
-            m3 = m[sys.block(3)].reshape(p, p * p)
-            m4 = m[sys.block(4)].reshape(p * p, p * p)
+            m = stacked(sys, sys.m_infty)
+            o = np.cumsum([0, p, p**2, p**3, p**4])
+            m2 = m[o[1]:o[2]].reshape(p, p)
+            m3 = m[o[2]:o[3]].reshape(p, p * p)
+            m4 = m[o[3]:o[4]].reshape(p * p, p * p)
             kron = np.block([[m2, m3], [m3.T, m4]]) - np.outer(
-                sys.eta_infty, sys.eta_infty)
-            dup = np.eye(sys.n_eta)[sys.sym_inv[:p + p * p]]
+                m[:o[2]], m[:o[2]])
+            dup = np.eye(sys.n_eta)[stacked_orbits(p, 2)[1]]
             assert np.array_equal(dup @ moments.omega(sys) @ dup.T, kron), name
 
     def test_lag_zero_is_variance_of_variance(self, models, systems):
@@ -471,14 +521,15 @@ class TestSquaredIncrements:
         with pytest.raises(moments.WindowOrderError):
             moments.squared_increment_autocov(sys, cov, h, r)
 
-    def test_asymmetric_covariance_rejected(self, systems):
+    def test_wrong_length_covariance_rejected(self, systems):
+        # one entry per S coordinate of eta: 5 at p = 2
         sys = systems["MM3"]
-        cov = np.array([1e-6, -2e-6, 3e-7, 4e-7, 4e-7, 5e-7])
+        cov = np.array([1e-6, -2e-6, 3e-7, 4e-7, 5e-7])
         assert np.isfinite(moments.squared_increment_autocov(sys, cov,
                                                              0.1, 0.2))
-        cov[4] = -4e-7
-        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
-            moments.squared_increment_autocov(sys, cov, 0.1, 0.2)
+        stacked_cov = np.array([1e-6, -2e-6, 3e-7, 4e-7, 4e-7, 5e-7])
+        with pytest.raises(ValueError, match="length 5"):
+            moments.squared_increment_autocov(sys, stacked_cov, 0.1, 0.2)
 
     def test_requires_stationarity(self):
         params = scalar_model(1.0, 0.01, 0.0, 1.2)

@@ -1,6 +1,7 @@
 """Black-Scholes utilities, implied-vol inversion, and smile construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def surface(models):
                               log_moneyness=(-0.1, -0.01, 0.0, 0.01, 0.1))
     cfg = mc.McConfig(n_paths=20_000, horizon=1.0, seed=42,
                       steps_per_year=100)
-    return pricing.price_options(models["M3"], None, grid, cfg)
+    return pricing.price_options(models["M3"], grid, cfg)
 
 
 class TestSurface:
@@ -234,8 +235,8 @@ class TestSurface:
         grid = pricing.OptionGrid(maturities=(0.5,), log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=2_000, horizon=0.5, seed=9,
                           steps_per_year=100)
-        a = pricing.price_options(models["M2"], None, grid, cfg)
-        b = pricing.price_options(models["M2"], None, grid, cfg)
+        a = pricing.price_options(models["M2"], grid, cfg)
+        b = pricing.price_options(models["M2"], grid, cfg)
         assert np.array_equal(a.call_price, b.call_price)
         assert np.array_equal(a.ivol is None, b.ivol is None)
 
@@ -245,7 +246,7 @@ class TestSurface:
                                   log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=500, horizon=1.0, seed=10,
                           steps_per_year=70)
-        s = pricing.price_options(models["M1"], None, grid, cfg)
+        s = pricing.price_options(models["M1"], grid, cfg)
         assert s.maturities[0] == pytest.approx(21.0 / 70.0)
         assert s.maturities[1] == pytest.approx(23.0 / 70.0)
 
@@ -255,7 +256,7 @@ class TestSurface:
                                   normalized=True)
         cfg = mc.McConfig(n_paths=500, horizon=1.0, seed=11,
                           steps_per_year=100)
-        s = pricing.price_options(models["M1"], None, grid, cfg)
+        s = pricing.price_options(models["M1"], grid, cfg)
         assert s.ell[0, 0] == pytest.approx(-0.5 * 0.5)  # sqrt(0.25)
         assert s.ell[1, 2] == pytest.approx(0.5)
         assert s.ell[0, 1] == 0.0
@@ -264,8 +265,8 @@ class TestSurface:
         grid = pricing.OptionGrid(maturities=(0.25,), log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=2_000, horizon=0.25, seed=12,
                           steps_per_year=100)
-        hot = pricing.price_options(models["M2"], np.array([0.2]), grid,
-                                    cfg)
-        cold = pricing.price_options(models["M2"], None, grid, cfg)
+        hot = pricing.price_options(models["M2"], grid,
+                                    replace(cfg, y0=np.array([0.2])))
+        cold = pricing.price_options(models["M2"], grid, cfg)
         # starting offset raises instantaneous variance, so ATM gets dearer
         assert hot.call_price[0, 0] > cold.call_price[0, 0]

@@ -134,6 +134,16 @@ class TestPearsonDensity:
                                             + (sp.lam + sp.gamma) * ys) / sig2
             assert np.abs(resid).max() < 1e-9
 
+    def test_student_branch_is_beta_exactly_zero(self, sp_m2, sp_m3):
+        assert scalar.PearsonIV(sp_m2).student
+        assert not scalar.PearsonIV(sp_m3).student
+        tiny = scalar.ScalarParams(lam=sp_m2.lam, alpha=sp_m2.alpha,
+                                   beta=1e-16, gamma=sp_m2.gamma)
+        assert not scalar.PearsonIV(tiny).student
+        flat = scalar.ScalarParams(lam=1.0, alpha=0.04, beta=0.0, gamma=0.0)
+        pp = scalar.PearsonIV(flat)
+        assert pp.gaussian and not pp.student
+
     def test_symmetric_case_is_scaled_student_t(self, sp_m2):
         pp = scalar.PearsonIV(sp_m2)
         df = 2.0 * sp_m2.lam / sp_m2.gamma + 1.0
