@@ -425,8 +425,10 @@ def cmd_simulate(args):
     cfg = _mc_config(args, float(np.max(probes)))
     batch = mc.simulate(params, cfg, probes=list(probes))
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0)
-                 + f" floored_steps {batch.floored_steps}")
+    counts = f" floored_steps {batch.floored_steps}"
+    if isinstance(cfg.y0, mc.StationaryInit):
+        counts += f" burn_in_floored_steps {batch.burn_in_floored_steps}"
+    lines.append(_mc_provenance(args, cfg.y0) + counts)
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
                  f"se_sigma2,{ycols}")

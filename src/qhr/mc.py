@@ -22,18 +22,23 @@ fills its own slice of the normals from its own generator, and the
 contractions round each path alike wherever it sits in a super-block.  A
 short final block keeps row-major contractions on its own (y' [Gamma |
 Lambda'] and y' 2 beta), because BLAS rounds the ragged end of a short
-matrix differently.  For p <= 2 the results are bit-identical to a
-row-major step over each block alone (tests/test_mc.py keeps that step as
-the reference); for p >= 3 BLAS and einsum may order the contractions
-differently, and results differ from it at rounding level (a few 1e-16
-relative), while staying bit-identical across thread counts.
+matrix differently.  For p = 1 the contractions are single products, so
+one broadcast multiply of the column [2 beta; Gamma; Lambda] into y fills
+sig2's row and both contracted rows; numpy's matmul takes a slow
+non-BLAS loop when the inner dimension is 1, and an elementwise product
+has no ragged end, so p = 1 needs no tail.  For p <= 2 the results are
+bit-identical to a row-major step over each block alone (tests/test_mc.py
+keeps that step as the reference); for p >= 3 BLAS and einsum may order
+the contractions differently, and results differ from it at rounding level
+(a few 1e-16 relative), while staying bit-identical across thread counts.
 
 A stationary start is drawn by a burn-in from zero on its own random
 streams (phase _PHASE_BURNIN), so main-phase draws are untouched.  The
 burn-in advances y alone: x and the integrated variance are neither
 updated nor stored, and each super-block writes its terminal y straight
 into the (n_paths, p) result.  Its y is bit-identical to what a full run
-over the same draws would reach.
+over the same draws would reach, and its floored steps are reported apart
+from the main phase's (PathBatch.burn_in_floored_steps).
 """
 
 from __future__ import annotations
@@ -82,7 +87,9 @@ class PathBatch:
 
     Arrays are indexed [time, path(, component)].  The horizon is always the
     last snapshot.  xi(i) returns the martingale part of x at snapshot i.
-    Pair-aware summary statistics live in mean_se."""
+    Pair-aware summary statistics live in mean_se.  floored_steps counts the
+    path-steps whose variance was floored at zero; burn_in_floored_steps
+    counts those of the burn-in behind a stationary start (0 otherwise)."""
 
     params: object
     times: np.ndarray
@@ -93,6 +100,7 @@ class PathBatch:
     seed: int
     steps_per_year: int
     floored_steps: int = 0
+    burn_in_floored_steps: int = 0
 
     @property
     def n_paths(self):
@@ -151,20 +159,22 @@ def _n_threads():
 
 
 def _resolve_y0(params, cfg):
+    """The (n_paths, p) start states and the floored steps of the burn-in
+    that drew them (0 without a stationary start)."""
     p = params.p
     y0 = cfg.y0
     if isinstance(y0, StationaryInit):
-        return stationary_init(params, y0.burn_in, cfg)
+        return stationary_init(params, y0.burn_in, cfg, return_floored=True)
     if y0 is None:
-        return np.zeros((cfg.n_paths, p))
+        return np.zeros((cfg.n_paths, p)), 0
     arr = np.asarray(y0, dtype=float)
     if arr.ndim == 1:
         if arr.shape != (p,):
             raise ConfigInvalidError(f"y0 vector must have length {p}")
-        return np.tile(arr, (cfg.n_paths, 1))
+        return np.tile(arr, (cfg.n_paths, 1)), 0
     if arr.shape != (cfg.n_paths, p):
         raise ConfigInvalidError("per-path y0 must be (n_paths, p)")
-    return arr.copy()
+    return arr.copy(), 0
 
 
 def _check_cfg(cfg):
@@ -203,14 +213,22 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     if track_x:
         x = np.zeros(nb)
         ivar = np.zeros(nb)
-    sig2 = np.empty(nb)
     shock = np.empty(nb)
     bad = np.empty(nb, dtype=bool)
-    # rows [0, p) hold Gamma' y and rows [p, 2p) Lambda y.  Once sig2 is
-    # formed the Gamma' y rows are free: row 0 serves as scratch (and holds
-    # the normals before they are interleaved) and all p rows take the
-    # b shock - (Lambda y) dt increment.
-    contracted = np.empty((2 * p, nb))
+    # rows [0, p) of contracted hold Gamma' y and rows [p, 2p) Lambda y.
+    # Once sig2 is formed the Gamma' y rows are free: row 0 serves as
+    # scratch (and holds the normals before they are interleaved) and all p
+    # rows take the b shock - (Lambda y) dt increment.  For p = 1 sig2 is
+    # row 0 of the same buffer, so one broadcast product [2 beta; Gamma;
+    # Lambda] y fills all three rows.
+    if p == 1:
+        coef = np.vstack([beta2, stacked])
+        rows = np.empty((3, nb))
+        sig2 = rows[0]
+        contracted = rows[1:]
+    else:
+        sig2 = np.empty(nb)
+        contracted = np.empty((2 * p, nb))
     quad = contracted[:p]
     lam_y = contracted[p:]
     tmp = contracted[0]
@@ -221,8 +239,8 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     draws = [(rng, z[i * per:(i + 1) * per]) for i, rng in enumerate(rngs)]
     # A short final sub-block keeps its own row-major contractions: BLAS
     # rounds the ragged end of a short matrix differently from the same
-    # columns inside a long one.
-    tail = nb % _BLOCK
+    # columns inside a long one.  Elementwise products have no such end.
+    tail = nb % _BLOCK if p > 1 else 0
     y_tail = np.empty((tail, p))
     c_tail = np.empty((tail, 2 * p))
     floored = 0
@@ -238,8 +256,11 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     for step in range(1, n_steps + 1):
         # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order, with
         # the quadratic summed over components in row 0
-        np.matmul(beta2, y, out=sig2)
-        np.matmul(stacked, y, out=contracted)
+        if p == 1:
+            np.multiply(coef, y, out=rows)
+        else:
+            np.matmul(beta2, y, out=sig2)
+            np.matmul(stacked, y, out=contracted)
         if tail:
             np.copyto(y_tail, y[:, nb - tail:].T)
             np.matmul(y_tail, beta2, out=sig2[nb - tail:])
@@ -330,7 +351,7 @@ def simulate(params, cfg, probes=None):
     """Simulate cfg.n_paths joint paths to cfg.horizon, snapshotting state
     at the probe times (snapped to the step grid) and at the horizon."""
     _check_cfg(cfg)
-    y0_all = _resolve_y0(params, cfg)
+    y0_all, burn_in_floored = _resolve_y0(params, cfg)
     n_steps = _n_steps(cfg)
     snap_steps = set()
     for t in probes or ():
@@ -351,7 +372,8 @@ def simulate(params, cfg, probes=None):
     floored = _advance(params, cfg, _PHASE_MAIN, y0_all, snap_rows, sinks)
     return PathBatch(params=params, times=times, x=sinks[0], y=sinks[1],
                      ivar=sinks[2], antithetic=cfg.antithetic, seed=cfg.seed,
-                     steps_per_year=cfg.steps_per_year, floored_steps=floored)
+                     steps_per_year=cfg.steps_per_year, floored_steps=floored,
+                     burn_in_floored_steps=burn_in_floored)
 
 
 def default_burn_in(params):
@@ -359,10 +381,13 @@ def default_burn_in(params):
     return 10.0 / float(rates.min())
 
 
-def stationary_init(params, burn_in, cfg):
+def stationary_init(params, burn_in, cfg, *, return_floored=False):
     """Per-path starting offsets approximating the stationary law, obtained
     by simulating the offset from zero for burn_in years on a separate
-    random stream (so main-phase draws are untouched)."""
+    random stream (so main-phase draws are untouched).
+
+    Returns the (n_paths, p) offsets, and with return_floored also the
+    number of path-steps of the burn-in whose variance was floored."""
     _check_cfg(cfg)
     build_moment_system(params).require_stable()
     if burn_in is None:
@@ -371,8 +396,8 @@ def stationary_init(params, burn_in, cfg):
                     steps_per_year=cfg.steps_per_year,
                     antithetic=cfg.antithetic)
     y = np.zeros((cfg.n_paths, params.p))
-    _advance(params, bcfg, _PHASE_BURNIN, y, {}, None)
-    return y
+    floored = _advance(params, bcfg, _PHASE_BURNIN, y, {}, None)
+    return (y, floored) if return_floored else y
 
 
 def estimate_cov_eta_xi2(params, r, cfg):

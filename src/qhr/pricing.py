@@ -176,7 +176,10 @@ def price_options(params, grid, cfg):
 
     The paths start from cfg.y0, as in mc.simulate; the simulation horizon
     is the largest maturity (cfg.horizon is not read) and every maturity
-    is a snapshot of the same paths."""
+    is a snapshot of the same paths.  Payoffs are reduced one strike at a
+    time in one reusable path-length buffer, so no (strikes, paths) matrix
+    is built; each row goes through the same pairwise sums as a row of such
+    a matrix, so the prices and errors are the same bits."""
     mats = np.asarray(grid.maturities, dtype=float)
     batch = mc.simulate(params, replace(cfg, horizon=float(mats.max())),
                         probes=list(mats))
@@ -192,16 +195,19 @@ def price_options(params, grid, cfg):
     fwd_m = np.empty(n_t)
     fwd_s = np.empty(n_t)
     actual = np.empty(n_t)
+    payoff = np.empty(batch.n_paths)
     for i, t in enumerate(mats):
         idx = batch.time_index(t)
         actual[i] = batch.times[idx]
         ell[i] = ells * math.sqrt(actual[i]) if grid.normalized else ells
         ex = np.exp(batch.x[idx])
-        k = np.exp(ell[i])
-        call_m[i], call_s[i] = batch.mean_se(
-            np.maximum(ex[None, :] - k[:, None], 0.0))
-        put_m[i], put_s[i] = batch.mean_se(
-            np.maximum(k[:, None] - ex[None, :], 0.0))
+        for j, k in enumerate(np.exp(ell[i])):
+            np.subtract(ex, k, out=payoff)
+            np.maximum(payoff, 0.0, out=payoff)
+            call_m[i, j], call_s[i, j] = batch.mean_se(payoff)
+            np.subtract(k, ex, out=payoff)
+            np.maximum(payoff, 0.0, out=payoff)
+            put_m[i, j], put_s[i, j] = batch.mean_se(payoff)
         fwd_m[i], fwd_s[i] = batch.mean_se(ex)
     return SmileSurface(maturities=actual, ell=ell, call_price=call_m,
                         call_se=call_s, put_price=put_m, put_se=put_s,

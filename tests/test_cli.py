@@ -381,6 +381,7 @@ class TestMonteCarloCommands:
         assert "# seed 99" in lines
         assert any(l.startswith("# paths 500 steps_per_year 50 y0 - "
                                 "floored_steps ") for l in lines)
+        assert not any("burn_in_floored_steps" in l for l in lines)
         header = [l for l in lines if l.startswith("t,")][0]
         assert header.endswith("mean_y1,mean_y2")
         body = lines[lines.index(header) + 1:]
@@ -391,8 +392,9 @@ class TestMonteCarloCommands:
                          "--paths", "200", "--steps-per-year", "50",
                          "--grid", "0.1", "--y0", "stationary")
         assert rc == 0
-        assert any(l.startswith("# paths 200 steps_per_year 50 y0 "
-                                "stationary ") for l in out.splitlines())
+        line = ("# paths 200 steps_per_year 50 y0 stationary floored_steps 0 "
+                "burn_in_floored_steps 0")
+        assert line in out.splitlines()
 
     @pytest.mark.parametrize("command", ["smile", "atm"])
     def test_provenance_names_start_state(self, capsys, command):

@@ -2,6 +2,7 @@
 statistical behaviour of the estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestKernelMatchesRowMajorReference:
     N_PATHS = 9 * mc._BLOCK + 2
     BURN_IN = 0.2
 
+    # p = 1 with degenerate coefficients: flat (beta = Gamma = 0) and M2
+    # (beta = 0), whose zero products carry signs that bytes compare
+    MODELS = ["M3", "MM3", "MM5", "flat", "M2"]
+
+    @staticmethod
+    def _params(models, name):
+        return flat_model(0.04) if name == "flat" else models[name]
+
     def _compare(self, params, antithetic, threads, monkeypatch, y0=0.02):
         monkeypatch.setenv("QHR_THREADS", threads)
         cfg = mc.McConfig(n_paths=self.N_PATHS, horizon=0.1, seed=31,
@@ -141,24 +150,27 @@ class TestKernelMatchesRowMajorReference:
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("antithetic", [True, False])
-    @pytest.mark.parametrize("name", ["M3", "MM3", "MM5"])
+    @pytest.mark.parametrize("name", MODELS)
     def test_bit_identical_for_p_up_to_two(self, models, name, antithetic,
                                            threads, monkeypatch):
-        got, ref = self._compare(models[name], antithetic, threads,
-                                 monkeypatch)
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
+        for y0 in (0.02, 0.0):
+            got, ref = self._compare(self._params(models, name), antithetic,
+                                     threads, monkeypatch, y0)
+            for g, r in zip(got[:3], ref[:3]):
+                assert g.tobytes() == r.tobytes()
+            assert got[3] == ref[3]
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("antithetic", [True, False])
-    @pytest.mark.parametrize("name", ["M3", "MM3", "MM5"])
+    @pytest.mark.parametrize("name", MODELS)
     def test_burn_in_bit_identical_for_p_up_to_two(self, models, name,
                                                    antithetic, threads,
                                                    monkeypatch):
-        got, ref = self._compare_burn_in(models[name], antithetic, threads,
+        params = self._params(models, name)
+        got, ref = self._compare_burn_in(params, antithetic, threads,
                                          monkeypatch)
-        assert got.shape == (self.N_PATHS, models[name].p)
-        assert np.array_equal(got, ref[1][-1])
+        assert got.shape == (self.N_PATHS, params.p)
+        assert got.tobytes() == ref[1][-1].tobytes()
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_burn_in_floors_like_the_reference(self, antithetic,
@@ -441,6 +453,32 @@ class TestFlooring:
                           steps_per_year=100)
         batch = mc.simulate(models["M3"], cfg)
         assert batch.floored_steps == 0
+        assert batch.burn_in_floored_steps == 0
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_burn_in_floors_are_reported(self, antithetic):
+        # stable, with sigma^2 < 0 for 0.0177 < y < 0.282: paths diffuse
+        # from zero into that band during the burn-in
+        params = scalar_model(4.0, 0.01, -0.3, 2.0)
+        cfg = mc.McConfig(n_paths=2_000, horizon=0.2, seed=3,
+                          steps_per_year=100, antithetic=antithetic,
+                          y0=mc.StationaryInit(burn_in=0.5))
+        batch = mc.simulate(params, cfg)
+        bcfg = replace(cfg, horizon=0.5, y0=None)
+        y = np.zeros((cfg.n_paths, 1))
+        floored = mc._advance(params, bcfg, mc._PHASE_BURNIN, y, {}, None)
+        assert batch.burn_in_floored_steps > 0
+        assert batch.burn_in_floored_steps == floored
+        y0, count = mc.stationary_init(params, 0.5, cfg, return_floored=True)
+        assert count == floored
+        assert y0.tobytes() == y.tobytes()
+        assert mc.stationary_init(params, 0.5, cfg).tobytes() == y.tobytes()
+
+    def test_stationary_start_without_floors(self, models):
+        cfg = mc.McConfig(n_paths=2_000, horizon=0.2, seed=3,
+                          steps_per_year=100,
+                          y0=mc.StationaryInit(burn_in=1.0))
+        assert mc.simulate(models["MM1"], cfg).burn_in_floored_steps == 0
 
 
 class TestConfigValidation:

@@ -270,3 +270,58 @@ class TestSurface:
         cold = pricing.price_options(models["M2"], grid, cfg)
         # starting offset raises instantaneous variance, so ATM gets dearer
         assert hot.call_price[0, 0] > cold.call_price[0, 0]
+
+
+def reference_price_options(params, grid, cfg):
+    """price_options as it reduced (strikes, paths) payoff matrices, kept
+    verbatim as the reference for the one-strike-at-a-time reduction."""
+    mats = np.asarray(grid.maturities, dtype=float)
+    batch = mc.simulate(params, replace(cfg, horizon=float(mats.max())),
+                        probes=list(mats))
+    n_t = mats.size
+    ells = np.asarray(grid.log_moneyness, dtype=float)
+    n_l = ells.size
+    shape = (n_t, n_l)
+    ell = np.empty(shape)
+    call_m = np.empty(shape)
+    call_s = np.empty(shape)
+    put_m = np.empty(shape)
+    put_s = np.empty(shape)
+    fwd_m = np.empty(n_t)
+    fwd_s = np.empty(n_t)
+    actual = np.empty(n_t)
+    for i, t in enumerate(mats):
+        idx = batch.time_index(t)
+        actual[i] = batch.times[idx]
+        ell[i] = ells * math.sqrt(actual[i]) if grid.normalized else ells
+        ex = np.exp(batch.x[idx])
+        k = np.exp(ell[i])
+        call_m[i], call_s[i] = batch.mean_se(
+            np.maximum(ex[None, :] - k[:, None], 0.0))
+        put_m[i], put_s[i] = batch.mean_se(
+            np.maximum(k[:, None] - ex[None, :], 0.0))
+        fwd_m[i], fwd_s[i] = batch.mean_se(ex)
+    return pricing.SmileSurface(maturities=actual, ell=ell, call_price=call_m,
+                                call_se=call_s, put_price=put_m,
+                                put_se=put_s, forward_mean=fwd_m,
+                                forward_se=fwd_s, seed=cfg.seed,
+                                n_paths=batch.n_paths)
+
+
+class TestReductionMatchesMatrixReference:
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["MM3", "M3"])
+    def test_bit_identical(self, models, name, antithetic, normalized):
+        # a partial last block: 2 * 4096 + 10 paths
+        grid = pricing.OptionGrid(maturities=(0.1, 0.25, 0.5),
+                                  log_moneyness=(-0.4, -0.1, 0.0, 0.05, 0.3),
+                                  normalized=normalized)
+        cfg = mc.McConfig(n_paths=2 * mc._BLOCK + 10, horizon=1.0, seed=19,
+                          steps_per_year=50, antithetic=antithetic)
+        got = pricing.price_options(models[name], grid, cfg)
+        ref = reference_price_options(models[name], grid, cfg)
+        for field in ("maturities", "ell", "call_price", "call_se",
+                      "put_price", "put_se", "forward_mean", "forward_se"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+        assert got.n_paths == ref.n_paths
