@@ -4,11 +4,11 @@ Subcommands map onto the library layers: validate / diagnostics inspect a
 model file, curves / pca / density are deterministic analytics, and smile /
 atm / simulate run the Monte Carlo engine.  CSV output carries a provenance
 header (package version, model hash, seed; for the Monte Carlo commands
-also the path count, steps per year and starting state) and
-full-precision numbers; table output rounds the way the reference tables
-do.  Each subcommand accepts only the options its handler reads; a handler
-returns (exit code, report lines) and main writes the report once, to
-stdout or to --out.
+also the path count, steps per year, starting state and floored variance
+steps) and full-precision numbers; table output rounds the way the
+reference tables do.  Each subcommand accepts only the options its handler
+reads; a handler returns (exit code, report lines) and main writes the
+report once, to stdout or to --out.
 
 Exit codes: 0 success, 1 invalid or non-stationary model (or a numerical
 failure downstream), 2 usage or parse errors.
@@ -181,20 +181,12 @@ def _resolve_y0(text):
 
 def cmd_validate(args):
     params = _load_params(args.model)
-    failures = set(model.validate(params))
-    clauses = [
-        "alpha must be positive",
-        "gamma must be symmetric",
-        "lambda eigenvalues must be real",
-        "lambda eigenvalues must be positive",
-        "bordered matrix not psd",
-    ]
+    clauses = model.admissibility(params)
     label = params.label or args.model
     lines = [f"model {label} ({_model_hash(params)})"]
-    for clause in clauses:
-        state = "FAIL" if clause in failures else "PASS"
-        lines.append(f"  {state}  {clause}")
-    if failures:
+    for clause, ok in clauses.items():
+        lines.append(f"  {'PASS' if ok else 'FAIL'}  {clause}")
+    if not all(clauses.values()):
         return 1, lines + ["result: INVALID"]
     sys_ = moments.build_moment_system(params)
     kt, suff = moments.check_stability_sufficient(params)
@@ -353,15 +345,19 @@ def _mc_config(args, horizon):
                        y0=_resolve_y0(args.y0))
 
 
-def _mc_provenance(args, y0):
+def _mc_provenance(args, y0, run):
+    """The '# paths' line, with the floored variance steps of run (a
+    PathBatch or SmileSurface) and of the burn-in behind a stationary start."""
+    counts = f" floored_steps {run.floored_steps}"
     if y0 is None:
         start = "-"
     elif isinstance(y0, mc.StationaryInit):
         start = "stationary"
+        counts += f" burn_in_floored_steps {run.burn_in_floored_steps}"
     else:
         start = ",".join(_g(v) for v in y0)
     return (f"# paths {args.paths} steps_per_year {args.steps_per_year} "
-            f"y0 {start}")
+            f"y0 {start}{counts}")
 
 
 def cmd_smile(args):
@@ -384,7 +380,7 @@ def cmd_smile(args):
             rows.append(row)
         return 0, _table(headers, rows)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0))
+    lines.append(_mc_provenance(args, cfg.y0, surf))
     for i, t in enumerate(surf.maturities):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
@@ -411,7 +407,7 @@ def cmd_atm(args):
     surf = pricing.price_options(params, grid, cfg)
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0))
+    lines.append(_mc_provenance(args, cfg.y0, surf))
     lines.append(f"# eps {_g(eps)}")
     lines.append("maturity,atm_vol,atm_skew")
     for i, t in enumerate(surf.maturities):
@@ -425,10 +421,7 @@ def cmd_simulate(args):
     cfg = _mc_config(args, float(np.max(probes)))
     batch = mc.simulate(params, cfg, probes=list(probes))
     lines = _provenance([params], args.seed)
-    counts = f" floored_steps {batch.floored_steps}"
-    if isinstance(cfg.y0, mc.StationaryInit):
-        counts += f" burn_in_floored_steps {batch.burn_in_floored_steps}"
-    lines.append(_mc_provenance(args, cfg.y0) + counts)
+    lines.append(_mc_provenance(args, cfg.y0, batch))
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
                  f"se_sigma2,{ycols}")

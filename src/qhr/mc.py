@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import variance
 from .moments import build_moment_system, monomials
 
 _BLOCK = 4096
@@ -118,7 +119,6 @@ class PathBatch:
         return self.x[i] + 0.5 * self.ivar[i]
 
     def sigma2(self, i):
-        from .model import variance
         return variance(self.params, self.y[i])
 
     def time_index(self, t):
@@ -215,20 +215,16 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
         ivar = np.zeros(nb)
     shock = np.empty(nb)
     bad = np.empty(nb, dtype=bool)
-    # rows [0, p) of contracted hold Gamma' y and rows [p, 2p) Lambda y.
-    # Once sig2 is formed the Gamma' y rows are free: row 0 serves as
-    # scratch (and holds the normals before they are interleaved) and all p
-    # rows take the b shock - (Lambda y) dt increment.  For p = 1 sig2 is
-    # row 0 of the same buffer, so one broadcast product [2 beta; Gamma;
-    # Lambda] y fills all three rows.
-    if p == 1:
-        coef = np.vstack([beta2, stacked])
-        rows = np.empty((3, nb))
-        sig2 = rows[0]
-        contracted = rows[1:]
-    else:
-        sig2 = np.empty(nb)
-        contracted = np.empty((2 * p, nb))
+    # rows holds sig2 in row 0, then contracted: Gamma' y in its rows
+    # [0, p) and Lambda y in rows [p, 2p).  Once sig2 is formed the Gamma' y
+    # rows are free: contracted's row 0 serves as scratch (and holds the
+    # normals before they are interleaved) and all p rows take the b shock
+    # - (Lambda y) dt increment.  For p = 1 one broadcast product of the
+    # column coef = [2 beta; Gamma; Lambda] into y fills all three rows.
+    coef = np.vstack([beta2, stacked])
+    rows = np.empty((2 * p + 1, nb))
+    sig2 = rows[0]
+    contracted = rows[1:]
     quad = contracted[:p]
     lam_y = contracted[p:]
     tmp = contracted[0]

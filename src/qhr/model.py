@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import linalg, moments
 
 
 class ComplexEigenvaluesError(ValueError):
@@ -167,33 +167,38 @@ class Diagnostics:
     eig_block2: np.ndarray
 
 
-def validate(params):
-    """Admissibility check. Returns a list of violation strings (empty when
-    the model is admissible): alpha positive, Gamma symmetric, mean-reversion
-    spectrum real and positive, bordered matrix [[alpha, beta'], [beta,
-    Gamma]] positive semidefinite."""
-    out = []
-    if not params.alpha > 0:
-        out.append("alpha must be positive")
+def admissibility(params):
+    """Each admissibility clause, in order, mapped to whether the model
+    meets it: alpha positive, Gamma symmetric, mean-reversion spectrum real
+    and (if real) positive, bordered matrix [[alpha, beta'], [beta, Gamma]]
+    positive semidefinite."""
     gam = params.gamma_mat
     gscale = max(np.abs(gam).max(), 1.0)
-    if np.abs(gam - gam.T).max() > 1e-10 * gscale:
-        out.append("gamma must be symmetric")
     vals = np.linalg.eigvals(params.lam)
     lscale = max(np.abs(vals).max(), 1.0)
-    if np.abs(vals.imag).max() > 1e-10 * lscale:
-        out.append("lambda eigenvalues must be real")
-    elif vals.real.min() <= 0:
-        out.append("lambda eigenvalues must be positive")
+    real = not np.abs(vals.imag).max() > 1e-10 * lscale
     bordered = np.zeros((params.p + 1, params.p + 1))
     bordered[0, 0] = params.alpha
     bordered[0, 1:] = params.beta
     bordered[1:, 0] = params.beta
     bordered[1:, 1:] = 0.5 * (gam + gam.T)
     ev = np.linalg.eigvalsh(bordered)
-    if ev.min() < -1e-10 * max(np.abs(ev).max(), 1.0):
-        out.append("bordered matrix not psd")
-    return out
+    return {
+        "alpha must be positive": params.alpha > 0,
+        "gamma must be symmetric":
+            not np.abs(gam - gam.T).max() > 1e-10 * gscale,
+        "lambda eigenvalues must be real": real,
+        "lambda eigenvalues must be positive":
+            not real or not vals.real.min() <= 0,
+        "bordered matrix not psd":
+            not ev.min() < -1e-10 * max(np.abs(ev).max(), 1.0),
+    }
+
+
+def validate(params):
+    """Admissibility check. Returns the clauses of admissibility(params)
+    that the model violates, in order (empty when it is admissible)."""
+    return [clause for clause, ok in admissibility(params).items() if not ok]
 
 
 def _eigen_clusters(vals, tol):
@@ -400,19 +405,16 @@ def change_of_measure(params, mu0, mu1):
 
 def diagnostics(params):
     """Assemble the static summary used by the model tables."""
-    from . import moments
-
     sys = moments.build_moment_system(params)
     summ = moments.stationary_summary(sys, params)
     y_min, sigma_min = variance_min(params)
     mu2, mu3, mu4 = sys.block_eig_min
     # A_22 leaves S and its complement invariant; on the antisymmetric
     # tensors it acts as lam (x) I + I (x) lam, with eigenvalues
-    # lam_i + lam_j for i < j
-    b2 = slice(sys.sym_offsets[1], sys.sym_offsets[2])
-    rates = np.linalg.eigvals(params.lam)
+    # lam_i + lam_j for i < j (block 1 of the moment system is lam)
+    rates = sys.block_spectra[0]
     pairs = np.triu_indices(params.p, 1)
-    eig2 = np.concatenate([np.linalg.eigvals(sys.a_sym[b2, b2]),
+    eig2 = np.concatenate([sys.block_spectra[1],
                            (rates[:, None] + rates)[pairs]])
     return Diagnostics(
         y_min=y_min,

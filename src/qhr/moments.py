@@ -90,9 +90,14 @@ class MomentSystem:
     1..4, degree by degree (sym_offsets) and within a degree in the
     lexicographic order of the sorted index tuple; 209 of them at p = 6.
     a_sym is -L on them, source the image of the constant and m_infty the
-    stationary point.  eta = (y; y(x)y) is the first n_eta of them.
-    block_eig_min (mu_2..mu_4) and stable come from the diagonal blocks of
-    a_sym; kappa is the stationarity scalar of the variance level."""
+    stationary point.  eta = (y; y(x)y) is the first n_eta of them, and g
+    its loading in the variance link, sigma^2 = alpha + g'eta (2 beta;
+    Gamma_ii for y_i^2, Gamma_ij + Gamma_ji for y_i y_j).  block_spectra
+    holds the spectra of the diagonal blocks 1..4 of a_sym (block 1 is
+    lam), each by ascending real part; stable says all lie in the open
+    right half plane, the one test behind require_stable.  kappa is the
+    stationarity scalar of the variance level.  build_moment_system
+    computes every field once."""
 
     p: int
     params: object
@@ -101,8 +106,9 @@ class MomentSystem:
     source: np.ndarray
     m_infty: np.ndarray
     sym_offsets: tuple
+    g: np.ndarray
+    block_spectra: tuple
     stable: bool
-    block_eig_min: tuple
     kappa: float
 
     @property
@@ -116,11 +122,9 @@ class MomentSystem:
         return self.a_sym[:self.n_eta, :self.n_eta]
 
     @property
-    def g(self):
-        """Loading of eta in the variance link, sigma^2 = alpha + g'eta:
-        (2 beta; Gamma_ii for y_i^2, Gamma_ij + Gamma_ji for y_i y_j)."""
-        return _sigma2_coefficients(self.params, self.exponents)[
-            1:self.n_eta + 1]
+    def block_eig_min(self):
+        """mu_2..mu_4: the smallest real part of diagonal blocks 2..4."""
+        return tuple(float(s[0].real) for s in self.block_spectra[1:])
 
     @property
     def eta_infty(self):
@@ -131,9 +135,15 @@ class MomentSystem:
         return self.params.alpha + float(self.g @ self.eta_infty)
 
     def require_stable(self):
-        """Raise NotStationaryError, naming the smallest real part of each
-        diagonal block, unless every block of a_sym is stable."""
+        """Raise NotStationaryError unless every diagonal block of a_sym is
+        stable: naming block 1 and its smallest real part when lam fails,
+        and otherwise the smallest real part of each of blocks 2..4."""
         if not self.stable:
+            lam_min = float(self.block_spectra[0][0].real)
+            if not lam_min > 0:
+                raise NotStationaryError(
+                    f"moment block 1 (lam) not stable (smallest real part: "
+                    f"{lam_min:.4g})")
             bad = ", ".join(f"{e:.4g}" for e in self.block_eig_min)
             raise NotStationaryError(
                 f"moment blocks not all stable (smallest real parts: {bad})")
@@ -170,15 +180,6 @@ def pairs(exponents):
     e = exponents[exponents.sum(axis=1) == 2]
     ij = np.repeat(np.tile(np.arange(e.shape[1]), len(e)), e.reshape(-1))
     return ij.reshape(-1, 2).T
-
-
-def _sigma2_coefficients(params, exponents):
-    """Coefficients of sigma^2(y) on the monomials of degree 0..2, in the
-    order 1, S coordinates of y, S coordinates of y(x)y."""
-    i, j = pairs(exponents)
-    gam = params.gamma_mat
-    quad = np.where(i == j, gam[i, j], gam[i, j] + gam[j, i])
-    return np.concatenate([[params.alpha], 2.0 * params.beta, quad])
 
 
 def _index(exponents):
@@ -222,7 +223,12 @@ def build_moment_system(params):
     np.add.at(lower, (r, index(expo[r] - eye[i] - eye[j])),
               0.5 * count[r, i, j] * (params.b[i] * params.b[j]))
 
-    coef = _sigma2_coefficients(params, expo)
+    # sigma^2(y) on the monomials of degree 0..2: alpha, then g
+    i, j = pairs(expo)
+    gam = params.gamma_mat
+    coef = np.concatenate([[params.alpha], 2.0 * params.beta,
+                           np.where(i == j, gam[i, j], gam[i, j] + gam[j, i])])
+    g = coef[1:]
     deg = expo.sum(axis=1)
     r, c = np.nonzero(deg[:, None] + deg[None, :coef.size] <= 4)
     times_sigma2 = np.zeros((n, n))
@@ -239,15 +245,14 @@ def build_moment_system(params):
             rhs = source[blk] - a_sym[blk, :blk.start] @ m_sym[:blk.start]
             m_sym[blk] = np.linalg.solve(a_sym[blk, blk], rhs)
         # kappa = gamma' lam_(2)^-1 bbar, lam_(2) the drift part of A_22
-        kappa = float(coef[1:][b2] @ np.linalg.solve(drift[1:, 1:][b2, b2],
-                                                     lower[1:, 0][b2]))
+        kappa = float(g[b2] @ np.linalg.solve(drift[1:, 1:][b2, b2],
+                                              lower[1:, 0][b2]))
     except np.linalg.LinAlgError as exc:
         raise SingularAError(f"singular moment block: {exc}") from exc
     if not np.all(np.isfinite(m_sym)):
         raise SingularAError("stationary moments are not finite")
 
-    eig_min = tuple(float(linalg.eigenvalues(a_sym[blk, blk])[0].real)
-                    for blk in blocks[1:])
+    spectra = tuple(linalg.eigenvalues(a_sym[blk, blk]) for blk in blocks)
     return MomentSystem(
         p=p,
         params=params,
@@ -256,8 +261,9 @@ def build_moment_system(params):
         source=source,
         m_infty=m_sym,
         sym_offsets=sym_offsets,
-        stable=all(e > 0 for e in eig_min),
-        block_eig_min=eig_min,
+        g=g,
+        block_spectra=spectra,
+        stable=all(s[0].real > 0 for s in spectra),
         kappa=kappa,
     )
 
@@ -295,15 +301,15 @@ def check_stability_sufficient(params):
 def stationary_summary(sys, params):
     """Stationary variance level, fourth moment and kurtosis.
 
-    sigma2_infty = alpha/(1-kappa) with kappa = g_q' lam_(2)^-1 bbar on S;
-    E[sigma^4] = E[(alpha + g'eta)^2] expanded with the stationary first and
-    second moments of eta.  q_infty = E[y y'] in S coordinates (the
-    moments of y_i y_j, i <= j)."""
+    sigma2_infty is sys.sigma2_infty = alpha + g'eta_infty, which equals
+    alpha/(1-kappa), kappa = g_q' lam_(2)^-1 bbar on S, in exact
+    arithmetic; the gate keeps kappa < 1, because det A_22 = det lam_(2)
+    (1-kappa) and both determinants are positive once blocks 1 and 2 are
+    stable.  E[sigma^4] = E[(alpha + g'eta)^2] expanded with the
+    stationary first and second moments of eta.  q_infty = E[y y'] in S
+    coordinates (the moments of y_i y_j, i <= j)."""
     sys.require_stable()
-    kappa = sys.kappa
-    if kappa >= 1.0:
-        raise NotStationaryError(f"kappa = {kappa:.4g} >= 1")
-    sigma2 = params.alpha / (1.0 - kappa)
+    sigma2 = sys.sigma2_infty
     g = sys.g
     eta_inf = sys.eta_infty
     e_sig4 = params.alpha**2 + 2.0 * params.alpha * float(g @ eta_inf) \
@@ -311,7 +317,7 @@ def stationary_summary(sys, params):
     kappa_tilde, _ = check_stability_sufficient(params)
     return StationarySummary(
         q_infty=sys.m_infty[sys.p:sys.n_eta].copy(),
-        kappa=kappa,
+        kappa=sys.kappa,
         kappa_tilde=kappa_tilde,
         sigma2_infty=sigma2,
         e_sigma4=e_sig4,

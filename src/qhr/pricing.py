@@ -130,13 +130,11 @@ def implied_vol(price, strike, maturity):
 
 @dataclass(frozen=True)
 class OptionGrid:
-    """Strike/maturity layout.  log_moneyness entries are log(K) (spot 1);
-    with normalized=True they are interpreted as log(K)/sqrt(T) per
-    maturity."""
+    """Strike/maturity layout.  log_moneyness entries are log(K) (spot 1),
+    the same at every maturity."""
 
     maturities: tuple
     log_moneyness: tuple
-    normalized: bool = False
 
     def __post_init__(self):
         mats = tuple(float(t) for t in self.maturities)
@@ -152,7 +150,9 @@ class OptionGrid:
 @dataclass
 class SmileSurface:
     """Per-node MC prices (call and put from the same paths), the forward
-    (martingale) check per maturity, and optionally implied vols."""
+    (martingale) check per maturity, optionally implied vols, and the
+    floored variance steps of the paths and of the burn-in behind a
+    stationary start (as in mc.PathBatch)."""
 
     maturities: np.ndarray            # actual (grid-snapped) maturities
     ell: np.ndarray                   # (nT, nL) log strikes
@@ -165,6 +165,8 @@ class SmileSurface:
     seed: int
     n_paths: int
     ivol: np.ndarray = None
+    floored_steps: int = 0
+    burn_in_floored_steps: int = 0
 
     def parity_gap(self):
         """call - put - (1 - K) per node; zero in exact arithmetic."""
@@ -185,9 +187,7 @@ def price_options(params, grid, cfg):
                         probes=list(mats))
     n_t = mats.size
     ells = np.asarray(grid.log_moneyness, dtype=float)
-    n_l = ells.size
-    shape = (n_t, n_l)
-    ell = np.empty(shape)
+    shape = (n_t, ells.size)
     call_m = np.empty(shape)
     call_s = np.empty(shape)
     put_m = np.empty(shape)
@@ -196,12 +196,12 @@ def price_options(params, grid, cfg):
     fwd_s = np.empty(n_t)
     actual = np.empty(n_t)
     payoff = np.empty(batch.n_paths)
+    strikes = np.exp(ells)
     for i, t in enumerate(mats):
         idx = batch.time_index(t)
         actual[i] = batch.times[idx]
-        ell[i] = ells * math.sqrt(actual[i]) if grid.normalized else ells
         ex = np.exp(batch.x[idx])
-        for j, k in enumerate(np.exp(ell[i])):
+        for j, k in enumerate(strikes):
             np.subtract(ex, k, out=payoff)
             np.maximum(payoff, 0.0, out=payoff)
             call_m[i, j], call_s[i, j] = batch.mean_se(payoff)
@@ -209,10 +209,12 @@ def price_options(params, grid, cfg):
             np.maximum(payoff, 0.0, out=payoff)
             put_m[i, j], put_s[i, j] = batch.mean_se(payoff)
         fwd_m[i], fwd_s[i] = batch.mean_se(ex)
-    return SmileSurface(maturities=actual, ell=ell, call_price=call_m,
-                        call_se=call_s, put_price=put_m, put_se=put_s,
-                        forward_mean=fwd_m, forward_se=fwd_s,
-                        seed=cfg.seed, n_paths=batch.n_paths)
+    return SmileSurface(maturities=actual, ell=np.tile(ells, (n_t, 1)),
+                        call_price=call_m, call_se=call_s, put_price=put_m,
+                        put_se=put_s, forward_mean=fwd_m, forward_se=fwd_s,
+                        seed=cfg.seed, n_paths=batch.n_paths,
+                        floored_steps=batch.floored_steps,
+                        burn_in_floored_steps=batch.burn_in_floored_steps)
 
 
 def with_implied_vols(surface):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, loggamma, ndtr, ndtri, stdtr, stdtrit
 
+from .model import ModelParams
 from .moments import NotStationaryError
 
 
@@ -54,7 +55,6 @@ class ScalarParams:
                    gamma=float(params.gamma_mat[0, 0]))
 
     def to_model_params(self, label=""):
-        from .model import ModelParams
         return ModelParams(lam=[[self.lam]], b=[1.0], alpha=self.alpha,
                            beta=[self.beta], gamma_mat=[[self.gamma]],
                            label=label)

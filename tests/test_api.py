@@ -1,6 +1,8 @@
-"""The public surface: the names `import qhr` exports and the signatures of
-functions whose tolerances and grids are module constants."""
+"""The public surface: the names `import qhr` exports, the signatures of
+functions whose tolerances and grids are module constants, and the fields
+of the records whose contents are fixed at construction."""
 
+import dataclasses
 import inspect
 
 import qhr
@@ -49,3 +51,16 @@ def test_signatures_without_tolerance_options():
 def test_price_options_reads_the_start_from_the_config():
     # cfg.y0 is the one way to set the start state, as for simulate
     assert str(inspect.signature(qhr.price_options)) == "(params, grid, cfg)"
+
+
+def test_record_fields():
+    # MomentSystem stores what its build computes once (g and the block
+    # spectra are fields, not recomputed properties); OptionGrid has no
+    # option beyond its two axes
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+            for cls in (qhr.MomentSystem, qhr.OptionGrid)} == {
+        "MomentSystem": ["p", "params", "exponents", "a_sym", "source",
+                         "m_infty", "sym_offsets", "g", "block_spectra",
+                         "stable", "kappa"],
+        "OptionGrid": ["maturities", "log_moneyness"],
+    }

@@ -337,7 +337,8 @@ class TestMonteCarloCommands:
                          "--grid", "T=0.25;L=-0.1,0.0,0.1")
         assert rc == 0
         lines = out.splitlines()
-        assert "# paths 2000 steps_per_year 40 y0 -" in lines
+        assert ("# paths 2000 steps_per_year 40 y0 - floored_steps 0"
+                in lines)
         assert any(l.startswith("# forward T=") for l in lines)
         header = "maturity,log_moneyness,call,call_se,put,put_se,ivol"
         assert header in lines
@@ -362,7 +363,8 @@ class TestMonteCarloCommands:
                          "--grid", "T=0.25,0.5;eps=0.02")
         assert rc == 0
         lines = out.splitlines()
-        assert "# paths 2000 steps_per_year 50 y0 -" in lines
+        assert ("# paths 2000 steps_per_year 50 y0 - floored_steps 0"
+                in lines)
         assert "# eps 0.02" in lines
         header_i = lines.index("maturity,atm_vol,atm_skew")
         body = lines[header_i + 1:]
@@ -401,10 +403,32 @@ class TestMonteCarloCommands:
         argv = (command, "--model", "M3", "--paths", "200",
                 "--steps-per-year", "20", "--grid", "T=0.25")
         _, out, _ = run(capsys, *argv, "--y0=-0.0625")
-        assert "# paths 200 steps_per_year 20 y0 -0.0625" in out.splitlines()
-        _, out, _ = run(capsys, *argv, "--y0", "stationary")
-        assert ("# paths 200 steps_per_year 20 y0 stationary"
+        assert ("# paths 200 steps_per_year 20 y0 -0.0625 floored_steps 0"
                 in out.splitlines())
+        _, out, _ = run(capsys, *argv, "--y0", "stationary")
+        assert ("# paths 200 steps_per_year 20 y0 stationary floored_steps 0 "
+                "burn_in_floored_steps 0" in out.splitlines())
+
+    def test_every_mc_command_reports_floored_steps(self, capsys, tmp_path):
+        # sigma^2 = 0.01 - 0.6 y + 2 y^2 is negative for 0.0177 < y < 0.282,
+        # so the burn-in and the main phase both floor; a one-maturity atm
+        # runs the same paths as simulate to the same horizon
+        path = write_model(tmp_path, "floors.json", {
+            "lambda": [[4.0]], "b": [1.0], "alpha": 0.01, "beta": [-0.3],
+            "gamma": [[2.0]]})
+        options = ("--model", path, "--y0", "stationary", "--paths", "4000",
+                   "--seed", "3")
+        found = []
+        for argv in (("atm", *options, "--grid", "T=1"),
+                     ("simulate", *options, "--grid", "1")):
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0
+            found += [l for l in out.splitlines() if l.startswith("# paths")]
+        assert len(found) == 2
+        assert found[0] == found[1]
+        counts = found[0].split()
+        assert int(counts[counts.index("floored_steps") + 1]) > 0
+        assert int(counts[counts.index("burn_in_floored_steps") + 1]) > 0
 
     def test_mc_rerun_is_byte_identical(self, capsys):
         argv = ("simulate", "--model", "M3", "--paths", "400",

@@ -392,6 +392,22 @@ class TestDiagnostics:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), name
 
+    def test_second_block_spectrum_bit_identical_to_sliced_block(
+            self, models, systems):
+        # the spectrum stored by the moment system's build, against the
+        # eigvals of the sliced S block plus lam_i + lam_j (i < j)
+        for name, params in models.items():
+            sys = systems[name]
+            b2 = slice(sys.sym_offsets[1], sys.sym_offsets[2])
+            rates = np.linalg.eigvals(params.lam)
+            pairs = np.triu_indices(params.p, 1)
+            want = np.concatenate([np.linalg.eigvals(sys.a_sym[b2, b2]),
+                                   (rates[:, None] + rates)[pairs]])
+            want = want[np.lexsort((want.imag, want.real))]
+            got = model.diagnostics(params).eig_block2
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
     def test_sigma_infty_consistency(self, models):
         for name, params in models.items():
             diag = model.diagnostics(params)

@@ -123,10 +123,10 @@ class TestStationarySummary:
                 scalar.scalar_kurtosis(sp), rel=1e-10), name
 
     def test_sigma2_infty_property_consistent(self, models, systems):
+        # one formula, alpha + g'eta_infty, behind both
         for name, sys in systems.items():
             summ = moments.stationary_summary(sys, models[name])
-            assert sys.sigma2_infty == pytest.approx(summ.sigma2_infty,
-                                                     rel=1e-12), name
+            assert sys.sigma2_infty == summ.sigma2_infty, name
 
     def test_second_moment_matrix(self, models, systems):
         sys = systems["MM4"]
@@ -197,32 +197,64 @@ class TestUnstableModels:
 
     def test_one_gate_for_every_stationary_quantity(self):
         # every quantity that needs the stationary law raises the same
-        # error, naming the smallest real part of each moment block
+        # error: for unstable blocks 2..4 it names the smallest real part
+        # of each; for a negative rate (lam = -1, gamma = -3, whose blocks
+        # 2..4 are 1, 6 and 14, and kappa = 1.5) it names block 1
         from qhr import forward, mc
-        params = scalar_model(1.0, 0.01, 0.0, 1.2)
-        sys = moments.build_moment_system(params)
+        cases = [
+            (scalar_model(1.0, 0.01, 0.0, 1.2),
+             r"not all stable \(smallest real parts: 0\.8, -0\.6, -3\.2\)"),
+            (scalar_model(-1.0, 0.01, 0.0, -3.0),
+             r"moment block 1 \(lam\) not stable \(smallest real part: -1\)"),
+        ]
         om = np.eye(2)
         cfg = mc.McConfig(n_paths=10, horizon=1.0, seed=1)
-        calls = {
-            "omega": lambda: moments.omega(sys),
-            "variance_autocov": lambda: moments.variance_autocov(sys, om, 0.0),
-            "squared_increment_mean":
-                lambda: moments.squared_increment_mean(sys, 0.1),
-            "squared_increment_autocov": lambda:
-                moments.squared_increment_autocov(sys, np.zeros(2), 0.1, 0.2),
-            "stationary_summary":
-                lambda: moments.stationary_summary(sys, params),
-            "forward_variance":
-                lambda: forward.forward_variance(sys, np.zeros(2), 0.5),
-            "forward_min_envelope":
-                lambda: forward.forward_min_envelope(sys, 0.5),
-            "pca": lambda: forward.pca(sys, om),
-            "stationary_init": lambda: mc.stationary_init(params, None, cfg),
-        }
-        want = r"not all stable \(smallest real parts: 0\.8, -0\.6, -3\.2\)"
-        for name, call in calls.items():
-            with pytest.raises(moments.NotStationaryError, match=want):
-                call()
+        for params, want in cases:
+            sys = moments.build_moment_system(params)
+            assert not sys.stable
+            calls = {
+                "omega": lambda: moments.omega(sys),
+                "variance_autocov":
+                    lambda: moments.variance_autocov(sys, om, 0.0),
+                "squared_increment_mean":
+                    lambda: moments.squared_increment_mean(sys, 0.1),
+                "squared_increment_autocov": lambda:
+                    moments.squared_increment_autocov(sys, np.zeros(2), 0.1,
+                                                      0.2),
+                "stationary_summary":
+                    lambda: moments.stationary_summary(sys, params),
+                "forward_variance":
+                    lambda: forward.forward_variance(sys, np.zeros(2), 0.5),
+                "forward_min_envelope":
+                    lambda: forward.forward_min_envelope(sys, 0.5),
+                "pca": lambda: forward.pca(sys, om),
+                "stationary_init":
+                    lambda: mc.stationary_init(params, None, cfg),
+            }
+            for name, call in calls.items():
+                with pytest.raises(moments.NotStationaryError, match=want):
+                    call()
+
+    def test_block_one_is_lam(self, models, systems):
+        for name, sys in systems.items():
+            want = linalg.eigenvalues(models[name].lam)
+            assert np.array_equal(sys.block_spectra[0], want), name
+            assert sys.block_spectra[0][0].real > 0, name
+
+    def test_constants_are_not_rebuilt(self, systems, monkeypatch):
+        # g is built once with the system: the loading curve, the variance
+        # level and its autocovariance read it without assembling sigma^2's
+        # coefficients (the only caller of pairs in moments) again
+        def rebuilt(*_):
+            raise AssertionError("sigma^2 coefficients rebuilt")
+
+        monkeypatch.setattr(moments, "pairs", rebuilt)
+        for name in ("M2", "MM3", "MM5"):
+            sys = systems[name]
+            om = moments.omega(sys)
+            sys.psi(np.array([0.0, 0.5]))
+            assert sys.sigma2_infty > 0, name
+            moments.variance_autocov(sys, om, 0.25)
 
     def test_exactly_singular_block(self):
         with pytest.raises(moments.SingularAError):

@@ -250,17 +250,6 @@ class TestSurface:
         assert s.maturities[0] == pytest.approx(21.0 / 70.0)
         assert s.maturities[1] == pytest.approx(23.0 / 70.0)
 
-    def test_normalized_grid_scales_with_maturity(self, models):
-        grid = pricing.OptionGrid(maturities=(0.25, 1.0),
-                                  log_moneyness=(-0.5, 0.0, 0.5),
-                                  normalized=True)
-        cfg = mc.McConfig(n_paths=500, horizon=1.0, seed=11,
-                          steps_per_year=100)
-        s = pricing.price_options(models["M1"], grid, cfg)
-        assert s.ell[0, 0] == pytest.approx(-0.5 * 0.5)  # sqrt(0.25)
-        assert s.ell[1, 2] == pytest.approx(0.5)
-        assert s.ell[0, 1] == 0.0
-
     def test_y0_override(self, models):
         grid = pricing.OptionGrid(maturities=(0.25,), log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=2_000, horizon=0.25, seed=12,
@@ -293,7 +282,7 @@ def reference_price_options(params, grid, cfg):
     for i, t in enumerate(mats):
         idx = batch.time_index(t)
         actual[i] = batch.times[idx]
-        ell[i] = ells * math.sqrt(actual[i]) if grid.normalized else ells
+        ell[i] = ells
         ex = np.exp(batch.x[idx])
         k = np.exp(ell[i])
         call_m[i], call_s[i] = batch.mean_se(
@@ -309,14 +298,12 @@ def reference_price_options(params, grid, cfg):
 
 
 class TestReductionMatchesMatrixReference:
-    @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("name", ["MM3", "M3"])
-    def test_bit_identical(self, models, name, antithetic, normalized):
+    def test_bit_identical(self, models, name, antithetic):
         # a partial last block: 2 * 4096 + 10 paths
         grid = pricing.OptionGrid(maturities=(0.1, 0.25, 0.5),
-                                  log_moneyness=(-0.4, -0.1, 0.0, 0.05, 0.3),
-                                  normalized=normalized)
+                                  log_moneyness=(-0.4, -0.1, 0.0, 0.05, 0.3))
         cfg = mc.McConfig(n_paths=2 * mc._BLOCK + 10, horizon=1.0, seed=19,
                           steps_per_year=50, antithetic=antithetic)
         got = pricing.price_options(models[name], grid, cfg)
