@@ -403,7 +403,7 @@ def estimate_cov_eta_xi2(params, r, cfg):
     from StationaryInit() otherwise (cfg.horizon is not read).  Returns
     (cov, se) with one entry per S coordinate of eta (p + p(p+1)/2).  This
     is the simulation input of the squared-increment autocovariance
-    formula; qhr does not compute it in closed form yet (ROADMAP item 2)."""
+    formula; qhr does not compute it in closed form yet (ROADMAP item 1)."""
     init = cfg.y0 if isinstance(cfg.y0, StationaryInit) else StationaryInit()
     batch = simulate(params, replace(cfg, horizon=r, y0=init))
     eta = monomials(batch.y_terminal, 2)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, moments
+from . import moments
 
 
 class ComplexEigenvaluesError(ValueError):
@@ -295,12 +295,13 @@ def variance_min(params):
 
 
 def filter_psi(lam, i, t):
-    """Erlang kernel psi_i(t) = lam e^{-lam t} (lam t)^{i-1} / (i-1)!."""
+    """Erlang kernel psi_i(t) = lam e^{-lam t} (lam t)^{i-1} / (i-1)!, t
+    checked as moments' horizons are."""
     if lam <= 0:
         raise ValueError("rate must be positive")
     if i < 1:
         raise ValueError("order must be >= 1")
-    t = np.asarray(t, dtype=float)
+    t = moments._horizons(t)
     out = lam * np.exp(-lam * t) * (lam * t) ** (i - 1) / math.factorial(i - 1)
     return float(out) if out.ndim == 0 else out
 
@@ -310,11 +311,10 @@ def filter_phi(params, w, t_grid):
 
     Warns when w'b != 1 (the kernel then does not integrate to one)."""
     w = np.asarray(w, dtype=float).reshape(-1)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if abs(w @ params.b - 1.0) > 1e-9:
         warnings.warn("w'b != 1: filter weights are not normalized",
                       stacklevel=2)
-    front = w @ params.lam @ linalg.expm(-params.lam, t_grid)
+    front = w @ params.lam @ moments._decay(params.lam, np.atleast_1d(t_grid))
     # a (1, p) row per lag keeps each lag's own dot product with b, so a
     # lag's value does not depend on the rest of the grid
     return (front[:, None, :] @ params.b)[:, 0]

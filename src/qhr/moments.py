@@ -43,7 +43,7 @@ class NotStationaryError(ValueError):
 
 
 class WindowOrderError(ValueError):
-    """Lag must be at least the averaging window length."""
+    """The averaging window r is negative or not finite, or exceeds the lag."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,17 +161,25 @@ class MomentSystem:
         """Loading curve psi(s) = (e^{-A~ s})' g of the forward variance,
         v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty) in S coordinates.
 
-        s is a horizon or a 1-D array of horizons; an array gives one row
-        per horizon.  A negative horizon raises ValueError naming the first
-        one."""
-        s = np.asarray(s, dtype=float)
-        if s.ndim > 1:
-            raise ValueError("horizons must be a scalar or a 1-D array")
-        negative = s[s < 0]
-        if negative.size:
-            raise ValueError(f"horizon must be nonnegative, got s={negative[0]}")
-        decay = linalg.expm(-self.a_tilde, s)
+        s is a horizon 0 <= s < inf or a 1-D array of them (one row each)."""
+        decay = _decay(self.a_tilde, s)
         return (np.swapaxes(decay, -1, -2) @ self.g[:, None])[..., 0]
+
+
+def _horizons(s):
+    """s as floats, scalar or 1-D; ValueError names the first bad horizon."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError("horizons must be a scalar or a 1-D array")
+    bad = s[~((s >= 0) & (s < np.inf))]
+    if bad.size:
+        raise ValueError(f"horizon must be finite and >= 0, got s={bad[0]}")
+    return s
+
+
+def _decay(a, s):
+    """e^{-a s} at checked horizons s: qhr's one propagator through time."""
+    return linalg.expm(-a, _horizons(s))
 
 
 def pairs(exponents):
@@ -341,23 +349,19 @@ def omega(sys):
 
 
 def conditional_moments(sys, y0, t):
-    """Conditional moments at horizon t from a point start y0, in S
-    coordinates: m(t) = m_infty + e^{-A_sym t}(m(0) - m_infty) with m(0)
+    """Conditional moments at horizon 0 <= t < inf from a point start y0,
+    in S coordinates: m(t) = m_infty + e^{-A_sym t}(m(0) - m_infty), m(0)
     the monomials of y0."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    decay = linalg.expm(-sys.a_sym * t)
+    decay = _decay(sys.a_sym, t)
     return sys.m_infty + decay @ (monomials(y0, 4) - sys.m_infty)
 
 
 def conditional_eta(sys, eta, s):
-    """Conditional mean of eta at horizon s from state eta (first two moment
-    blocks only, S coordinates): eta_infty + e^{-A~s}(eta - eta_infty)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    """Conditional mean of eta at horizon 0 <= s < inf from state eta, in
+    S coordinates: eta_infty + e^{-A~s}(eta - eta_infty)."""
     diff = sys.as_eta(eta) - sys.eta_infty
-    return sys.eta_infty + linalg.expm(-sys.a_tilde * s) @ diff
+    return sys.eta_infty + _decay(sys.a_tilde, s) @ diff
 
 
 def variance_autocov(sys, omega_mat, s):
@@ -367,8 +371,19 @@ def variance_autocov(sys, omega_mat, s):
     return float(sys.psi(s) @ omega_mat @ sys.g)
 
 
+def _check_window(r, h=np.inf):
+    """WindowOrderError naming r unless 0 <= r < inf and r <= h."""
+    if not 0 <= r < np.inf:
+        raise WindowOrderError(
+            f"window must be finite and nonnegative, got r={r}")
+    if not r <= h:
+        raise WindowOrderError(
+            f"lag h must be at least the window r, got r={r}, h={h}")
+
+
 def squared_increment_mean(sys, r):
-    """E[(xi_{t+r} - xi_t)^2] = r * sigma2_infty under stationarity."""
+    """E[(xi_{t+r} - xi_t)^2] = r * sigma2_infty, 0 <= r < inf."""
+    _check_window(r)
     sys.require_stable()
     return float(r) * sys.sigma2_infty
 
@@ -376,17 +391,14 @@ def squared_increment_mean(sys, r):
 def squared_increment_autocov(sys, cov_eta_xi2, r, h):
     """Autocovariance of squared increments of the martingale part:
 
-    Cov((xi_t^(r))^2, (xi_{t+h}^(r))^2) = g' e^{-A~h} h_r,
-    h_r = A~^-1 (e^{A~r} - I) Cov(eta_r, xi_r^2),
+    Cov((xi_t^(r))^2, (xi_{t+h}^(r))^2) = g' e^{-A~h} A~^-1 (e^{A~r} - I) c
+                                        = (psi(h - r) - psi(h))' A~^-1 c,
 
-    valid for h >= r >= 0 (h measured between window starts).  The input
-    vector Cov(eta_r, xi_r^2), in the S coordinates of eta, is estimated
-    by simulation elsewhere (qhr does not compute it in closed form yet,
-    ROADMAP item 2)."""
-    if h < r:
-        raise WindowOrderError("lag h must be at least the window r")
+    c = Cov(eta_r, xi_r^2), for 0 <= r < inf and h >= r between window
+    starts.  The forms agree as e^{-A~h}, A~^-1 and e^{A~r} commute, and
+    the second has no growing exponential.  c, in the S coordinates of
+    eta, is estimated by simulation (no closed form yet, ROADMAP item 1)."""
+    _check_window(r, h)
     sys.require_stable()
-    cov = sys.as_eta(cov_eta_xi2)
-    at = sys.a_tilde
-    h_r = np.linalg.solve(at, (linalg.expm(at * r) - np.eye(sys.n_eta)) @ cov)
-    return float(sys.psi(h) @ h_r)
+    a_inv_c = np.linalg.solve(sys.a_tilde, sys.as_eta(cov_eta_xi2))
+    return float(np.subtract(*sys.psi([h - r, h])) @ a_inv_c)

@@ -48,6 +48,26 @@ def test_signatures_without_tolerance_options():
     }
 
 
+def test_signatures_of_benchmark_calls():
+    # perfbench/worker.py passes these arguments positionally, so a renamed
+    # or reordered parameter would break the benchmark without this test
+    assert {f.__name__: str(inspect.signature(f)) for f in (
+        qhr.build_moment_system, qhr.omega, qhr.conditional_moments,
+        qhr.variance_autocov, qhr.squared_increment_autocov,
+        qhr.stationary_summary, qhr.estimate_cov_eta_xi2, qhr.simulate,
+        qhr.stationary_init)} == {
+        "build_moment_system": "(params)",
+        "omega": "(sys)",
+        "conditional_moments": "(sys, y0, t)",
+        "variance_autocov": "(sys, omega_mat, s)",
+        "squared_increment_autocov": "(sys, cov_eta_xi2, r, h)",
+        "stationary_summary": "(sys, params)",
+        "estimate_cov_eta_xi2": "(params, r, cfg)",
+        "simulate": "(params, cfg, probes=None)",
+        "stationary_init": "(params, burn_in, cfg, *, return_floored=False)",
+    }
+
+
 def test_price_options_reads_the_start_from_the_config():
     # cfg.y0 is the one way to set the start state, as for simulate
     assert str(inspect.signature(qhr.price_options)) == "(params, grid, cfg)"

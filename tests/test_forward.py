@@ -1,5 +1,7 @@
 """Forward variance curves, the minimum envelope, and the factor PCA."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,27 @@ class TestForwardVariance:
             forward.forward_min_envelope(systems["MM3"], [0.1, -0.2, -0.3])
         with pytest.raises(ValueError, match="s=-0.3"):
             systems["MM3"].psi(np.array([0.0, -0.3]))
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -0.1])
+    def test_one_horizon_contract(self, systems, s):
+        # every way through time goes through one check, which names the
+        # horizon
+        sys = systems["MM3"]
+        om = moments.omega(sys)
+        y0 = np.array([0.1, -0.2])
+        eta = moments.monomials(y0, 2)
+        calls = [
+            lambda: sys.psi(s),
+            lambda: moments.conditional_moments(sys, y0, s),
+            lambda: moments.conditional_eta(sys, eta, s),
+            lambda: moments.variance_autocov(sys, om, s),
+            lambda: forward.forward_variance(sys, eta, s),
+            lambda: forward.forward_min_envelope(sys, s),
+            lambda: forward.pca(sys, om).factor_curves(s),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"s={s}")):
+                call()
 
     def test_indefinite_slice_raises(self):
         params = model.ModelParams(lam=np.diag([1.0, 2.0]), b=[1.0, 1.0],

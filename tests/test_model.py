@@ -205,6 +205,17 @@ class TestFilters:
         with pytest.raises(ValueError):
             model.filter_psi(1.0, 0, 1.0)
 
+    @pytest.mark.parametrize("lag", [-1.0, np.nan, np.inf])
+    def test_lags_must_be_finite_and_nonnegative(self, models, lag):
+        # the filter weights past returns only: phi and psi_i are defined
+        # on 0 <= t < inf, and the error names the first bad lag
+        params = models["MM3"]
+        w = params.w / (params.w @ params.b)
+        with pytest.raises(ValueError, match=f"s={lag}"):
+            model.filter_phi(params, w, [0.5, lag])
+        with pytest.raises(ValueError, match=f"s={lag}"):
+            model.filter_psi(4.0, 2, lag)
+
     def test_phi_diagonal_closed_form(self):
         params = model.ModelParams(lam=np.diag([4.0, 1.0]), b=[1.0, 1.0],
                                    alpha=0.01, beta=[0.0, 0.0],

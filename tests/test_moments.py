@@ -6,6 +6,7 @@ the stationary second moment, an ODE integrator for the conditional decay,
 and exact rational values for the sufficient stability scalar.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -552,6 +553,36 @@ class TestSquaredIncrements:
         assert abs(far) < 1e-9 * max(abs(val), 1e-30)
         with pytest.raises(moments.WindowOrderError):
             moments.squared_increment_autocov(sys, cov, h, r)
+
+    @pytest.mark.parametrize("name", ["MM1", "MM3", "M2"])
+    @pytest.mark.parametrize("r,h", [(1.0 / 12.0, 0.25), (1.0, 3.0),
+                                     (5.0, 6.0), (20.0, 25.0)])
+    def test_autocov_matches_high_precision(self, systems, name, r, h):
+        # g' e^{-A~h} A~^-1 (e^{A~r} - I) c in 160-digit arithmetic from the
+        # same float inputs; evaluated in doubles, the growing e^{A~r}
+        # cancels and loses every digit on MM1 and MM3 by r = 5
+        sys = systems[name]
+        cov = 1e-4 * np.linspace(1.0, 2.0, sys.n_eta)
+        with mpmath.workdps(160):
+            a = mpmath.matrix(sys.a_tilde.tolist())
+            grow = mpmath.expm(a * r) - mpmath.eye(sys.n_eta)
+            w = mpmath.lu_solve(a, grow * mpmath.matrix(cov.tolist()))
+            v = mpmath.expm(-a * h) * w
+            ref = sum(gi * vi for gi, vi in zip(sys.g.tolist(), v))
+            rel = abs((moments.squared_increment_autocov(sys, cov, r, h) - ref)
+                      / ref)
+        assert rel < 1e-12
+
+    @pytest.mark.parametrize("r,h", [(-1.0, 0.0), (np.nan, 1.0),
+                                     (np.inf, np.inf), (0.5, np.nan)])
+    def test_bad_windows_rejected(self, systems, r, h):
+        # a window must satisfy 0 <= r < inf and r <= h; the error names r
+        sys = systems["MM1"]
+        with pytest.raises(moments.WindowOrderError, match=f"r={r}"):
+            moments.squared_increment_autocov(sys, np.zeros(sys.n_eta), r, h)
+        if not 0 <= r < np.inf:
+            with pytest.raises(moments.WindowOrderError, match=f"r={r}"):
+                moments.squared_increment_mean(sys, r)
 
     def test_wrong_length_covariance_rejected(self, systems):
         # one entry per S coordinate of eta: 5 at p = 2
