@@ -292,11 +292,10 @@ def cmd_curves(args):
     lines = _provenance([params], args.seed)
     lines.append(",".join(header))
     v0, vmin = forward.forward_min_envelope(sys_, grid)
-    curves = [forward.forward_variance(sys_, moments.monomials(y0, 2), grid)
-              for y0 in y0_list]
-    vols = np.sqrt(np.maximum(np.column_stack(curves + [v0, vmin]), 0.0))
-    for s, row in zip(grid, vols):
-        lines.append(",".join([_g(s)] + [_g(v) for v in row]))
+    states = moments.monomials(np.reshape(y0_list, (-1, params.p)), 2)
+    curves = forward.forward_variance(sys_, states, grid)
+    vols = np.sqrt(np.maximum(np.column_stack([*curves, v0, vmin]), 0.0))
+    lines.extend(forward._csv_rows(np.column_stack([grid, vols])))
     return 0, lines
 
 
@@ -325,17 +324,12 @@ def cmd_density(args):
     header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
     lines = _provenance([params], args.seed)
     lines.append(header)
-    pdf = pp.pdf(ys)
-    cdf = pp.cdf(ys)
+    columns = [ys, pp.pdf(ys), pp.cdf(ys)]
     if pp.student:
         from scipy import stats
-        ref = stats.t.pdf(ys / pp.student_scale,
-                          pp.student_df) / pp.student_scale
-    for i, y in enumerate(ys):
-        row = [_g(y), _g(pdf[i]), _g(cdf[i])]
-        if pp.student:
-            row.append(_g(ref[i]))
-        lines.append(",".join(row))
+        columns.append(stats.t.pdf(ys / pp.student_scale,
+                                   pp.student_df) / pp.student_scale)
+    lines.extend(forward._csv_rows(np.column_stack(columns)))
     return 0, lines
 
 
@@ -385,14 +379,10 @@ def cmd_smile(args):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
     lines.append("maturity,log_moneyness,call,call_se,put,put_se,ivol")
-    for i in range(surf.maturities.size):
-        for j in range(surf.ell.shape[1]):
-            lines.append(",".join([
-                _g(surf.maturities[i]), _g(surf.ell[i, j]),
-                _g(surf.call_price[i, j]), _g(surf.call_se[i, j]),
-                _g(surf.put_price[i, j]), _g(surf.put_se[i, j]),
-                _g(surf.ivol[i, j]),
-            ]))
+    nodes = [np.broadcast_to(surf.maturities[:, None], surf.ell.shape),
+             surf.ell, surf.call_price, surf.call_se, surf.put_price,
+             surf.put_se, surf.ivol]
+    lines.extend(forward._csv_rows(np.stack([c.ravel() for c in nodes], 1)))
     return 0, lines
 
 
@@ -410,8 +400,8 @@ def cmd_atm(args):
     lines.append(_mc_provenance(args, cfg.y0, surf))
     lines.append(f"# eps {_g(eps)}")
     lines.append("maturity,atm_vol,atm_skew")
-    for i, t in enumerate(surf.maturities):
-        lines.append(f"{_g(t)},{_g(atm_vol[i])},{_g(atm_skew[i])}")
+    lines.extend(forward._csv_rows(
+        np.column_stack([surf.maturities, atm_vol, atm_skew])))
     return 0, lines
 
 
@@ -425,14 +415,11 @@ def cmd_simulate(args):
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
                  f"se_sigma2,{ycols}")
-    for i, t in enumerate(batch.times):
-        mx, sx = batch.mean_se(batch.x[i])
-        me, se_e = batch.mean_se(np.exp(batch.x[i]))
-        ms, ss = batch.mean_se(batch.sigma2(i))
-        ymeans = batch.y[i].mean(axis=0)
-        row = [_g(t), _g(mx), _g(sx), _g(me), _g(se_e), _g(ms), _g(ss)]
-        row += [_g(v) for v in ymeans]
-        lines.append(",".join(row))
+    rows = [[t, *batch.mean_se(batch.x[i]),
+             *batch.mean_se(np.exp(batch.x[i])),
+             *batch.mean_se(batch.sigma2(i)), *batch.y[i].mean(axis=0)]
+            for i, t in enumerate(batch.times)]
+    lines.extend(forward._csv_rows(rows))
     return 0, lines
 
 

@@ -45,10 +45,20 @@ def forward_variance(sys, eta, s):
     """v_t(s) for a given state, at a horizon or over a 1-D grid of them; at
     s=0 this equals sigma^2(y) exactly when the state was formed from a path
     (eta = monomials(y, 2)).  eta holds the n_eta S coordinates of the
-    state."""
+    state, or is a (k, n_eta) stack of states: a stack takes one psi call
+    and gives one row (one value at a single horizon) per state, each equal
+    to that state's own call bit for bit."""
     sys.require_stable()
-    diff = sys.as_eta(eta) - sys.eta_infty
-    v = sys.sigma2_infty + _dot(sys.psi(s), diff)
+    loading = sys.psi(s)
+
+    def curve(state):
+        return sys.sigma2_infty + _dot(loading, sys.as_eta(state)
+                                       - sys.eta_infty)
+
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim == 2:
+        return np.array([curve(state) for state in etas])
+    v = curve(etas)
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -168,7 +178,14 @@ def pca_curves_csv(dec, grid):
     lines.append(",".join(cols))
     scaled = dec.factor_curves(grid) * np.sqrt(np.maximum(dec.eigenvalues,
                                                           0.0))
-    for t, u in zip(grid, scaled):
-        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in u]
-        lines.append(",".join(row))
+    lines.extend(_csv_rows(np.column_stack([grid, scaled])))
     return "\n".join(lines) + "\n"
+
+
+def _csv_rows(table):
+    """One CSV line per row of a 2-D table of numbers, each cell "%.17g"
+    (17 significant digits, which read back as the same double).  The one
+    row formatter of the CLI's numeric tables."""
+    table = np.asarray(table, dtype=float)
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]

@@ -1,9 +1,13 @@
 """Dense linear algebra substrate.
 
-Matrix exponentials, Lyapunov solves and eigenvalue extraction.  Everything here is plain dense numpy and scipy; the
+Matrix exponentials and their action on vectors, Lyapunov solves and
+eigenvalue extraction.  Everything here is plain dense numpy and scipy; the
 state dimension is capped so the largest matrix stays at desk scale.  The
-matrix exponential is qhr's own scaling-and-squaring Pade (13, 13),
-vectorised over a grid of times; scipy supplies the Lyapunov solve.
+matrix exponential is qhr's own scaling-and-squaring Pade (13, 13) for one
+matrix.  A move through time, e^{a t} v over a grid of horizons, is an
+ExpmAction: one Pade exponential of a h, its squarings shared by the grid
+and vector products per horizon, O(n^2) per horizon where a matrix per
+horizon costs O(n^3).  scipy supplies the Lyapunov solve.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ import scipy.linalg
 
 # Largest supported offset dimension p.  The moment system on the
 # symmetric subspace has C(p+4, 4) - 1 rows: 209 at the cap, 329 at p = 7,
-# 494 at p = 8.  Measured on a shared 2-core machine (median of three runs
-# of seven), one build, one conditional_moments call (an expm on all rows)
-# and one pca take 12.6, 10.0 and 1.3 ms at p = 6; 30.5, 28.1 and 1.6 ms
-# at p = 7; and 69.7, 66.6 and 2.1 ms at p = 8 with the cap raised.
+# 494 at p = 8.  Measured on a 2-core machine (median of three runs of
+# seven, rank-one cascades), one build, a system's first conditional_moments
+# call (one Pade exponential of all rows and its squarings) and one pca take
+# 8-11, 6-8 and 0.8-1.2 ms at p = 6; 21-30, 21-23 and 1.2-1.7 ms at p = 7;
+# and 61-71, 54-58 and 2.1-2.4 ms at p = 8 with the cap raised.  A later
+# call on the same system from a new start takes 0.3, 0.7 and 1.5 ms.
 DIM_CAP = 6
 
 
@@ -30,36 +36,23 @@ class UnstableError(ValueError):
     """An operator expected to be stable (positive real spectrum) is not."""
 
 
-def expm(a, t=1.0):
-    """Matrix exponential e^{a t}, by scaling and squaring on the (13, 13)
-    Pade approximant (Higham 2005, "The scaling and squaring method for the
-    matrix exponential revisited").
+def expm(a):
+    """Matrix exponential e^a, by scaling and squaring on the (13, 13) Pade
+    approximant (Higham 2005, "The scaling and squaring method for the
+    matrix exponential revisited").  Handles non-diagonalizable input;
+    raises OverflowError when the result is not finite."""
+    x = np.asarray(a, dtype=float)
+    norm = np.abs(x).sum(axis=0).max()
+    if not norm < np.inf:
+        raise OverflowError("matrix exponential of a non-finite matrix")
+    s = max(math.frexp(norm / _THETA13)[1], 0)
+    r = _pade13(x * math.ldexp(1.0, -s))
+    for _ in range(s):
+        r = r @ r
+    if not np.isfinite(r).all():
+        raise OverflowError("matrix exponential overflowed")
+    return r
 
-    t is a scalar or a 1-D array of times; an array gives one matrix per
-    time, stacked along the leading axis.  The stack is computed in chunks
-    of rows, every step vectorised over the chunk, and each row depends
-    only on its own x = a * t: row i equals expm(a * t[i]) bit for bit.
-    Handles non-diagonalizable input; raises OverflowError, naming the
-    first such t, when a result is not finite.
-    """
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    times = t.reshape(-1)
-    n = a.shape[-1]
-    rows = max(1, _BLOCK // (n * n))
-    if 0 < times.size <= rows:
-        out = _expm_rows(a, times)
-    else:
-        out = np.empty((times.size, n, n))
-        for lo in range(0, times.size, rows):
-            out[lo:lo + rows] = _expm_rows(a, times[lo:lo + rows])
-    return out.reshape(t.shape + (n, n))
-
-
-# Doubles in one (rows, n, n) stack of an expm chunk.  The largest
-# temporaries of _pade13 hold four such stacks, 2^16 doubles (512 KB), so a
-# chunk's working set stays in cache.
-_BLOCK = 2 ** 14
 
 # theta_13 of Higham 2005, Table 2.3: the largest 1-norm of x for which
 # the (13, 13) approximant is accurate to unit roundoff.
@@ -78,52 +71,120 @@ _EVEN = np.array([[_C[9], _C[11], _C[13], 0.0],
                   [_C[2], _C[4], _C[6], _C[0]]])
 
 
-def _expm_rows(a, times):
-    """e^{a t} for each t of a non-empty 1-D array, stacked.  Each row
-    takes the fewest squarings s that bring its 1-norm to at most
-    _THETA13."""
-    x = a * times[:, None, None]
-    colsums = np.abs(x).sum(axis=1)
-    top = colsums.max()
-    if top < _THETA13:
-        return _pade13(x)
-    norms = colsums.max(axis=1)
-    if not top < np.inf:
-        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
-        if bad:
-            _expm_rows(a, times[:bad])  # an earlier overflow is named first
-        raise OverflowError(f"matrix exponential overflowed at t={times[bad]}")
-    s = np.maximum(np.frexp(norms / _THETA13)[1], 0)
-    r = _pade13(x * np.ldexp(1.0, -s)[:, None, None])
-    counts = s.tolist()
-    for j in range(max(counts)):
-        if j < min(counts):
-            r = r @ r
-        else:
-            live = np.flatnonzero(s > j)
-            part = r[live]
-            r[live] = part @ part
-    if not np.isfinite(r).all():
-        bad = np.flatnonzero(~np.isfinite(r).all(axis=(1, 2)))[0]
-        raise OverflowError(f"matrix exponential overflowed at t={times[bad]}")
-    return r
-
-
 def _pade13(x):
-    """The (13, 13) Pade approximant of e^x for each matrix of a stack."""
-    k, n, _ = x.shape
-    powers = np.zeros((k, 4, n, n))
-    powers.reshape(k, 4 * n * n)[:, 3 * n * n::n + 1] = 1.0  # identity
-    x2 = np.matmul(x, x, out=powers[:, 0])
-    x4 = np.matmul(x2, x2, out=powers[:, 1])
-    x6 = np.matmul(x4, x2, out=powers[:, 2])
-    # one (4, 4) by (4, n^2) product per row gives W1, Z1, W2 and Z2
-    even = (_EVEN @ powers.reshape(k, 4, n * n)).reshape(k, 4, n, n)
-    uv = x6[:, None] @ even[:, :2]
-    uv += even[:, 2:]
-    u = x @ uv[:, 0]
-    v = uv[:, 1]
+    """The (13, 13) Pade approximant of e^x for one matrix."""
+    n = x.shape[0]
+    powers = np.zeros((4, n, n))
+    powers.reshape(4 * n * n)[3 * n * n::n + 1] = 1.0  # identity
+    x2 = np.matmul(x, x, out=powers[0])
+    x4 = np.matmul(x2, x2, out=powers[1])
+    x6 = np.matmul(x4, x2, out=powers[2])
+    # one (4, 4) by (4, n^2) product gives W1, Z1, W2 and Z2
+    even = (_EVEN @ powers.reshape(4, n * n)).reshape(4, n, n)
+    uv = x6 @ even[:2]
+    uv += even[2:]
+    u = x @ uv[0]
+    v = uv[1]
     return np.linalg.solve(v - u, v + u)
+
+
+# ExpmAction's step bound |a h|_1 <= _THETA and the degree of its Taylor
+# block.  The remainder |r| <= h / 2 keeps |a r|_1 <= 2, where the degree
+# 24 Taylor polynomial is accurate to 2^25 / 25! < 3e-18 relative.  Chosen
+# against 50-digit references (tests/highprec_reference.py): a bound of 2
+# takes one more squaring, which cost the far end of psi (60 slowest decay
+# times out) up to twice the error.
+_THETA = 4.0
+_DEGREE = 24
+_ORDERS = np.arange(1.0, _DEGREE + 1)
+# 2^-j for every bit j of a finite double n = t / h
+_HALVES = 0.5 ** np.arange(1024)
+
+
+class ExpmAction:
+    """The action t -> e^{a t} v of one square matrix a on a vector v
+    (Al-Mohy & Higham 2011, "Computing the action of the matrix
+    exponential"), at a horizon t >= 0 or over a 1-D grid of them.
+
+    A step h = 2^-k is fixed from |a|_1 alone, the largest with
+    |a h|_1 <= _THETA, so no row depends on the rest of the grid.  A
+    horizon t = n h + r, n = rint(t / h), takes e^{a r} v =
+    sum_k (r/h)^k / k! (a h)^k v, k <= _DEGREE, from the Taylor block
+    [(a h)^k v] of v, then applies E_j = e^{a h 2^j} for each set bit j of
+    n, in ascending j.  E_0 is one Pade exponential of a h and
+    E_{j+1} = E_j^2.  The E_j and the Taylor block of the last vector are
+    kept, so a later call pays only the vector products.  Every product is
+    row-wise ((N, 1, n) @ (n, n)), so row i of a grid equals the
+    single-horizon call at t_i bit for bit.  Raises OverflowError naming
+    the first t whose result is not finite."""
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=float)
+        norm = float(np.abs(a).sum(axis=0).max())
+        self._step = math.ldexp(1.0, -math.frexp(norm / _THETA)[1])
+        # rows are propagated as w' <- w' x, x = (a h)'
+        self._x = np.ascontiguousarray((a * self._step).T)
+        self._powers = ()
+        self._taylor = (None, None)
+
+    def __call__(self, v, t):
+        v = np.asarray(v, dtype=float).reshape(-1)
+        t = np.asarray(t, dtype=float)
+        times = t.reshape(-1)
+        if (times < 0).any():
+            raise ValueError(f"t must be >= 0, got t={times[times < 0][0]}")
+        q = times / self._step
+        n = np.rint(q)
+        top = n.max() if n.size else 0.0
+        if not top < np.inf:  # a NaN or infinite t fails at the end
+            n[~np.isfinite(n)] = 0.0
+            top = n.max()
+        # coefficients rho^k / k!, rho = r / h in [-1/2, 1/2]
+        coef = np.empty((times.size, 1, _DEGREE + 1))
+        coef[..., 0] = 1.0
+        np.divide((q - n)[:, None, None], _ORDERS, out=coef[..., 1:])
+        w = np.cumprod(coef, axis=-1, out=coef) @ self._block(v)
+        top = math.frexp(top)[1]
+        if top:
+            powers = self._ladder(top)
+            # bit j of n is f - 2 floor(f / 2), f = floor(n / 2^j), exactly
+            shifted = np.floor(np.multiply.outer(n, _HALVES[:top]))
+            bits = shifted != 2.0 * np.floor(0.5 * shifted)
+            for j, count in enumerate(bits.sum(axis=0).tolist()):
+                if count == n.size:
+                    w = w @ powers[j]
+                elif count:
+                    rows = bits[:, j]
+                    w[rows] = w[rows] @ powers[j]
+        if not np.isfinite(w).all():
+            bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))[0]
+            raise OverflowError(f"matrix exponential overflowed at "
+                                f"t={times[bad]}")
+        return w.reshape(t.shape + v.shape)
+
+    def _block(self, v):
+        """The Taylor block of v: row k is (a h)^k v, as a row."""
+        key = v.tobytes()
+        last, block = self._taylor
+        if key != last:
+            block = np.empty((_DEGREE + 1, v.size))
+            block[0] = v
+            for k in range(_DEGREE):
+                np.dot(block[k], self._x, out=block[k + 1])
+            self._taylor = (key, block)
+        return block
+
+    def _ladder(self, top):
+        """(E_0', ..., E_{top-1}'), extending the kept ones by squaring.
+        Each call rebinds a complete tuple, so concurrent callers see a
+        prefix of one and the same sequence."""
+        powers = self._powers
+        if len(powers) < top:
+            powers = list(powers) or [expm(self._x)]
+            while len(powers) < top:
+                powers.append(powers[-1] @ powers[-1])
+            self._powers = powers = tuple(powers)
+        return powers
 
 
 def eigenvalues(a):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import moments
+from . import linalg, moments
 
 
 class ComplexEigenvaluesError(ValueError):
@@ -314,10 +314,11 @@ def filter_phi(params, w, t_grid):
     if abs(w @ params.b - 1.0) > 1e-9:
         warnings.warn("w'b != 1: filter weights are not normalized",
                       stacklevel=2)
-    front = w @ params.lam @ moments._decay(params.lam, np.atleast_1d(t_grid))
-    # a (1, p) row per lag keeps each lag's own dot product with b, so a
-    # lag's value does not depend on the rest of the grid
-    return (front[:, None, :] @ params.b)[:, 0]
+    decay = linalg.ExpmAction(-params.lam)
+    rows = moments._decay(decay, params.b, np.atleast_1d(t_grid))
+    # a (1, p) row per lag keeps each lag's own dot product, so a lag's
+    # value does not depend on the rest of the grid
+    return (rows[:, None, :] @ (params.lam.T @ w))[:, 0]
 
 
 # filter_check's grid: _FILTER_POINTS lags out to _FILTER_SPAN over the

@@ -158,12 +158,28 @@ class MomentSystem:
         return vec
 
     def psi(self, s):
-        """Loading curve psi(s) = (e^{-A~ s})' g of the forward variance,
+        """Loading curve psi(s) = e^{-A~'s} g of the forward variance,
         v_t(s) = sigma2_infty + psi(s)'(eta_t - eta_infty) in S coordinates.
 
-        s is a horizon 0 <= s < inf or a 1-D array of them (one row each)."""
-        decay = _decay(self.a_tilde, s)
-        return (np.swapaxes(decay, -1, -2) @ self.g[:, None])[..., 0]
+        s is a horizon 0 <= s < inf or a 1-D array of them (one row each).
+        A grid is one propagation, and each row equals the single-horizon
+        call bit for bit."""
+        return _decay(self._loading_decay, self.g, s)
+
+    # The propagators of the moment ODE, built on first use and kept with
+    # their powers of e^{-A h}: psi, conditional_moments and conditional_eta
+    # are called many times on one system.
+    @functools.cached_property
+    def _loading_decay(self):
+        return linalg.ExpmAction(-self.a_tilde.T)
+
+    @functools.cached_property
+    def _moment_decay(self):
+        return linalg.ExpmAction(-self.a_sym)
+
+    @functools.cached_property
+    def _eta_decay(self):
+        return linalg.ExpmAction(-self.a_tilde)
 
 
 def _horizons(s):
@@ -171,15 +187,16 @@ def _horizons(s):
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError("horizons must be a scalar or a 1-D array")
-    bad = s[~((s >= 0) & (s < np.inf))]
-    if bad.size:
-        raise ValueError(f"horizon must be finite and >= 0, got s={bad[0]}")
+    ok = (s >= 0) & (s < np.inf)
+    if not ok.all():
+        raise ValueError(f"horizon must be finite and >= 0, got s={s[~ok][0]}")
     return s
 
 
-def _decay(a, s):
-    """e^{-a s} at checked horizons s: qhr's one propagator through time."""
-    return linalg.expm(-a, _horizons(s))
+def _decay(action, v, s):
+    """e^{-A s} v at checked horizons s, action the linalg.ExpmAction of
+    -A: qhr's one propagator through time.  One row per horizon of a grid."""
+    return action(v, _horizons(s))
 
 
 def pairs(exponents):
@@ -351,24 +368,28 @@ def omega(sys):
 def conditional_moments(sys, y0, t):
     """Conditional moments at horizon 0 <= t < inf from a point start y0,
     in S coordinates: m(t) = m_infty + e^{-A_sym t}(m(0) - m_infty), m(0)
-    the monomials of y0."""
+    the monomials of y0.  One row per horizon of a 1-D grid t."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
-    decay = _decay(sys.a_sym, t)
-    return sys.m_infty + decay @ (monomials(y0, 4) - sys.m_infty)
+    diff = monomials(y0, 4) - sys.m_infty
+    return sys.m_infty + _decay(sys._moment_decay, diff, t)
 
 
 def conditional_eta(sys, eta, s):
     """Conditional mean of eta at horizon 0 <= s < inf from state eta, in
-    S coordinates: eta_infty + e^{-A~s}(eta - eta_infty)."""
+    S coordinates: eta_infty + e^{-A~s}(eta - eta_infty).  A 1-D grid of
+    lags s is one propagation, with one row per lag."""
     diff = sys.as_eta(eta) - sys.eta_infty
-    return sys.eta_infty + _decay(sys.a_tilde, s) @ diff
+    return sys.eta_infty + _decay(sys._eta_decay, diff, s)
 
 
 def variance_autocov(sys, omega_mat, s):
     """Stationary autocovariance of the instantaneous variance at lag s:
-    Cov(sigma^2_{t+s}, sigma^2_t) = psi(s)' Omega g, psi = MomentSystem.psi."""
+    Cov(sigma^2_{t+s}, sigma^2_t) = psi(s)' Omega g, psi = MomentSystem.psi.
+    A 1-D grid of lags is one psi call and gives one value per lag, each
+    equal to the single-lag value bit for bit."""
     sys.require_stable()
-    return float(sys.psi(s) @ omega_mat @ sys.g)
+    cov = (sys.psi(s)[..., None, :] @ omega_mat @ sys.g)[..., 0]
+    return float(cov) if cov.ndim == 0 else cov
 
 
 def _check_window(r, h=np.inf):

@@ -51,6 +51,20 @@ class TestForwardVariance:
                 assert v == pytest.approx(model.variance(params, y0),
                                           rel=1e-11), name
 
+    def test_stack_of_states_equals_single_states(self, systems):
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40), [60.0]])
+        for name in ("M3", "MM3", "MM5"):
+            sys = systems[name]
+            ys = np.linspace(-0.08, 0.08, 3 * sys.p).reshape(3, sys.p)
+            etas = moments.monomials(ys, 2)
+            stack = forward.forward_variance(sys, etas, grid)
+            assert stack.shape == (3, grid.size)
+            assert np.array_equal(stack, [forward.forward_variance(
+                sys, eta, grid) for eta in etas]), name
+            assert np.array_equal(
+                forward.forward_variance(sys, etas, 0.5),
+                [forward.forward_variance(sys, eta, 0.5) for eta in etas])
+
     def test_long_horizon_limit(self, systems):
         sys = systems["MM3"]
         eta = moments.monomials([0.3, -0.2], 2)

@@ -74,50 +74,134 @@ class TestExpm:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             linalg.expm(np.array([[1e6]]))
-        with pytest.raises(OverflowError, match="t=2000.0"):
-            linalg.expm(np.array([[1.0]]), [1.0, 2e3, 3e3])
 
-    def test_time_grid_stacks_single_exponentials(self, rng):
-        a = rng.standard_normal((4, 4))
-        ts = np.array([0.0, 0.3, 1.7])
-        assert np.array_equal(linalg.expm(a, ts),
-                              [linalg.expm(a * t) for t in ts])
 
-    def test_long_grid_rows_equal_single_exponentials(self, rng):
-        # rows with and without squarings share chunks, and the grid spans
-        # several chunks
+def rank_one_operators():
+    """-A~ of rank-one models on perfbench's rate ladders, p = 3..6 (one
+    mixture and one cascade per p, the cascade alone at p = 6)."""
+    ladders = [((20.0, 1), (4.0, 1), (0.8, 1)), ((12.0, 2), (1.5, 1)),
+               ((25.0, 1), (8.0, 1), (2.5, 1), (0.8, 1)),
+               ((20.0, 2), (4.0, 1), (0.8, 1)),
+               ((30.0, 1), (12.0, 1), (4.0, 1), (1.5, 1), (0.6, 1)),
+               ((25.0, 2), (5.0, 2), (0.8, 1)),
+               ((30.0, 2), (8.0, 2), (2.0, 1), (0.6, 1))]
+    out = []
+    for blocks in ladders:
+        p = sum(n for _, n in blocks)
+        w = np.linspace(1.0, 2.0, p) / np.linspace(1.0, 2.0, p).sum()
+        params = model.rank_one(model.JordanSpec(blocks), w=w, alpha=0.01,
+                                beta0=-0.05, gamma0=0.5)
+        sys = moments.build_moment_system(params)
+        assert sys.stable
+        out.append(-sys.a_tilde)
+    return out
+
+
+class TestExpmAction:
+    """e^{a t} v over horizons: one Pade exponential of a h, its squarings
+    and a Taylor block of v."""
+
+    def test_grid_rows_equal_single_horizon_calls(self, rng):
+        # n = 27, with rows that take no power of e^{ah} and rows that take
+        # up to nine; each single call runs on a fresh propagator
         a = rng.standard_normal((27, 27)) * 0.5
+        v = rng.standard_normal(27)
         ts = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 120)])
-        assert ts.size > 3 * (linalg._BLOCK // 27**2)
-        grid = linalg.expm(a, ts)
+        grid = linalg.ExpmAction(a)(v, ts)
+        assert grid.shape == (121, 27)
         for t, row in zip(ts, grid):
-            assert np.array_equal(row, linalg.expm(a * t)), t
+            assert np.array_equal(row, linalg.ExpmAction(a)(v, t)), t
+        assert linalg.ExpmAction(a)(v, np.zeros(0)).shape == (0, 27)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered",
-                                "ignore:invalid value encountered")
-    def test_nonfinite_input_names_first_bad_time(self):
-        with pytest.raises(OverflowError, match="t=inf"):
-            linalg.expm(np.array([[-1.0]]), [1.0, np.inf])
-        with pytest.raises(OverflowError, match="t=2000.0"):
-            linalg.expm(np.array([[1.0]]), [1.0, 2e3, np.nan])
+    def test_kept_taylor_block_follows_the_vector(self, rng):
+        a = rng.standard_normal((6, 6))
+        v, u = rng.standard_normal((2, 6))
+        action = linalg.ExpmAction(a)
+        for x in (v, u, v, u.reshape(6, 1)):
+            assert np.array_equal(action(x, [0.3, 2.5]),
+                                  linalg.ExpmAction(a)(x, [0.3, 2.5]))
+
+    def test_zero_horizon_returns_v(self, rng):
+        a = rng.standard_normal((5, 5)) * 40.0
+        v = rng.standard_normal(5)
+        action = linalg.ExpmAction(a)
+        assert np.array_equal(action(v, 0.0), v)
+        assert np.array_equal(action(v, [0.0, 0.0]), [v, v])
+
+    def test_zero_and_nilpotent_exact(self):
+        v = np.array([3.0, -1.0, 2.0])
+        ts = np.array([0.0, 0.75, 3.0, 10.5, 1e3])
+        got = linalg.ExpmAction(np.zeros((3, 3)))(v, ts)
+        assert np.array_equal(got, np.tile(v, (ts.size, 1)))
+        # e^{Nt} v = v + t N v + t^2 N^2 v / 2 for N nilpotent of order 3
+        n = np.diag([1.0, 2.0], k=1)
+        got = linalg.ExpmAction(n)(v, ts)
+        exact = (v + ts[:, None] * (n @ v)
+                 + ts[:, None] ** 2 / 2 * (n @ n @ v))
+        assert np.array_equal(got, exact)
+
+    @pytest.mark.parametrize("case", ["jordan", "mm3"])
+    def test_matches_high_precision(self, systems, case):
+        # normwise: |error|_1 <= 1e-14 |e^{at}|_1 |v|_1, the size of a
+        # rounding of the operator.  Relative to the result the Jordan
+        # block at t = 60 is off by 1.8e-14: its condition is about
+        # |a| t = 180
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        if case == "jordan":
+            a = -2.0 * np.eye(3) + np.diag([1.0, 1.0], k=1)
+            v = np.array([0.3, -1.1, 0.7])
+        else:
+            a = -systems["MM3"].a_tilde.T
+            v = systems["MM3"].g
+        ts = [0.0, 1e-3, 1.0, 5.0, 60.0]
+        got = linalg.ExpmAction(a)(v, ts)
+        for t, row in zip(ts, got):
+            exact = mpmath.expm(mpmath.matrix(a.tolist()) * t)
+            ref = np.array([float(x) for x in exact * mpmath.matrix(v)])
+            scale = float(mpmath.mnorm(exact, 1)) * np.abs(v).sum()
+            assert np.abs(row - ref).sum() <= 1e-14 * scale, t
+
+    def test_matches_scipy_on_rank_one_models(self):
+        for a in rank_one_operators():
+            v = np.linspace(1.0, -1.0, a.shape[0])
+            slowest = linalg.eigenvalues(-a)[0].real
+            ts = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 60),
+                                 [60.0 / slowest]])
+            got = linalg.ExpmAction(a)(v, ts)
+            ref = scipy.linalg.expm(a * ts[:, None, None]) @ v
+            err = np.abs(got - ref).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(ref).max(axis=1)), a.shape
 
     def test_matches_scipy_on_bundled_loading_operators(self, systems):
-        # -A~ of the nine bundled models and R4 over the curves grid; scipy's
-        # expm is the reference
+        # psi's operator -A~' of the nine bundled models and R4 over the
+        # curves grid; scipy's expm is the reference
         r4 = model.rank_one(model.JordanSpec(((20, 2), (19, 1), (15, 1))),
                             w=(0.03, 0.14, 0.02, 0.81), alpha=0.01,
                             beta0=-0.08, gamma0=2.0)
-        operators = [sys.a_tilde for sys in systems.values()]
-        operators.append(moments.build_moment_system(r4).a_tilde)
-        for a_tilde in operators:
-            slowest = linalg.eigenvalues(a_tilde)[0].real
+        built = list(systems.values()) + [moments.build_moment_system(r4)]
+        for sys in built:
+            a = -sys.a_tilde.T
+            slowest = linalg.eigenvalues(sys.a_tilde)[0].real
             ts = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 600),
                                  [60.0 / slowest]])
-            got = linalg.expm(-a_tilde, ts)
-            ref = scipy.linalg.expm(-a_tilde * ts[:, None, None])
-            err = np.abs(got - ref).sum(axis=1).max(axis=1)
-            scale = np.abs(ref).sum(axis=1).max(axis=1)
-            assert np.all(err <= 1e-12 * scale), a_tilde.shape
+            got = linalg.ExpmAction(a)(sys.g, ts)
+            ref = scipy.linalg.expm(a * ts[:, None, None]) @ sys.g
+            err = np.abs(got - ref).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(ref).max(axis=1)), sys.p
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_nonfinite_result_names_first_bad_time(self):
+        grow = linalg.ExpmAction(np.array([[1.0]]))
+        with pytest.raises(OverflowError, match="t=2000.0"):
+            grow([1.0], [1.0, 2e3, 3e3])
+        with pytest.raises(OverflowError, match="t=2000.0"):
+            grow([1.0], [1.0, 2e3, np.nan])
+        with pytest.raises(OverflowError, match="t=inf"):
+            linalg.ExpmAction(np.array([[-1.0]]))([1.0], [1.0, np.inf])
+        with pytest.raises(ValueError, match="t=-0.5"):
+            grow([1.0], [1.0, -0.5])
 
 
 class TestEigenvalues:

@@ -295,6 +295,19 @@ class TestConditionalMoments:
         full = moments.conditional_moments(sys, y0, 0.7)
         assert np.allclose(out, full[:5], rtol=1e-11, atol=1e-16)
 
+    def test_horizon_grids_equal_single_horizons(self, systems):
+        # one propagation per grid; each row is the single-horizon call
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 20), [60.0]])
+        for name, y0 in (("M3", [0.1]), ("MM3", [0.06, -0.03])):
+            sys = systems[name]
+            eta = moments.monomials(y0, 2)
+            assert np.array_equal(
+                moments.conditional_eta(sys, eta, ts),
+                [moments.conditional_eta(sys, eta, s) for s in ts]), name
+            assert np.array_equal(
+                moments.conditional_moments(sys, y0, ts),
+                [moments.conditional_moments(sys, y0, s) for s in ts]), name
+
     def test_wrong_length_eta_rejected(self, systems):
         # eta holds the 5 S coordinates at p = 2, not the 6 stacked entries
         sys = systems["MM3"]
@@ -514,6 +527,16 @@ class TestOmega:
             var_sig2 = summ.e_sigma4 - summ.sigma2_infty**2
             assert moments.variance_autocov(sys, om, 0.0) == pytest.approx(
                 var_sig2, rel=1e-10), name
+
+    def test_lag_grid_equals_single_lags(self, systems):
+        lags = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 20), [60.0]])
+        for name in ("M3", "MM3", "MM5"):
+            sys = systems[name]
+            om = moments.omega(sys)
+            grid = moments.variance_autocov(sys, om, lags)
+            assert np.array_equal(
+                grid, [moments.variance_autocov(sys, om, s) for s in lags])
+            assert isinstance(moments.variance_autocov(sys, om, 0.5), float)
 
     def test_autocov_decays(self, systems):
         sys = systems["M3"]
