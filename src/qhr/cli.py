@@ -23,6 +23,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.special import poch
 
 from . import __version__, forward, linalg, mc, model, moments, pricing, scalar
 
@@ -325,10 +326,10 @@ def cmd_density(args):
     lines = _provenance([params], args.seed)
     lines.append(header)
     columns = [ys, pp.pdf(ys), pp.cdf(ys)]
-    if pp.student:
-        from scipy import stats
-        columns.append(stats.t.pdf(ys / pp.student_scale,
-                                   pp.student_df) / pp.student_scale)
+    if pp.student:  # the closed form of scipy.stats.t.pdf, bit for bit
+        df, s = pp.student_df, pp.student_scale
+        columns.append(np.exp(np.log(poch(df / 2, 0.5)) - (np.log(df) + np.log(
+            np.pi)) / 2 - (df + 1) / 2 * np.log1p((ys / s) ** 2 / df)) / s)
     lines.extend(forward._csv_rows(np.column_stack(columns)))
     return 0, lines
 

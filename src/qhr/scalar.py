@@ -18,10 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, loggamma, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import (gammaln, loggamma, ndtr, ndtri, roots_jacobi,
+                           stdtr, stdtrit)
 
 from .model import ModelParams
 from .moments import NotStationaryError
+
+_NODES = 24    # Gauss nodes of the Pearson IV tail rule
+_DROP = 45.0   # drop of the log density across a tail window (e^-45)
+_CHUNK = 4096  # points per block of the tail rule's (points x nodes) arrays
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,13 @@ class PearsonIV:
     gamma*y)/sqrt(delta)) has density proportional to cos(theta)^a *
     exp(nu*theta), a = 2 lam/gamma, whose integral over (-pi/2, pi/2) is
     pi Gamma(a+1) / (2^a |Gamma(1 + a/2 + i nu/2)|^2) (Heinrich 2004, "A
-    guide to the Pearson type IV distribution"); the CDF is cached on a
-    dense theta grid as a monotone spline, and ppf takes Newton steps on it
-    from linear interpolation of the grid.
+    guide to the Pearson type IV distribution"), the normaliser of pdf.
+    In u = theta + pi/2 the log density a log sin u + nu u is concave: the
+    mass of a tail, from the nearer end of (0, pi), is a fixed-node Gauss
+    rule on a window across which it drops by _DROP (concavity bounds the
+    rest), on the law mirrored by nu -> -nu above the mode.  cdf divides a
+    tail by the two at the mode; ppf takes Halley steps on its log.
     """
-
-    _GRID = 4096
 
     def __init__(self, sp):
         self.params = sp
@@ -145,37 +151,53 @@ class PearsonIV:
         self.norm_const = math.exp(self._log_c)
         if self.student:
             return
-        # only this branch needs the trapezoid CDF and its spline; importing
-        # them here keeps scipy.integrate and scipy.interpolate out of
-        # `import qhr`
-        from scipy import integrate, interpolate
-        theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, self._GRID)
-        cdf = integrate.cumulative_trapezoid(
-            np.exp(self._theta_logpdf(theta)), theta, initial=0.0)
-        cdf /= cdf[-1]
-        self._theta_grid = theta
-        self._cdf_grid = cdf
-        # subnormal tail slopes overflow Pchip's harmonic mean to inf, and
-        # the derivative it then takes, 1/inf = 0, is the right limit
-        with np.errstate(over="ignore"):
-            self._cdf_spline = interpolate.PchipInterpolator(theta, cdf)
+        # the mode of u = theta + pi/2 is at cot u = -nu/a; the second rule
+        # carries the weight u^(a mod 1) of windows that reach u = 0
+        self._cot = -nu / a
+        self._mode = math.atan2(1.0, self._cot)
+        self._rules = [(0.5 - 0.5 * x, np.log(0.5 * w) - b * np.log1p(x))
+                       for b in (0.0, a % 1.0)
+                       for x, w in [roots_jacobi(_NODES, 0.0, b)]]
+        lower, upper = self._log_tail(np.array(
+            [self._mode, math.pi - self._mode]), np.array([1.0, -1.0]))[0]
+        self._log_z = np.logaddexp(lower, upper)
+        self._cdf_mode = math.exp(lower - self._log_z)
 
-    # -- coordinate maps ---------------------------------------------------
-    def _theta_of_y(self, y):
-        sp = self.params
-        return np.arctan((sp.beta + sp.gamma * np.asarray(y, float))
-                         / self._sqd)
+    def _log_tail(self, t, side):
+        """(log m, psi) at distances t from the end of (0, pi), u below the
+        mode (side 1) or pi - u above it (side -1): m is the mass from that
+        end to t, psi the log density at t, both relative to the mode."""
+        out, a = np.empty((2, t.size)), self._a
+        for k in range(0, t.size, _CHUNK):
+            tk, sk = t[k:k + _CHUNK, None], side[k:k + _CHUNK, None]
+            c, top = sk * self._cot, np.where(sk > 0, self._mode,
+                                              math.pi - self._mode)
 
-    def _y_of_theta(self, theta):
-        sp = self.params
-        return (self._sqd * np.tan(theta) - sp.beta) / sp.gamma
-
-    def _theta_logpdf(self, theta):
-        """Log density of the angle variable."""
-        out = np.full_like(np.asarray(theta, float), -np.inf)
-        inside = np.abs(theta) < 0.5 * math.pi
-        t = np.asarray(theta, float)[inside]
-        out[inside] = self._a * np.log(np.cos(t)) + self._nu * t - self._log_i
+            def rel(s, cot):  # psi(v - s) - psi(v) where cot v = cot
+                h = np.sin(0.5 * s)
+                return a * (np.log1p(-2.0 * h * (
+                    h + cot * np.sqrt(1.0 - h * h))) + c * s)
+            # log1p loses the ratio sin(t)/sin(top) where that is small
+            ratio, cot = np.sin(tk) / np.sin(top), 1.0 / np.tan(tk)
+            far = ratio < 0.5
+            psi = np.where(far, a * (np.log(ratio) + c * (top - tk)),
+                           rel(np.where(far, 0.0, top - tk), c))
+            # the window of the local quadratic, then Newton on its drop,
+            # convex in the width, so each step stays at or above the root;
+            # one that passes 3/4 of t takes all of (0, t), u = 0 included
+            g = a * (cot - c)
+            span = 2.0 * _DROP / (g + np.hypot(g, np.sqrt(
+                2.0 * _DROP * a) * np.hypot(1.0, cot)))
+            for _ in range(2):
+                span = np.minimum(span, 0.75 * tk)
+                span += (rel(span, cot) + _DROP) / (a / np.tan(tk - span)
+                                                    - a * c)
+            whole = span >= 0.75 * tk
+            span = np.where(whole, tk, span)
+            nodes, logw = (np.where(whole, r1, r0)
+                           for r0, r1 in zip(*self._rules))
+            mass = (span * np.exp(logw + rel(span * nodes, cot))).sum(1)
+            out[:, k:k + _CHUNK] = psi[:, 0] + np.log(mass), psi[:, 0]
         return out
 
     # -- public law --------------------------------------------------------
@@ -188,7 +210,7 @@ class PearsonIV:
         else:
             sig2 = sp.alpha + 2.0 * sp.beta * y + sp.gamma * y * y
             out = self._log_c + (-sp.lam / sp.gamma - 1.0) * np.log(sig2) \
-                + self._nu * self._theta_of_y(y)
+                + self._nu * np.arctan((sp.beta + sp.gamma * y) / self._sqd)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
@@ -216,7 +238,12 @@ class PearsonIV:
         elif self.student:
             out = stdtr(self.student_df, y / self.student_scale)
         else:
-            out = np.clip(self._cdf_spline(self._theta_of_y(y)), 0.0, 1.0)
+            z = (self.params.beta + self.params.gamma * y) / self._sqd
+            side = np.where(np.arctan2(1.0, -z) <= self._mode, 1.0, -1.0)
+            m = np.exp(self._log_tail(np.maximum(np.arctan2(
+                1.0, -side * z), 1e-300).ravel(), side.ravel())[0]
+                - self._log_z).reshape(y.shape)
+            out = np.where(side > 0, m, 1.0 - m)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -233,28 +260,46 @@ class PearsonIV:
     def ppf(self, u):
         """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
         beta = 0 maps exactly through the Student t (NaN where that
-        quantile cannot be trusted, see _student_quantile); otherwise Newton
-        steps on the CDF spline from linear interpolation of its grid."""
+        quantile cannot be trusted, see _student_quantile).  Otherwise
+        Halley steps, at most twice Newton's, on the log of the nearer
+        tail, concave in t, from the Laplace quantile of that half of the
+        law or its power-law tail; NaN if not within 1e-5 in 40 steps."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
             out = ndtri(u) * self._sd
-            return float(out) if u.ndim == 0 else out
-        if self.student:
+        elif self.student:
             out = _quantile_ends(u, self.student_scale
                                  * _student_quantile(self.student_df, u))
-            return float(out) if u.ndim == 0 else out
-        u1 = np.atleast_1d(u)
-        uu = np.clip(u1, self._cdf_grid[1], self._cdf_grid[-2])
-        theta = np.interp(uu, self._cdf_grid, self._theta_grid)
-        lo, hi = self._theta_grid[1], self._theta_grid[-2]
-        # the spline's own slope: in the tail cells the density differs from
-        # it by a large factor, and Newton on the density's slope stalls
-        for _ in range(4):
-            slope = self._cdf_spline(theta, 1)
-            step = (self._cdf_spline(theta) - uu) / np.maximum(slope, 1e-300)
-            theta = np.clip(theta - step, lo, hi)
-        out = _quantile_ends(u1, self._y_of_theta(theta))
-        return float(out[0]) if np.ndim(u) == 0 else out
+        else:
+            out = _quantile_ends(u, self._pearson_ppf(u.ravel()).reshape(
+                u.shape))
+        return float(out) if u.ndim == 0 else out
+
+    def _pearson_ppf(self, u):
+        a, inside = self._a, (u > 0.0) & (u < 1.0)
+        side = np.where(u <= self._cdf_mode, 1.0, -1.0)
+        top = np.where(side > 0, self._mode, math.pi - self._mode)
+        tail = np.where(side > 0, u, 1.0 - u)
+        share = np.where(inside, tail, 0.5) / np.where(
+            side > 0, self._cdf_mode, 1.0 - self._cdf_mode)
+        t = top + np.sin(top) / math.sqrt(a) * ndtri(0.5 * share)
+        t = np.where(t > 0.0, t, top * share ** (1.0 / (a + 1.0)))
+        todo = np.flatnonzero(inside)
+        for _ in range(40):
+            if not todo.size:
+                break
+            tt, st = t[todo], side[todo]
+            log_m, psi = self._log_tail(tt, st)
+            f = log_m - np.log(tail[todo]) - self._log_z
+            slope = np.exp(psi - log_m)
+            bend = a * (1.0 / np.tan(tt) - st * self._cot) / slope - 1.0
+            tt -= f / slope / np.maximum(1.0 - 0.5 * f * bend, 0.5)
+            t[todo] = np.minimum(np.where(tt > 0.0, tt, 0.5 * t[todo]),
+                                 top[todo])
+            todo = todo[np.abs(f) > 1e-5]
+        t[todo] = np.nan
+        return (-side * self._sqd / np.tan(t) - self.params.beta) \
+            / self.params.gamma
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -277,8 +322,7 @@ def _student_quantile(df, u):
 
 
 def _quantile_ends(u, out):
-    """Set the quantiles at and beyond u = 0 and 1 as ndtri does: stdtrit
-    returns +inf at u = 0, and the Newton quantile clips to its grid."""
+    """Set the quantiles at and beyond u = 0 and 1, and at NaN, as ndtri
+    does; stdtrit returns +inf at u = 0 and ppf skips them otherwise."""
     out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, out))
-    return np.where((u < 0.0) | (u > 1.0), np.nan, out)
-
+    return np.where((u >= 0.0) & (u <= 1.0), out, np.nan)

@@ -1,6 +1,8 @@
-"""50-digit references for the curves and pca goldens.
+"""High-precision references for the curves and pca goldens and for the
+Pearson IV quantiles.
 
     python tests/highprec_reference.py [--curves CSV] [--pca CSV]
+    python tests/highprec_reference.py --pearson
 
 Rebuilds, in mpmath at 50 digits and from the same float inputs (the
 bundled model's parameters and the t column of each file), every cell of
@@ -15,6 +17,15 @@ the Lyapunov equation.  For each column it prints the worst relative error
 of the given files (default: the goldens) and the number of cells above
 1e-15; then the largest relative gap between the pinned values and their
 references.  Takes about 7 s on a 2-core machine.
+
+With --pearson it instead rebuilds, at 40 digits, the exact quantiles
+pinned by test_scalar.py::PEARSON_QUANTILES: the tail masses are integrals
+of the density in y itself (not in qhr's angle variable), split at
+doubling multiples of the local scale, and each quantile is a damped Newton
+root in the log distance to the mode.  An upper-tail u pins the quantile of
+the exact upper mass 1 - u of the float u.  It prints the table to paste
+and the largest gap, as a share of the tail mass, between the pinned
+values and the references.  Takes about a minute on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -258,13 +269,95 @@ def pinned(curves, pca):
     print(f"pinned pca cells: largest gap {gap:.2e}")
 
 
+class PearsonLaw:
+    """The stationary law of dy = -lam y dt + sigma(y) dW, p = 1, in y."""
+
+    def __init__(self, lam, alpha, beta, gamma):
+        lam, alpha, beta, gamma = (mp.mpf(v) for v in (lam, alpha, beta,
+                                                        gamma))
+        self.coef = alpha, beta, gamma
+        self.sqd = mp.sqrt(alpha * gamma - beta ** 2)
+        self.nu = 2 * lam * beta / (gamma * self.sqd)
+        self.power = -lam / gamma - 1
+        self.mode = -beta / (lam + gamma)
+        self.sd = mp.sqrt(alpha / (2 * lam))
+        self.top = self.logp(self.mode)
+        self.total = self.tail(self.mode, -1) + self.tail(self.mode, 1)
+
+    def logp(self, y):
+        """Log density, up to a constant."""
+        alpha, beta, gamma = self.coef
+        return (self.power * mp.log(alpha + 2 * beta * y + gamma * y * y)
+                + self.nu * mp.atan((beta + gamma * y) / self.sqd))
+
+    def tail(self, y, side):
+        """Mass of exp(logp - logp(mode)) below y (side -1) or above it
+        (side 1)."""
+        alpha, beta, gamma = self.coef
+        z = (beta + gamma * y) / self.sqd
+        slope = (2 * self.power * (beta + gamma * y)
+                 / (alpha + 2 * beta * y + gamma * y * y)
+                 + self.nu * gamma / self.sqd / (1 + z * z))
+        h = 1 / (abs(slope) + 1 / self.sd)
+        pts = [y]
+        while self.logp(pts[-1]) > self.logp(y) - 120 and len(pts) < 200:
+            pts.append(y + side * h * 2 ** (len(pts) - 1))
+        return mp.quad(lambda x: mp.exp(self.logp(x) - self.top),
+                       sorted(pts + [side * mp.inf]))
+
+    def quantile(self, u):
+        """The y below which the float u of the mass lies: from the upper
+        tail, of exact mass 1 - u, above the mode."""
+        lower = self.tail(self.mode, -1) / self.total
+        side, mass = (-1, mp.mpf(u)) if u <= lower else (1, 1 - mp.mpf(u))
+        goal = mp.log(mass * self.total)
+        w = mp.log(self.sd * mp.sqrt(2 * max(-mp.log(2 * mass), 1)))
+        for _ in range(200):
+            y = self.mode + side * mp.exp(w)
+            m = self.tail(y, side)
+            slope = -mp.exp(self.logp(y) - self.top + w) / m
+            step = max(min(-(mp.log(m) - goal) / slope, 2), -2)
+            w += step
+            if abs(step) < mp.mpf(10) ** (8 - mp.mp.dps):
+                break
+        return self.mode + side * mp.exp(w)
+
+
+def pearson():
+    """Rebuild test_scalar.py::PEARSON_QUANTILES."""
+    sys.path.insert(0, HERE)
+    from test_scalar import PEARSON_QUANTILES
+    worst = 0.0
+    print("PEARSON_QUANTILES = {")
+    for label, (params, pins) in PEARSON_QUANTILES.items():
+        with mp.workdps(40):
+            law = PearsonLaw(*params)
+            print(f'    "{label}": ({params!r}, (')
+            for u, y in pins:
+                ref = law.quantile(u)
+                print(f"        ({u!r}, {float(ref)!r}),")
+                # the gap in mass: density times distance, over the tail
+                tail = min(mp.mpf(u), 1 - mp.mpf(u))
+                gap = (mp.exp(law.logp(ref) - law.top) / law.total
+                       * abs(mp.mpf(y) - ref) / tail)
+                worst = max(worst, float(gap))
+            print("    )),")
+    print("}")
+    print(f"pinned Pearson quantiles: largest gap {worst:.2e} of the tail")
+
+
 def main(argv=None):
     golden = os.path.join(HERE, "golden")
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--curves", default=os.path.join(golden,
                                                          "curves_mm3.csv"))
     parser.add_argument("--pca", default=os.path.join(golden, "pca_mm1.csv"))
+    parser.add_argument("--pearson", action="store_true",
+                        help="rebuild the pinned Pearson IV quantiles")
     args = parser.parse_args(argv)
+    if args.pearson:
+        pearson()
+        return
 
     _, header, rows = read_csv(args.curves)
     ref = Reference(model.load_fixture("MM3"))

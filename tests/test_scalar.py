@@ -16,6 +16,58 @@ import qhr
 from qhr import moments, scalar
 
 
+# Exact quantiles of the law at each u, rounded to float: an upper-tail u
+# pins the quantile of the exact upper mass 1 - u of the float u.  Rebuilt
+# in 40-digit mpmath, from integrals of the density in y, by
+# `python tests/highprec_reference.py --pearson`.
+PEARSON_QUANTILES = {
+    "M3": ((6.0, 0.0133, -0.18, 3.0), (
+        (1e-12, -24.29755456162198),
+        (1e-08, -3.7664855955087875),
+        (0.0001, -0.510993968887893),
+        (0.3, -0.00787047939279285),
+        (0.7, 0.02123790664609581),
+        (0.9999, 0.06530289518442314),
+        (0.99999999, 0.10197856977394565),
+        (0.999999999999, 0.2254443918208356),
+    )),
+    "M4": ((6.0, 0.0161811, -0.228, 3.8), (
+        (1e-12, -66.98062319991489),
+        (1e-08, -7.223817804673369),
+        (0.0001, -0.7011139225788512),
+        (0.3, -0.006981150484333092),
+        (0.7, 0.02350736088765806),
+        (0.9999, 0.06662582689177057),
+        (0.99999999, 0.11050682552882037),
+        (0.999999999999, 0.3468660666447746),
+    )),
+    "gamma/lam 1e-4": ((3.0, 0.01, -1e-06, 0.0003), (
+        (1e-12, -0.28736112094074767),
+        (1e-06, -0.19411252913356994),
+        (0.1, -0.052319615030298715),
+        (0.5, 1.1110888885670715e-07),
+        (0.999999, 0.19410772885493552),
+        (0.999999999999, 0.28735046543396714),
+    )),
+    "gamma/lam 1e-6": ((3.0, 0.01, -1e-06, 3e-06), (
+        (1e-12, -0.28718872723547023),
+        (1e-06, -0.19406065809101564),
+        (0.1, -0.05231919915290761),
+        (0.5, 1.1111108888844675e-07),
+        (0.999999, 0.19405585917861107),
+        (0.999999999999, 0.2871780788787766),
+    )),
+    "gamma/lam 1e-8": ((3.0, 0.01, -1e-06, 3e-08), (
+        (1e-12, -0.28718700413204806),
+        (1e-06, -0.19406013948584594),
+        (0.1, -0.05231919499391304),
+        (0.5, 1.1111111088844993e-07),
+        (0.999999, 0.194055340587102),
+        (0.999999999999, 0.28717635584683043),
+    )),
+}
+
+
 @pytest.fixture(scope="module")
 def sp_m2(models):
     return scalar.ScalarParams.from_model_params(models["M2"])
@@ -108,6 +160,19 @@ def _unnormalized_mass(sp):
                        [-mp.inf, mode - 1, mode, mode + 1, mp.inf])
 
 
+def _assert_pinned_quantiles(label, rtol):
+    """ppf and cdf at PEARSON_QUANTILES, to rtol of the tail mass."""
+    params, pins = PEARSON_QUANTILES[label]
+    pp = scalar.PearsonIV(scalar.ScalarParams(*params))
+    for u, y in pins:
+        # 1 - u is exact for u >= 0.5: the upper tail is checked through
+        # ppf(u), as 1 - cdf cancels
+        tail = u if u < 0.5 else 1.0 - u
+        miss = abs(pp.ppf(u) - y) * pp.pdf(y) / tail
+        assert miss < rtol, (label, u, miss)
+        assert abs(pp.cdf(y) - u) < rtol * tail + 2e-16, (label, u)
+
+
 class TestPearsonDensity:
     def test_normalized(self, sp_m2, sp_m3):
         for sp in (sp_m2, sp_m3):
@@ -170,6 +235,16 @@ class TestPearsonDensity:
                 scalar.ScalarParams.from_model_params(models[name]))
             back = pp.cdf(pp.ppf(tail))
             assert np.abs(back / tail - 1.0).max() < 1e-9, name
+        # and against the exact law, down to 1e-12 in both tails
+        for label in ("M3", "M4"):
+            _assert_pinned_quantiles(label, 1e-12)
+
+    @pytest.mark.parametrize("label", [
+        "gamma/lam 1e-4", "gamma/lam 1e-6", "gamma/lam 1e-8"])
+    def test_narrow_skewed_law_quantiles(self, label):
+        # a = 2 lam/gamma up to 2e8: the angle density is far narrower than
+        # any fixed grid of the angle range
+        _assert_pinned_quantiles(label, 1e-9)
 
     def test_cdf_monotone_with_limits(self, sp_m3):
         pp = scalar.PearsonIV(sp_m3)
@@ -311,23 +386,25 @@ class TestPearsonDensity:
 
 
 def test_import_leaves_heavy_scipy_unloaded():
-    # a fresh interpreter: this process already holds scipy.stats.  The
-    # Gaussian and Student laws load neither integrate nor interpolate.
+    # a fresh interpreter: this process already holds scipy.stats.  No law,
+    # and no density run, loads a heavy scipy submodule.
     code = textwrap.dedent("""
-        import json, sys
+        import contextlib, io, json, sys
         import qhr, qhr.cli
         heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
                  "scipy.optimize")
         loaded = [[m for m in heavy if m in sys.modules]]
         from qhr import scalar
         gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
-        student = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
-            qhr.load_fixture("M2")))
-        quantiles = [gauss.ppf(0.3), student.ppf(0.3), student.cdf(0.1)]
+        laws = [scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+            qhr.load_fixture(name))) for name in ("M2", "M3", "M4")]
+        values = [gauss.ppf(0.3)] + [v for pp in laws for v in (
+            pp.ppf(0.3), pp.cdf(0.1), float(pp.sample(1000, 7).sum()))]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [qhr.cli.main(["density", "--model", name])
+                     for name in ("M1", "M3")]
         loaded.append([m for m in heavy if m in sys.modules])
-        skewed = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
-            qhr.load_fixture("M3")))
-        print(json.dumps([loaded, quantiles + [skewed.ppf(0.3)]]))
+        print(json.dumps([loaded, codes, values]))
     """)
     src = os.path.dirname(os.path.dirname(qhr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -335,12 +412,10 @@ def test_import_leaves_heavy_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, values = json.loads(proc.stdout)
-    assert loaded == [[], []]
+    loaded, codes, values = json.loads(proc.stdout)
+    assert loaded == [[], []] and codes == [0, 0]
     gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
-    student = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
-        qhr.load_fixture("M2")))
-    skewed = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
-        qhr.load_fixture("M3")))
-    assert values == [gauss.ppf(0.3), student.ppf(0.3), student.cdf(0.1),
-                      skewed.ppf(0.3)]
+    laws = [scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+        qhr.load_fixture(name))) for name in ("M2", "M3", "M4")]
+    assert values == [gauss.ppf(0.3)] + [v for pp in laws for v in (
+        pp.ppf(0.3), pp.cdf(0.1), float(pp.sample(1000, 7).sum()))]
