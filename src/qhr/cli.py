@@ -25,11 +25,16 @@ import sys
 import numpy as np
 from scipy.special import poch
 
-from . import __version__, forward, linalg, mc, model, moments, pricing, scalar
+from . import __version__, forward, mc, model, moments, pricing, scalar
 
 
 class UsageError(Exception):
     """Bad command line input (missing file, malformed grid/vector)."""
+
+
+# what a subcommand fails on with exit code 1: an invalid or non-stationary
+# model, or a numerical failure downstream
+_FAILURES = (ValueError, ArithmeticError, KeyError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +222,7 @@ def cmd_diagnostics(args):
         label = params.label or spec
         try:
             diag = model.diagnostics(params)
-        except (moments.NotStationaryError, linalg.UnstableError) as exc:
+        except _FAILURES as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -286,7 +291,6 @@ def cmd_curves(args):
         if y0.size != params.p:
             raise UsageError(f"y0 has {y0.size} entries, model has "
                              f"{params.p} factors")
-    sys_.require_stable()
     header = ["t"]
     header += [f"vol_y0_{i + 1}" for i in range(len(y0_list))]
     header += ["vol_forward", "vol_min"]
@@ -491,7 +495,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -119,10 +119,13 @@ class PcaDecomposition:
     components kept."""
 
     eigenvalues: np.ndarray
-    rank: int
     f_matrix: np.ndarray
     projection: np.ndarray
     system: MomentSystem
+
+    @property
+    def rank(self):
+        return len(self.eigenvalues)
 
     def factor_curves(self, t):
         """u(t) at a horizon, or one row per horizon of a 1-D grid."""
@@ -148,8 +151,7 @@ def pca(sys, omega_mat):
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > sys.n_eta * np.finfo(float).eps * vals[0]
     vals, vecs = vals[keep], vecs[:, keep]
-    return PcaDecomposition(eigenvalues=vals, rank=int(keep.sum()),
-                            f_matrix=f,
+    return PcaDecomposition(eigenvalues=vals, f_matrix=f,
                             projection=(vecs / np.sqrt(vals)).T @ low.T,
                             system=sys)
 

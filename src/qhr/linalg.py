@@ -101,6 +101,19 @@ _ORDERS = np.arange(1.0, _DEGREE + 1)
 _HALVES = 0.5 ** np.arange(1024)
 
 
+def horizons(s):
+    """s as floats, a scalar or a 1-D array of horizons 0 <= s < inf: the
+    one horizon check of every propagator.  ValueError names the first bad
+    horizon."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError("horizons must be a scalar or a 1-D array")
+    ok = (s >= 0) & (s < np.inf)
+    if not ok.all():
+        raise ValueError(f"horizon must be finite and >= 0, got s={s[~ok][0]}")
+    return s
+
+
 class ExpmAction:
     """The action t -> e^{a t} v of one square matrix a on a vector v
     (Al-Mohy & Higham 2011, "Computing the action of the matrix
@@ -115,8 +128,9 @@ class ExpmAction:
     E_{j+1} = E_j^2.  The E_j and the Taylor block of the last vector are
     kept, so a later call pays only the vector products.  Every product is
     row-wise ((N, 1, n) @ (n, n)), so row i of a grid equals the
-    single-horizon call at t_i bit for bit.  Raises OverflowError naming
-    the first t whose result is not finite."""
+    single-horizon call at t_i bit for bit.  t is checked by horizons()
+    first; a result that is not finite raises OverflowError naming the
+    first such t."""
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -129,16 +143,11 @@ class ExpmAction:
 
     def __call__(self, v, t):
         v = np.asarray(v, dtype=float).reshape(-1)
-        t = np.asarray(t, dtype=float)
+        t = horizons(t)
         times = t.reshape(-1)
-        if (times < 0).any():
-            raise ValueError(f"t must be >= 0, got t={times[times < 0][0]}")
         q = times / self._step
         n = np.rint(q)
         top = n.max() if n.size else 0.0
-        if not top < np.inf:  # a NaN or infinite t fails at the end
-            n[~np.isfinite(n)] = 0.0
-            top = n.max()
         # coefficients rho^k / k!, rho = r / h in [-1/2, 1/2]
         coef = np.empty((times.size, 1, _DEGREE + 1))
         coef[..., 0] = 1.0

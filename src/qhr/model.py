@@ -296,12 +296,12 @@ def variance_min(params):
 
 def filter_psi(lam, i, t):
     """Erlang kernel psi_i(t) = lam e^{-lam t} (lam t)^{i-1} / (i-1)!, t
-    checked as moments' horizons are."""
+    checked as a propagator's horizons are, by linalg.horizons."""
     if lam <= 0:
         raise ValueError("rate must be positive")
     if i < 1:
         raise ValueError("order must be >= 1")
-    t = moments._horizons(t)
+    t = linalg.horizons(t)
     out = lam * np.exp(-lam * t) * (lam * t) ** (i - 1) / math.factorial(i - 1)
     return float(out) if out.ndim == 0 else out
 
@@ -314,8 +314,7 @@ def filter_phi(params, w, t_grid):
     if abs(w @ params.b - 1.0) > 1e-9:
         warnings.warn("w'b != 1: filter weights are not normalized",
                       stacklevel=2)
-    decay = linalg.ExpmAction(-params.lam)
-    rows = moments._decay(decay, params.b, np.atleast_1d(t_grid))
+    rows = linalg.ExpmAction(-params.lam)(params.b, np.atleast_1d(t_grid))
     # a (1, p) row per lag keeps each lag's own dot product, so a lag's
     # value does not depend on the rest of the grid
     return (rows[:, None, :] @ (params.lam.T @ w))[:, 0]

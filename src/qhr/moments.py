@@ -164,39 +164,22 @@ class MomentSystem:
         s is a horizon 0 <= s < inf or a 1-D array of them (one row each).
         A grid is one propagation, and each row equals the single-horizon
         call bit for bit."""
-        return _decay(self._loading_decay, self.g, s)
+        return self._loading_action(self.g, s)
 
     # The propagators of the moment ODE, built on first use and kept with
     # their powers of e^{-A h}: psi, conditional_moments and conditional_eta
     # are called many times on one system.
     @functools.cached_property
-    def _loading_decay(self):
+    def _loading_action(self):
         return linalg.ExpmAction(-self.a_tilde.T)
 
     @functools.cached_property
-    def _moment_decay(self):
+    def _moment_action(self):
         return linalg.ExpmAction(-self.a_sym)
 
     @functools.cached_property
-    def _eta_decay(self):
+    def _eta_action(self):
         return linalg.ExpmAction(-self.a_tilde)
-
-
-def _horizons(s):
-    """s as floats, scalar or 1-D; ValueError names the first bad horizon."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim > 1:
-        raise ValueError("horizons must be a scalar or a 1-D array")
-    ok = (s >= 0) & (s < np.inf)
-    if not ok.all():
-        raise ValueError(f"horizon must be finite and >= 0, got s={s[~ok][0]}")
-    return s
-
-
-def _decay(action, v, s):
-    """e^{-A s} v at checked horizons s, action the linalg.ExpmAction of
-    -A: qhr's one propagator through time.  One row per horizon of a grid."""
-    return action(v, _horizons(s))
 
 
 def pairs(exponents):
@@ -371,7 +354,7 @@ def conditional_moments(sys, y0, t):
     the monomials of y0.  One row per horizon of a 1-D grid t."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     diff = monomials(y0, 4) - sys.m_infty
-    return sys.m_infty + _decay(sys._moment_decay, diff, t)
+    return sys.m_infty + sys._moment_action(diff, t)
 
 
 def conditional_eta(sys, eta, s):
@@ -379,7 +362,7 @@ def conditional_eta(sys, eta, s):
     S coordinates: eta_infty + e^{-A~s}(eta - eta_infty).  A 1-D grid of
     lags s is one propagation, with one row per lag."""
     diff = sys.as_eta(eta) - sys.eta_infty
-    return sys.eta_infty + _decay(sys._eta_decay, diff, s)
+    return sys.eta_infty + sys._eta_action(diff, s)
 
 
 def variance_autocov(sys, omega_mat, s):

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (gammaln, loggamma, ndtr, ndtri, roots_jacobi,
-                           stdtr, stdtrit)
+from scipy.special import ndtr, ndtri, roots_jacobi, stdtr, stdtrit
 
 from .model import ModelParams
 from .moments import NotStationaryError
@@ -110,16 +109,16 @@ class PearsonIV:
     Three branches, each with one way to evaluate pdf, cdf and ppf.  gamma
     -> 0 (the OU limit) is Gaussian.  beta = 0 is a Student t with
     2*lam/gamma + 1 degrees of freedom and scale sqrt(alpha/(2 lam + gamma))
-    (stdtr, stdtrit).  Otherwise the angle theta = arctan((beta +
-    gamma*y)/sqrt(delta)) has density proportional to cos(theta)^a *
-    exp(nu*theta), a = 2 lam/gamma, whose integral over (-pi/2, pi/2) is
-    pi Gamma(a+1) / (2^a |Gamma(1 + a/2 + i nu/2)|^2) (Heinrich 2004, "A
-    guide to the Pearson type IV distribution"), the normaliser of pdf.
-    In u = theta + pi/2 the log density a log sin u + nu u is concave: the
-    mass of a tail, from the nearer end of (0, pi), is a fixed-node Gauss
-    rule on a window across which it drops by _DROP (concavity bounds the
-    rest), on the law mirrored by nu -> -nu above the mode.  cdf divides a
-    tail by the two at the mode; ppf takes Halley steps on its log.
+    (stdtr, stdtrit).  Otherwise, and for the normaliser of every
+    non-Gaussian pdf, the angle theta = arctan((beta + gamma*y)/sqrt(delta))
+    has density proportional to cos(theta)^a * exp(nu*theta),
+    a = 2 lam/gamma.  In u = theta + pi/2 the log density a log sin u + nu u
+    is concave: the mass of a tail, from the nearer end of (0, pi), is a
+    fixed-node Gauss rule on a window across which it drops by _DROP
+    (concavity bounds the rest), on the law mirrored by nu -> -nu above the
+    mode.  The two tails at the mode give the integral I of the angle
+    density, pdf's normaliser; cdf divides a tail by them and ppf takes
+    Halley steps on its log.
     """
 
     def __init__(self, sp):
@@ -140,17 +139,6 @@ class PearsonIV:
         self._sqd = math.sqrt(delta)
         self._a = a = 2.0 * lam / gamma
         self._nu = nu = 2.0 * lam * beta / (gamma * self._sqd)
-        # log of the angle normalizer I = int cos(t)^a exp(nu t) dt
-        self._log_i = (math.log(math.pi) + gammaln(a + 1.0)
-                       - a * math.log(2.0)
-                       - 2.0 * loggamma(complex(1.0 + 0.5 * a, 0.5 * nu)).real)
-        # log C from  1 = C * (sqd/gamma) * (delta/gamma)^(-lam/gamma-1) * I
-        self._log_c = -(math.log(self._sqd / gamma)
-                        + (-lam / gamma - 1.0) * math.log(delta / gamma)
-                        + self._log_i)
-        self.norm_const = math.exp(self._log_c)
-        if self.student:
-            return
         # the mode of u = theta + pi/2 is at cot u = -nu/a; the second rule
         # carries the weight u^(a mod 1) of windows that reach u = 0
         self._cot = -nu / a
@@ -162,6 +150,15 @@ class PearsonIV:
             [self._mode, math.pi - self._mode]), np.array([1.0, -1.0]))[0]
         self._log_z = np.logaddexp(lower, upper)
         self._cdf_mode = math.exp(lower - self._log_z)
+        # log I, I = int cos(t)^a exp(nu t) dt: the tails' total times the
+        # angle density at the mode, sin(u)^a exp(nu (u - pi/2)) there
+        self._log_i = (self._log_z - 0.5 * a * math.log1p(self._cot**2)
+                       - nu * math.atan(self._cot))
+        # log C from  1 = C * (sqd/gamma) * (delta/gamma)^(-lam/gamma-1) * I
+        self._log_c = -(math.log(self._sqd / gamma)
+                        + (-lam / gamma - 1.0) * math.log(delta / gamma)
+                        + self._log_i)
+        self.norm_const = math.exp(self._log_c)
 
     def _log_tail(self, t, side):
         """(log m, psi) at distances t from the end of (0, pi), u below the

@@ -25,7 +25,11 @@ doubling multiples of the local scale, and each quantile is a damped Newton
 root in the log distance to the mode.  An upper-tail u pins the quantile of
 the exact upper mass 1 - u of the float u.  It prints the table to paste
 and the largest gap, as a share of the tail mass, between the pinned
-values and the references.  Takes about a minute on a 2-core machine.
+values and the references.  Then, for M1-M4 and the three skewed laws, it
+prints the relative error of PearsonIV's angle normaliser
+I = int cos(t)^a exp(nu t) dt against its closed form at 40 digits
+(test_scalar.py::closed_form_log_i).  Takes about a minute on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import mpmath as mp
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from qhr import model  # noqa: E402  (the float inputs only)
+from qhr import model, scalar  # noqa: E402  (float inputs, --pearson I)
 
 mp.mp.dps = 50
 
@@ -326,7 +330,7 @@ class PearsonLaw:
 def pearson():
     """Rebuild test_scalar.py::PEARSON_QUANTILES."""
     sys.path.insert(0, HERE)
-    from test_scalar import PEARSON_QUANTILES
+    from test_scalar import PEARSON_QUANTILES, closed_form_log_i
     worst = 0.0
     print("PEARSON_QUANTILES = {")
     for label, (params, pins) in PEARSON_QUANTILES.items():
@@ -344,6 +348,17 @@ def pearson():
             print("    )),")
     print("}")
     print(f"pinned Pearson quantiles: largest gap {worst:.2e} of the tail")
+    laws = {name: scalar.ScalarParams.from_model_params(
+        model.load_fixture(name)) for name in ("M1", "M2", "M3", "M4")}
+    laws.update((label, scalar.ScalarParams(*params))
+                for label, (params, _) in PEARSON_QUANTILES.items()
+                if label.startswith("gamma/lam"))
+    for label, sp in laws.items():
+        law = scalar.PearsonIV(sp)
+        with mp.workdps(40):
+            log_i = closed_form_log_i(law._a, law._nu)
+            err = float(abs(mp.expm1(mp.mpf(law._log_i) - log_i)))
+        print(f"normaliser {label:<16} a = {law._a:<9.4g} error {err:.2e}")
 
 
 def main(argv=None):

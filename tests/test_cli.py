@@ -64,6 +64,14 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in err
 
+    def test_model_name_without_json_suffix(self, capsys, tmp_path):
+        path = write_model(tmp_path, "calm.json", {
+            "lambda": [[6.0]], "b": [1.0], "alpha": 0.0133, "beta": [-0.18],
+            "gamma": [[3.0]]})
+        rc, out, _ = run(capsys, "validate", "--model", path[:-5])
+        assert rc == 0
+        assert out == run(capsys, "validate", "--model", path)[1]
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -210,6 +218,29 @@ class TestValidate:
         assert rc == 1
         assert out == ""
         assert "exceeds the configured cap" in err
+
+
+class TestDiagnosticsPerModel:
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_failing_model_keeps_the_others(self, capsys, tmp_path, fmt):
+        # one model's failure, here the dimension cap at p = 7, is its own
+        # stderr line and exit code 1; the other models' rows still print
+        p = 7
+        path = write_model(tmp_path, "p7.json", {
+            "lambda": np.diag(np.arange(1.0, p + 1)).tolist(),
+            "b": [1.0 / p] * p, "alpha": 0.01, "beta": [0.0] * p,
+            "gamma": (0.01 * np.eye(p)).tolist()})
+        rc, out, err = run(capsys, "diagnostics", "--model", "M1", path,
+                           "--format", fmt)
+        assert rc == 1
+        assert err == "p7: state dimension 7 exceeds the configured cap 6\n"
+        alone = run(capsys, "diagnostics", "--model", "M1", "--format", fmt)
+        lines = alone[1].splitlines()
+        if fmt == "csv":  # the provenance header names every model read
+            lines.insert(2, out.splitlines()[2])
+            assert out.splitlines()[2].startswith("# model p7 hash ")
+        assert out.splitlines() == lines
+        assert "M1" in out
 
 
 class TestDiagnosticsCsv:
@@ -453,6 +484,11 @@ class TestMonteCarloCommands:
                          "--grid", "eps=squiggle")
         assert rc == 2
         assert "cannot parse eps" in err
+
+    def test_keyed_grid_skips_empty_parts(self):
+        out = cli._parse_keyed_grid(" T=0.25,0.5 ;; eps=0.02 ;")
+        assert out.keys() == {"T", "eps"}
+        assert np.array_equal(out["T"], [0.25, 0.5]) and out["eps"] == 0.02
 
     def test_bad_threads_setting(self, capsys, monkeypatch):
         monkeypatch.setenv("QHR_THREADS", "two")

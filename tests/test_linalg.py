@@ -193,15 +193,26 @@ class TestExpmAction:
     @pytest.mark.filterwarnings("ignore:overflow encountered",
                                 "ignore:invalid value encountered")
     def test_nonfinite_result_names_first_bad_time(self):
+        # a finite horizon whose result overflows raises OverflowError; a
+        # horizon outside 0 <= s < inf is rejected before any arithmetic
         grow = linalg.ExpmAction(np.array([[1.0]]))
         with pytest.raises(OverflowError, match="t=2000.0"):
             grow([1.0], [1.0, 2e3, 3e3])
-        with pytest.raises(OverflowError, match="t=2000.0"):
+        with pytest.raises(ValueError, match="s=nan"):
             grow([1.0], [1.0, 2e3, np.nan])
-        with pytest.raises(OverflowError, match="t=inf"):
+        with pytest.raises(ValueError, match="s=inf"):
             linalg.ExpmAction(np.array([[-1.0]]))([1.0], [1.0, np.inf])
-        with pytest.raises(ValueError, match="t=-0.5"):
+        with pytest.raises(ValueError, match="s=-0.5"):
             grow([1.0], [1.0, -0.5])
+
+    def test_horizons_are_a_scalar_or_a_1d_array(self):
+        action = linalg.ExpmAction(np.array([[-1.0]]))
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            action([1.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            linalg.horizons([[0.5]])
+        assert linalg.horizons(0.5).shape == ()
+        assert linalg.horizons([0.0, 2.0]).dtype == float
 
 
 class TestEigenvalues:

@@ -231,6 +231,14 @@ class TestSurface:
         with pytest.raises(pricing.MissingNodesError):
             pricing.atm_term_structures(surface, eps=0.05)
 
+    def test_undefined_atm_vol_is_a_missing_node(self, surface):
+        s2 = pricing.with_implied_vols(surface)
+        ivol = s2.ivol.copy()
+        ivol[1, np.argmin(np.abs(s2.ell[1]))] = np.nan
+        with pytest.raises(pricing.MissingNodesError,
+                           match="undefined at an ATM node for maturity"):
+            pricing.atm_term_structures(replace(s2, ivol=ivol), eps=0.01)
+
     def test_deterministic_given_seed(self, models):
         grid = pricing.OptionGrid(maturities=(0.5,), log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=2_000, horizon=0.5, seed=9,

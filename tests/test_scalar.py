@@ -68,6 +68,16 @@ PEARSON_QUANTILES = {
 }
 
 
+def closed_form_log_i(a, nu):
+    """log I, I = int cos(t)^a exp(nu t) dt over (-pi/2, pi/2), from
+    pi Gamma(a+1) / (2^a |Gamma(1 + a/2 + i nu/2)|^2) (Heinrich 2004, "A
+    guide to the Pearson type IV distribution") at the working precision;
+    in floats that form loses digits in proportion to a."""
+    a, nu = mp.mpf(a), mp.mpf(nu)
+    return (mp.log(mp.pi) + mp.loggamma(a + 1) - a * mp.log(2)
+            - 2 * mp.re(mp.loggamma(mp.mpc(1 + a / 2, nu / 2))))
+
+
 @pytest.fixture(scope="module")
 def sp_m2(models):
     return scalar.ScalarParams.from_model_params(models["M2"])
@@ -361,6 +371,24 @@ class TestPearsonDensity:
             mass = _unnormalized_mass(sp)
             pp = scalar.PearsonIV(sp)
             assert abs(float(pp.norm_const * mass - 1)) < 1e-13, name
+
+    @pytest.mark.parametrize("label,params,rtol", [
+        ("M1", None, 1e-15), ("M2", None, 1e-15), ("M3", None, 1e-15),
+        ("M4", None, 1e-15),
+        ("a = 2e4", (3.0, 0.01, -1e-6, 3e-4), 1e-12),
+        ("a = 2e6", (3.0, 0.01, -1e-6, 3e-6), 1e-12),
+        ("a = 2e8", (3.0, 0.01, -1e-6, 3e-8), 1e-10)])
+    def test_angle_normalizer_matches_closed_form(self, models, label,
+                                                  params, rtol):
+        # the tail rule's total, with the mode's density, against the
+        # closed form at 50 digits
+        sp = (scalar.ScalarParams.from_model_params(models[label])
+              if params is None else scalar.ScalarParams(*params))
+        pp = scalar.PearsonIV(sp)
+        with mp.workdps(50):
+            log_i = closed_form_log_i(pp._a, pp._nu)
+            err = abs(float(mp.expm1(mp.mpf(pp._log_i) - log_i)))
+        assert err < rtol, (label, err)
 
     def test_symmetric_cdf_is_student_t(self, models):
         rng = np.random.default_rng(43)
