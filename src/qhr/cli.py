@@ -81,9 +81,12 @@ def _provenance(models, seed):
 
 def _parse_vector(text):
     try:
-        return np.array([float(tok) for tok in text.split(",")], dtype=float)
+        out = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError:
         raise UsageError(f"cannot parse vector '{text}'")
+    if not np.isfinite(out).all():
+        raise UsageError(f"vector '{text}' has a non-finite entry")
+    return out
 
 
 def _parse_values(text):

@@ -168,6 +168,8 @@ def _resolve_y0(params, cfg):
     if y0 is None:
         return np.zeros((cfg.n_paths, p)), 0
     arr = np.asarray(y0, dtype=float)
+    if not np.isfinite(arr).all():  # the variance floor cannot catch NaN
+        raise ConfigInvalidError("y0 must be finite")
     if arr.ndim == 1:
         if arr.shape != (p,):
             raise ConfigInvalidError(f"y0 vector must have length {p}")

@@ -121,15 +121,26 @@ class ModelParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma_mat", gam)
+        if self.beta0 is not None:
+            object.__setattr__(self, "beta0", float(self.beta0))
+        if self.gamma0 is not None:
+            object.__setattr__(self, "gamma0", float(self.gamma0))
         if self.w is not None:
             w = np.asarray(self.w, dtype=float).reshape(-1)
             if w.shape != (p,):
                 raise ValueError("w must have length p")
             object.__setattr__(self, "w", w)
-        if self.beta0 is not None:
-            object.__setattr__(self, "beta0", float(self.beta0))
-        if self.gamma0 is not None:
-            object.__setattr__(self, "gamma0", float(self.gamma0))
+            # save_model writes the generators in place of beta and Gamma
+            for name, have, scale, shape in (
+                    ("beta", beta, self.beta0, w),
+                    ("Gamma", gam, self.gamma0, np.outer(w, w))):
+                if scale is None:
+                    continue
+                want = scale * shape
+                size = max(1.0, np.abs(have).max(), np.abs(want).max())
+                if not np.abs(have - want).max() <= 1e-10 * size:
+                    raise ValueError(f"{name} contradicts its rank-one "
+                                     "generator (w, beta0, gamma0)")
 
     @property
     def p(self):

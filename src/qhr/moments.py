@@ -315,7 +315,14 @@ def stationary_summary(sys, params):
     (1-kappa) and both determinants are positive once blocks 1 and 2 are
     stable.  E[sigma^4] = E[(alpha + g'eta)^2] expanded with the
     stationary first and second moments of eta.  q_infty = E[y y'] in S
-    coordinates (the moments of y_i y_j, i <= j)."""
+    coordinates (the moments of y_i y_j, i <= j).  params must hold the
+    lam, b, alpha, beta and Gamma that sys was built from."""
+    built = sys.params
+    if params is not built and not (params.alpha == built.alpha and all(
+            np.array_equal(getattr(params, k), getattr(built, k))
+            for k in ("lam", "b", "beta", "gamma_mat"))):
+        raise ValueError("params is not the model the moment system was "
+                         "built from")
     sys.require_stable()
     sigma2 = sys.sigma2_infty
     g = sys.g

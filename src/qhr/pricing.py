@@ -237,7 +237,12 @@ def atm_term_structures(surface, eps=0.01):
     """ATM vol and central-difference ATM skew per maturity.
 
     Requires log-moneyness nodes at -eps, 0 and +eps for every maturity
-    (common random numbers make the difference quotient stable)."""
+    (common random numbers make the difference quotient stable).  eps must
+    be finite with e^-|eps| < 1 < e^|eps|, so that the three strikes differ."""
+    if not (math.isfinite(eps)
+            and math.exp(-abs(eps)) < 1.0 < math.exp(abs(eps))):
+        raise ValueError(f"eps = {eps:.6g} does not separate the strikes "
+                         "e^-eps, 1 and e^eps")
     if surface.ivol is None:
         surface = with_implied_vols(surface)
     n_t = surface.maturities.size

@@ -109,16 +109,16 @@ class PearsonIV:
     Three branches, each with one way to evaluate pdf, cdf and ppf.  gamma
     -> 0 (the OU limit) is Gaussian.  beta = 0 is a Student t with
     2*lam/gamma + 1 degrees of freedom and scale sqrt(alpha/(2 lam + gamma))
-    (stdtr, stdtrit).  Otherwise, and for the normaliser of every
-    non-Gaussian pdf, the angle theta = arctan((beta + gamma*y)/sqrt(delta))
+    (stdtr, stdtrit).  Otherwise, and for the pdf of both non-Gaussian
+    branches, the angle theta = arctan((beta + gamma*y)/sqrt(delta))
     has density proportional to cos(theta)^a * exp(nu*theta),
     a = 2 lam/gamma.  In u = theta + pi/2 the log density a log sin u + nu u
     is concave: the mass of a tail, from the nearer end of (0, pi), is a
     fixed-node Gauss rule on a window across which it drops by _DROP
     (concavity bounds the rest), on the law mirrored by nu -> -nu above the
-    mode.  The two tails at the mode give the integral I of the angle
-    density, pdf's normaliser; cdf divides a tail by them and ppf takes
-    Halley steps on its log.
+    mode.  The two tails at the mode give Z, the angle law's mass over its
+    density at the mode: pdf is the log density relative to the mode less
+    log Z, cdf divides a tail by Z and ppf takes Halley steps on its log.
     """
 
     def __init__(self, sp):
@@ -131,7 +131,6 @@ class PearsonIV:
             if abs(beta) > 1e-8:
                 raise ValueError("gamma ~ 0 requires beta = 0 (psd link)")
             self._sd = math.sqrt(alpha / (2.0 * lam))
-            self.norm_const = 1.0 / (self._sd * math.sqrt(2.0 * math.pi))
             return
         delta = alpha * gamma - beta**2
         if delta <= 0:
@@ -150,15 +149,8 @@ class PearsonIV:
             [self._mode, math.pi - self._mode]), np.array([1.0, -1.0]))[0]
         self._log_z = np.logaddexp(lower, upper)
         self._cdf_mode = math.exp(lower - self._log_z)
-        # log I, I = int cos(t)^a exp(nu t) dt: the tails' total times the
-        # angle density at the mode, sin(u)^a exp(nu (u - pi/2)) there
-        self._log_i = (self._log_z - 0.5 * a * math.log1p(self._cot**2)
-                       - nu * math.atan(self._cot))
-        # log C from  1 = C * (sqd/gamma) * (delta/gamma)^(-lam/gamma-1) * I
-        self._log_c = -(math.log(self._sqd / gamma)
-                        + (-lam / gamma - 1.0) * math.log(delta / gamma)
-                        + self._log_i)
-        self.norm_const = math.exp(self._log_c)
+        # logpdf's constant: dtheta/dy = (gamma/sqd)/(1 + z^2), less log Z
+        self._log_scale = math.log(gamma / self._sqd) - self._log_z
 
     def _log_tail(self, t, side):
         """(log m, psi) at distances t from the end of (0, pi), u below the
@@ -199,15 +191,20 @@ class PearsonIV:
 
     # -- public law --------------------------------------------------------
     def logpdf(self, y):
+        """The Gaussian closed form, or else the angle law's log density
+        relative to its mode, (a/2) log of cos^2 theta over cos^2 theta*
+        and nu (theta - theta*), so that no term grows with a."""
         y = np.asarray(y, dtype=float)
-        sp = self.params
         if self.gaussian:
             out = (-(y / self._sd)**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
                    - np.log(self._sd))
         else:
-            sig2 = sp.alpha + 2.0 * sp.beta * y + sp.gamma * y * y
-            out = self._log_c + (-sp.lam / sp.gamma - 1.0) * np.log(sig2) \
-                + self._nu * np.arctan((sp.beta + sp.gamma * y) / self._sqd)
+            z, top = self._z(y), -self._cot
+            out = (self._log_scale - np.log1p(z * z)
+                   - 0.5 * self._a * np.log1p((z - top) * (z + top)
+                                              / (1.0 + top * top)))
+            if self._nu:  # 0 for a Student law, whose arctan2 is NaN at inf
+                out = out + self._nu * np.arctan2(z - top, 1.0 + z * top)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
@@ -217,16 +214,17 @@ class PearsonIV:
         """d/dy of logpdf; satisfies the Pearson differential equation
         p'/p = -2(beta + (lam + gamma) y) / sigma^2(y)."""
         y = np.asarray(y, dtype=float)
-        sp = self.params
         if self.gaussian:
             out = -y / self._sd**2
         else:
-            sig2 = sp.alpha + 2.0 * sp.beta * y + sp.gamma * y * y
-            out = ((-sp.lam / sp.gamma - 1.0)
-                   * (2.0 * sp.beta + 2.0 * sp.gamma * y) / sig2
-                   + self._nu * (sp.gamma / self._sqd)
-                   / (1.0 + ((sp.beta + sp.gamma * y) / self._sqd) ** 2))
+            z = self._z(y)
+            out = self.params.gamma / self._sqd * (
+                self._nu - (self._a + 2.0) * z) / (1.0 + z * z)
         return float(out) if out.ndim == 0 else out
+
+    def _z(self, y):
+        """tan theta = (beta + gamma y)/sqrt(delta)."""
+        return (self.params.beta + self.params.gamma * y) / self._sqd
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -235,7 +233,7 @@ class PearsonIV:
         elif self.student:
             out = stdtr(self.student_df, y / self.student_scale)
         else:
-            z = (self.params.beta + self.params.gamma * y) / self._sqd
+            z = self._z(y)
             side = np.where(np.arctan2(1.0, -z) <= self._mode, 1.0, -1.0)
             m = np.exp(self._log_tail(np.maximum(np.arctan2(
                 1.0, -side * z), 1e-300).ravel(), side.ravel())[0]

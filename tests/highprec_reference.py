@@ -27,8 +27,11 @@ the exact upper mass 1 - u of the float u.  It prints the table to paste
 and the largest gap, as a share of the tail mass, between the pinned
 values and the references.  Then, for M1-M4 and the three skewed laws, it
 prints the relative error of PearsonIV's angle normaliser
-I = int cos(t)^a exp(nu t) dt against its closed form at 40 digits
-(test_scalar.py::closed_form_log_i).  Takes about a minute on a 2-core
+I = int cos(t)^a exp(nu t) dt, from the tail rule's log Z at the mode
+(test_scalar.py::tail_rule_log_i), against its closed form at 40 digits
+(test_scalar.py::closed_form_log_i), and the largest relative error of
+`pdf` at the quantiles 1e-10 ... 1 - 1e-10 against the density at 50
+digits (test_scalar.py::logpdf_error).  Takes about a minute on a 2-core
 machine.
 """
 
@@ -330,7 +333,8 @@ class PearsonLaw:
 def pearson():
     """Rebuild test_scalar.py::PEARSON_QUANTILES."""
     sys.path.insert(0, HERE)
-    from test_scalar import PEARSON_QUANTILES, closed_form_log_i
+    from test_scalar import (PEARSON_QUANTILES, closed_form_log_i,
+                             logpdf_error, tail_rule_log_i)
     worst = 0.0
     print("PEARSON_QUANTILES = {")
     for label, (params, pins) in PEARSON_QUANTILES.items():
@@ -356,9 +360,10 @@ def pearson():
     for label, sp in laws.items():
         law = scalar.PearsonIV(sp)
         with mp.workdps(40):
-            log_i = closed_form_log_i(law._a, law._nu)
-            err = float(abs(mp.expm1(mp.mpf(law._log_i) - log_i)))
-        print(f"normaliser {label:<16} a = {law._a:<9.4g} error {err:.2e}")
+            err = float(abs(mp.expm1(tail_rule_log_i(law) - closed_form_log_i(
+                law._a, law._nu))))
+        print(f"normaliser {label:<16} a = {law._a:<9.4g} error {err:.2e}"
+              f"  pdf error {logpdf_error(law):.2e}")
 
 
 def main(argv=None):

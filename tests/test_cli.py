@@ -505,6 +505,15 @@ class TestMonteCarloCommands:
         assert rc == 2
         assert "cannot parse vector" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "curves"])
+    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
+    def test_non_finite_y0_is_a_usage_error(self, capsys, command, y0):
+        rc, out, err = run(capsys, command, "--model", "M3",
+                           f"--y0={y0}", *(("--paths", "100")
+                                            if command == "simulate" else ()))
+        assert (rc, out) == (2, "")
+        assert "non-finite entry" in err
+
 
 class TestOutFile:
     def test_writes_file_and_silences_stdout(self, capsys, tmp_path):

@@ -517,6 +517,16 @@ class TestConfigValidation:
         with pytest.raises(mc.ConfigInvalidError):
             mc.simulate(models["MM1"], cfg)
 
+    @pytest.mark.parametrize("y0", [
+        np.array([np.nan]), np.array([np.inf]),
+        np.array([[0.0], [np.nan], [0.0], [0.0]])])
+    def test_non_finite_y0_rejected(self, models, y0):
+        # the variance floor cannot flag a NaN variance: no NaN rows
+        cfg = mc.McConfig(n_paths=4, horizon=0.1, seed=1,
+                          steps_per_year=100, y0=y0)
+        with pytest.raises(mc.ConfigInvalidError, match="finite"):
+            mc.simulate(models["M3"], cfg)
+
 
 class TestSnapshots:
     def test_probe_times_snap_to_grid(self, models):

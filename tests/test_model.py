@@ -52,6 +52,22 @@ class TestModelParams:
         assert params.alpha == 1.0
         assert params.lam.dtype == float
 
+    def test_generator_must_match_beta_and_gamma(self, models):
+        # save_model writes (w, beta0, gamma0), so a contradicting beta or
+        # Gamma would change the model across a round trip
+        mm3 = models["MM3"]
+        keep = dict(lam=mm3.lam, b=mm3.b, alpha=mm3.alpha, beta=mm3.beta,
+                    gamma_mat=mm3.gamma_mat, w=mm3.w, beta0=mm3.beta0,
+                    gamma0=mm3.gamma0)
+        with pytest.raises(ValueError, match="beta contradicts"):
+            model.ModelParams(**{**keep, "beta": [0.01, 0.02]})
+        with pytest.raises(ValueError, match="Gamma contradicts"):
+            model.ModelParams(**{**keep, "gamma_mat": 1.5 * mm3.gamma_mat})
+        # a generator alone is checked only against what it generates
+        model.ModelParams(**{**keep, "gamma0": None,
+                             "gamma_mat": 1.5 * mm3.gamma_mat})
+        model.ModelParams(**{**keep, "beta": (1 + 1e-12) * mm3.beta})
+
 
 class TestValidate:
     def test_fixtures_admissible(self, models):

@@ -184,6 +184,20 @@ class TestStabilityScalar:
         assert not passes
 
 
+def test_stationary_summary_rejects_another_model(models, systems):
+    # M2's sigma^2_inf with M1's kappa_tilde would be a mix of two models
+    with pytest.raises(ValueError, match="built from"):
+        moments.stationary_summary(systems["M2"], models["M1"])
+    # the same model in a new object is accepted, bit for bit
+    m2 = models["M2"]
+    again = model.ModelParams(lam=m2.lam.copy(), b=m2.b, alpha=m2.alpha,
+                              beta=m2.beta, gamma_mat=m2.gamma_mat)
+    got = moments.stationary_summary(systems["M2"], again)
+    want = moments.stationary_summary(systems["M2"], m2)
+    assert (got.kappa_tilde, got.kurt_infty) == (want.kappa_tilde,
+                                                 want.kurt_infty)
+
+
 class TestUnstableModels:
     def test_unstable_flagged(self):
         params = scalar_model(1.0, 0.01, 0.0, 1.2)

@@ -231,6 +231,13 @@ class TestSurface:
         with pytest.raises(pricing.MissingNodesError):
             pricing.atm_term_structures(surface, eps=0.05)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-300, -1e-17, float("nan"),
+                                     float("inf")])
+    def test_degenerate_eps_rejected(self, surface, eps):
+        # e^(+-eps) rounds to 1 or is not finite: no difference quotient
+        with pytest.raises(ValueError, match="eps"):
+            pricing.atm_term_structures(surface, eps=eps)
+
     def test_undefined_atm_vol_is_a_missing_node(self, surface):
         s2 = pricing.with_implied_vols(surface)
         ivol = s2.ivol.copy()

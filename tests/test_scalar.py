@@ -78,6 +78,40 @@ def closed_form_log_i(a, nu):
             - 2 * mp.re(mp.loggamma(mp.mpc(1 + a / 2, nu / 2))))
 
 
+def reference_logpdf(sp, ys):
+    """log p(y) at the working precision: the density in y, normalised by
+    closed_form_log_i through the angle map."""
+    lam, alpha, beta, gamma = (mp.mpf(v) for v in (sp.lam, sp.alpha,
+                                                   sp.beta, sp.gamma))
+    sqd = mp.sqrt(alpha * gamma - beta**2)
+    a, nu = 2 * lam / gamma, 2 * lam * beta / (gamma * sqd)
+    log_scale = mp.log(gamma / sqd) - closed_form_log_i(a, nu)
+    return [log_scale - (a / 2 + 1) * mp.log1p(z * z) + nu * mp.atan(z)
+            for z in ((beta + gamma * mp.mpf(y)) / sqd for y in ys)]
+
+
+def tail_rule_log_i(pp):
+    """log I from the tail rule's total log Z at the mode, plus the angle
+    law's log density there, cos(theta*)^a exp(nu theta*) with
+    tan theta* = -cot, at the working precision."""
+    a, nu, cot = (mp.mpf(v) for v in (pp._a, pp._nu, pp._cot))
+    return mp.mpf(pp._log_z) - a / 2 * mp.log1p(cot**2) - nu * mp.atan(cot)
+
+
+# Points of the logpdf checks, as quantiles of each law
+LOGPDF_QUANTILES = (1e-10, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9,
+                    0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10)
+
+
+def logpdf_error(pp):
+    """Largest relative error of pp.pdf at LOGPDF_QUANTILES against
+    reference_logpdf at 50 digits."""
+    ys = pp.ppf(np.array(LOGPDF_QUANTILES))
+    with mp.workdps(50):
+        return max(abs(float(mp.expm1(mp.mpf(got) - ref))) for got, ref in
+                   zip(pp.logpdf(ys), reference_logpdf(pp.params, ys)))
+
+
 @pytest.fixture(scope="module")
 def sp_m2(models):
     return scalar.ScalarParams.from_model_params(models["M2"])
@@ -148,26 +182,6 @@ class TestKurtosis:
             scalar.scalar_kurtosis_bounds(1.0, 0.7)
         with pytest.raises(ValueError):
             scalar.scalar_kurtosis_bounds(1.0, -0.1)
-
-
-def _unnormalized_mass(sp):
-    """Integral of sigma^2(y)^(-lam/gamma-1) exp(nu arctan((beta +
-    gamma y)/sqrt(delta))) over the real line, in 30-digit arithmetic and
-    in y itself, apart from the angle map of the closed form."""
-    with mp.workdps(30):
-        lam, alpha, beta, gamma = (mp.mpf(v) for v in (
-            sp.lam, sp.alpha, sp.beta, sp.gamma))
-        sqd = mp.sqrt(alpha * gamma - beta**2)
-        nu = 2 * lam * beta / (gamma * sqd)
-
-        def unnormalized(y):
-            return ((alpha + 2 * beta * y + gamma * y * y)
-                    ** (-lam / gamma - 1)
-                    * mp.exp(nu * mp.atan((beta + gamma * y) / sqd)))
-
-        mode = -beta / (lam + gamma)
-        return mp.quad(unnormalized,
-                       [-mp.inf, mode - 1, mode, mode + 1, mp.inf])
 
 
 def _assert_pinned_quantiles(label, rtol):
@@ -365,12 +379,24 @@ class TestPearsonDensity:
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.01, math.sqrt(0.01),
                                                  1.0))
 
-    def test_normalizer_matches_mpmath(self, models):
-        for name in ("M1", "M2", "M3", "M4"):
-            sp = scalar.ScalarParams.from_model_params(models[name])
-            mass = _unnormalized_mass(sp)
-            pp = scalar.PearsonIV(sp)
-            assert abs(float(pp.norm_const * mass - 1)) < 1e-13, name
+    @pytest.mark.parametrize("label,params,rtol", [
+        ("M1", None, 1e-14), ("M2", None, 1e-14), ("M3", None, 1e-14),
+        ("M4", None, 1e-14),
+        ("a = 2e4", (3.0, 0.01, -1e-6, 3e-4), 1e-13),
+        ("a = 2e6", (3.0, 0.01, -1e-6, 3e-6), 1e-12),
+        ("a = 2e8", (3.0, 0.01, -1e-6, 3e-8), 1e-11)])
+    def test_logpdf_matches_mpmath(self, models, label, params, rtol):
+        # relative to the mode, no term of logpdf grows with a = 2 lam/gamma
+        sp = (scalar.ScalarParams.from_model_params(models[label])
+              if params is None else scalar.ScalarParams(*params))
+        err = logpdf_error(scalar.PearsonIV(sp))
+        assert err < rtol, (label, err)
+
+    def test_logpdf_at_infinity(self, models):
+        for name in ("M1", "M3"):
+            pp = scalar.PearsonIV(
+                scalar.ScalarParams.from_model_params(models[name]))
+            assert (pp.logpdf(np.array([-np.inf, np.inf])) == -np.inf).all()
 
     @pytest.mark.parametrize("label,params,rtol", [
         ("M1", None, 1e-15), ("M2", None, 1e-15), ("M3", None, 1e-15),
@@ -386,8 +412,8 @@ class TestPearsonDensity:
               if params is None else scalar.ScalarParams(*params))
         pp = scalar.PearsonIV(sp)
         with mp.workdps(50):
-            log_i = closed_form_log_i(pp._a, pp._nu)
-            err = abs(float(mp.expm1(mp.mpf(pp._log_i) - log_i)))
+            err = abs(float(mp.expm1(tail_rule_log_i(pp)
+                                     - closed_form_log_i(pp._a, pp._nu))))
         assert err < rtol, (label, err)
 
     def test_symmetric_cdf_is_student_t(self, models):
