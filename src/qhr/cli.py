@@ -347,15 +347,15 @@ def _mc_config(args, horizon):
                        y0=_resolve_y0(args.y0))
 
 
-def _mc_provenance(args, y0, run):
-    """The '# paths' line, with the floored variance steps of run (a
-    PathBatch or SmileSurface) and of the burn-in behind a stationary start."""
-    counts = f" floored_steps {run.floored_steps}"
+def _mc_provenance(args, y0, floored, burn_in_floored):
+    """The '# paths' line, with the floored variance steps of the paths and
+    of the burn-in behind a stationary start."""
+    counts = f" floored_steps {floored}"
     if y0 is None:
         start = "-"
     elif isinstance(y0, mc.StationaryInit):
         start = "stationary"
-        counts += f" burn_in_floored_steps {run.burn_in_floored_steps}"
+        counts += f" burn_in_floored_steps {burn_in_floored}"
     else:
         start = ",".join(_g(v) for v in y0)
     return (f"# paths {args.paths} steps_per_year {args.steps_per_year} "
@@ -382,7 +382,8 @@ def cmd_smile(args):
             rows.append(row)
         return 0, _table(headers, rows)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, surf))
+    lines.append(_mc_provenance(args, cfg.y0, surf.floored_steps,
+                                surf.burn_in_floored_steps))
     for i, t in enumerate(surf.maturities):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
@@ -399,13 +400,15 @@ def cmd_atm(args):
     keyed = _parse_keyed_grid(args.grid) if args.grid else {}
     mats = keyed.get("T", np.array([1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
     eps = keyed.get("eps", 0.01)
+    pricing.check_atm_eps(eps)  # before any path is simulated
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=(-eps, 0.0, eps))
     cfg = _mc_config(args, float(np.max(mats)))
     surf = pricing.price_options(params, grid, cfg)
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, surf))
+    lines.append(_mc_provenance(args, cfg.y0, surf.floored_steps,
+                                surf.burn_in_floored_steps))
     lines.append(f"# eps {_g(eps)}")
     lines.append("maturity,atm_vol,atm_skew")
     lines.extend(forward._csv_rows(
@@ -413,20 +416,40 @@ def cmd_atm(args):
     return 0, lines
 
 
+def _simulate_rows(params, cfg, probes):
+    """The summary rows of simulate, t and the mean and standard error of
+    x, e^x and sigma^2 followed by the mean of each y component, folded
+    into mc.BlockStats as the paths run, with the floored variance steps
+    of the paths and of the burn-in."""
+    times = mc.snapshot_times(cfg, probes)
+    stats = mc.BlockStats((times.size, 3 + params.p), cfg.n_paths,
+                          cfg.antithetic)
+
+    def fold(row, lo, x, y, ivar):
+        stats.add((row, 0), lo, x)
+        stats.add((row, 1), lo, np.exp(x))
+        # sigma^2 of path-major rows, as a stored PathBatch rounds it
+        stats.add((row, 2), lo, model.variance(params,
+                                               np.ascontiguousarray(y.T)))
+        stats.add((row, slice(3, None)), lo, y)
+
+    floored, burn_in_floored = mc.stream(params, cfg, probes, fold)
+    mean, se = stats.result()
+    rows = np.column_stack([times, mean[:, 0], se[:, 0], mean[:, 1],
+                            se[:, 1], mean[:, 2], se[:, 2], mean[:, 3:]])
+    return rows, floored, burn_in_floored
+
+
 def cmd_simulate(args):
     params = _load_params(args.model)
     probes = _parse_values(args.grid) if args.grid else np.array([1.0])
     cfg = _mc_config(args, float(np.max(probes)))
-    batch = mc.simulate(params, cfg, probes=list(probes))
+    rows, floored, burn_in_floored = _simulate_rows(params, cfg, probes)
     lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, batch))
+    lines.append(_mc_provenance(args, cfg.y0, floored, burn_in_floored))
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
                  f"se_sigma2,{ycols}")
-    rows = [[t, *batch.mean_se(batch.x[i]),
-             *batch.mean_se(np.exp(batch.x[i])),
-             *batch.mean_se(batch.sigma2(i)), *batch.y[i].mean(axis=0)]
-            for i, t in enumerate(batch.times)]
     lines.extend(forward._csv_rows(rows))
     return 0, lines
 

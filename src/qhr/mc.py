@@ -39,6 +39,14 @@ updated nor stored, and each super-block writes its terminal y straight
 into the (n_paths, p) result.  Its y is bit-identical to what a full run
 over the same draws would reach, and its floored steps are reported apart
 from the main phase's (PathBatch.burn_in_floored_steps).
+
+Snapshots go to a sink that runs on the worker thread of each super-block
+(stream): simulate's sink stores them in a PathBatch, while pricing and the
+CLI summary fold each snapshot into BlockStats and keep no (times, paths)
+array.  BlockStats holds one (count, mean, M2) partial per _BLOCK-path
+block, each reduced from that block's paths alone, and merges them in block
+order, so stored and streamed statistics are the same bits at every thread
+count.
 """
 
 from __future__ import annotations
@@ -123,22 +131,100 @@ class PathBatch:
 
     def time_index(self, t):
         """Snapshot row whose time matches t (within half a step)."""
-        gaps = np.abs(self.times - t)
-        idx = int(np.argmin(gaps))
-        if gaps[idx] > 0.5 / self.steps_per_year + 1e-12:
-            raise KeyError(f"no snapshot near t={t}")
-        return idx
+        return time_index(self.times, t, self.steps_per_year)
 
     def mean_se(self, values):
-        """Mean and standard error over paths (last axis).
+        """Mean and standard error over paths (last axis), reduced by
+        BlockStats: pair means under antithetic pairing, one partial per
+        block, merged in block order.  A streamed run that folds the same
+        values gets the same bits."""
+        v = np.asarray(values, dtype=float)
+        stats = BlockStats(v.shape[:-1], v.shape[-1], self.antithetic)
+        stats.add((), 0, v)
+        return stats.result()
 
-        With antithetic pairing the independent sampling unit is the pair,
-        so values are collapsed to pair means first."""
+
+class BlockStats:
+    """Mean and standard error over paths of an array of statistics, kept
+    as one (count, mean, M2) partial per _BLOCK-path block.
+
+    The sampling unit is the antithetic pair mean with pairing, and the
+    path without.  A block's partial is reduced from its own units in two
+    passes (their mean, then their summed squared deviations from it), so
+    it does not depend on which thread reduced the block or on whether its
+    values were stored or streamed.  result() merges the partials in block
+    order by the update of Chan, Golub & LeVeque (1983, "Algorithms for
+    computing the sample variance"), so the statistics do not depend on
+    the thread count either.  Distinct blocks may be added from distinct
+    threads."""
+
+    def __init__(self, shape, n_paths, antithetic):
+        """Statistics of the given shape (a tuple) over n_paths paths."""
+        self.n_paths = n_paths
+        self.antithetic = antithetic
+        # one column per block; NaN marks a block that was never added
+        partials = tuple(shape) + (-(-n_paths // _BLOCK),)
+        self._mean = np.full(partials, np.nan)
+        self._m2 = np.full(partials, np.nan)
+
+    def add(self, index, lo, values):
+        """Fold values[..., i], the value of path lo + i, into the
+        statistics that index selects (values' leading axes are theirs).
+        lo is a block boundary, and values run to a block boundary or to
+        n_paths.  values is read only while add runs."""
+        # the units are C-contiguous, so each block reduces along a
+        # contiguous row whatever the layout of values
         v = np.asarray(values, dtype=float)
         if self.antithetic:
-            v = 0.5 * (v[..., 0::2] + v[..., 1::2])
-        n = v.shape[-1]
-        return v.mean(axis=-1), v.std(axis=-1, ddof=1) / math.sqrt(n)
+            v = np.add(v[..., 0::2], v[..., 1::2], order="C")
+            v *= 0.5
+        else:
+            v = np.ascontiguousarray(v)
+        per = _BLOCK // 2 if self.antithetic else _BLOCK
+        lead, m = v.shape[:-1], v.shape[-1]
+        full = m // per * per
+        key = index if isinstance(index, tuple) else (index,)
+        block = lo // _BLOCK
+        pieces = [v[..., :full].reshape(lead + (-1, per))] if full else []
+        if full < m:
+            pieces.append(v[..., None, full:])
+        for units in pieces:
+            # units.mean(axis=-1), without its Python wrapper
+            mean = np.add.reduce(units, axis=-1) / units.shape[-1]
+            dev = units - mean[..., None]
+            np.multiply(dev, dev, out=dev)
+            cols = key + (Ellipsis, slice(block, block + units.shape[-2]))
+            self._mean[cols] = mean
+            self._m2[cols] = np.add.reduce(dev, axis=-1)
+            block += units.shape[-2]
+
+    def result(self):
+        """The mean and the standard error of every statistic, arrays of
+        the statistics' shape (scalars for shape ())."""
+        paths = [min(_BLOCK, self.n_paths - lo)
+                 for lo in range(0, self.n_paths, _BLOCK)]
+        units = [k // 2 for k in paths] if self.antithetic else paths
+        n = units[0]
+        mean = self._mean[..., 0].copy()
+        m2 = self._m2[..., 0].copy()
+        for b in range(1, len(units)):
+            k = units[b]
+            total = n + k
+            delta = self._mean[..., b] - mean
+            mean += delta * (k / total)
+            m2 += self._m2[..., b] + delta * delta * (n * k / total)
+            n = total
+        return mean[()], (np.sqrt(m2 / (n - 1)) / math.sqrt(n))[()]
+
+
+def time_index(times, t, steps_per_year):
+    """Row of the snapshot times whose time matches t (within half a
+    step)."""
+    gaps = np.abs(times - t)
+    idx = int(np.argmin(gaps))
+    if gaps[idx] > 0.5 / steps_per_year + 1e-12:
+        raise KeyError(f"no snapshot near t={t}")
+    return idx
 
 
 def _block_rng(seed, phase, block):
@@ -191,16 +277,17 @@ def _check_cfg(cfg):
 
 
 def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
-                 sinks, col):
+                 record):
     """Advance one super-block of paths in place and return the number of
     floored variance steps.
 
     y is component-major, shape (p, n), and rngs holds one generator per
     sub-block of _BLOCK paths (the last may be shorter), in path order.
-    Snapshots go into the shared output arrays sinks at column range col.
-    With sinks None (the burn-in, which asks for no snapshots) only y is
-    advanced: x and ivar are neither updated nor stored, and y is left at
-    its terminal state."""
+    At each snapshot step, record(row, x, y, ivar) gets the state in the
+    working buffers, which it must neither keep nor modify.  With record
+    None (the burn-in, which asks for no snapshots) only y is advanced: x
+    and ivar are neither updated nor passed on, and y is left at its
+    terminal state."""
     p, nb = y.shape
     n_base = nb // 2 if antithetic else nb
     alpha = params.alpha
@@ -211,7 +298,7 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     b = params.b[:, None]
     sqdt = math.sqrt(dt)
     half = 0.5 * dt
-    track_x = sinks is not None
+    track_x = record is not None
     if track_x:
         x = np.zeros(nb)
         ivar = np.zeros(nb)
@@ -242,15 +329,8 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     y_tail = np.empty((tail, p))
     c_tail = np.empty((tail, 2 * p))
     floored = 0
-
-    def record(row):
-        x_out, y_out, ivar_out = sinks
-        x_out[row, col] = x
-        y_out[row, col] = y.T
-        ivar_out[row, col] = ivar
-
     if 0 in snap_rows:
-        record(snap_rows[0])
+        record(snap_rows[0], x, y, ivar)
     for step in range(1, n_steps + 1):
         # sig2 = alpha + 2 beta'y + y' Gamma y, summed in this order, with
         # the quadratic summed over components in row 0
@@ -297,7 +377,7 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
         np.subtract(quad, lam_y, out=quad)
         np.add(y, quad, out=y)
         if step in snap_rows:
-            record(snap_rows[step])
+            record(snap_rows[step], x, y, ivar)
     return floored
 
 
@@ -316,11 +396,13 @@ def _n_steps(cfg):
     return n_steps
 
 
-def _advance(params, cfg, phase, y, snap_rows, sinks):
+def _advance(params, cfg, phase, y, snap_rows, sink):
     """Advance the (n_paths, p) start states y over cfg.horizon in
     super-blocks on the worker threads, and return the number of floored
-    variance steps.  With sinks None only y is advanced, and its terminal
-    state is written back into y."""
+    variance steps.  Each super-block's snapshots go to sink(row, lo, x, y,
+    ivar) on its worker thread, lo being its first path (see stream).  With
+    sink None only y is advanced, and its terminal state is written back
+    into y."""
     n = cfg.n_paths
     n_steps = _n_steps(cfg)
     dt = 1.0 / cfg.steps_per_year
@@ -332,9 +414,11 @@ def _advance(params, cfg, phase, y, snap_rows, sinks):
         hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
         rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
         yb = y[lo:hi].T.copy()
+        record = None if sink is None else (
+            lambda row, x, yr, ivar: sink(row, lo, x, yr, ivar))
         floored = _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
-                               snap_rows, sinks, slice(lo, hi))
-        if sinks is None:
+                               snap_rows, record)
+        if sink is None:
             y[lo:hi] = yb.T
         return floored
 
@@ -345,31 +429,65 @@ def _advance(params, cfg, phase, y, snap_rows, sinks):
     return sum(map(work, supers))
 
 
-def simulate(params, cfg, probes=None):
-    """Simulate cfg.n_paths joint paths to cfg.horizon, snapshotting state
-    at the probe times (snapped to the step grid) and at the horizon."""
-    _check_cfg(cfg)
-    y0_all, burn_in_floored = _resolve_y0(params, cfg)
+def _snap_steps(cfg, probes):
+    """The sorted distinct snapshot steps: the probes snapped to the step
+    grid, and the horizon."""
     n_steps = _n_steps(cfg)
-    snap_steps = set()
-    for t in probes or ():
+    snap_steps = {n_steps}
+    for t in probes if probes is not None else ():
         idx = int(round(t * cfg.steps_per_year))
         if idx < 0 or idx > n_steps:
             raise ConfigInvalidError(f"probe time {t} outside [0, horizon]")
         snap_steps.add(idx)
-    snap_steps.add(n_steps)
-    ordered = sorted(snap_steps)
-    snap_rows = {s: i for i, s in enumerate(ordered)}
-    dt = 1.0 / cfg.steps_per_year
-    times = np.array([s * dt for s in ordered])
+    return sorted(snap_steps)
 
+
+def snapshot_times(cfg, probes=None):
+    """The times of the snapshot rows of a run of cfg with these probes:
+    the probe times snapped to the step grid, and the horizon, sorted and
+    distinct."""
+    _check_cfg(cfg)
+    dt = 1.0 / cfg.steps_per_year
+    return np.array([s * dt for s in _snap_steps(cfg, probes)])
+
+
+def stream(params, cfg, probes, sink):
+    """Simulate cfg.n_paths joint paths as simulate does, handing each
+    snapshot to sink instead of storing it.
+
+    sink(row, lo, x, y, ivar) runs on the worker thread of each
+    super-block, once for each row of snapshot_times(cfg, probes), with the
+    state of paths [lo, lo + m): x and ivar of shape (m,) and y
+    component-major, of shape (p, m).  lo is a multiple of _BLOCK and m
+    runs to a block boundary or to n_paths, as BlockStats.add expects.  The
+    arrays are the engine's working buffers: read them, do not keep or
+    modify them.  Returns the floored variance steps of the paths and of
+    the burn-in behind a stationary start (0 otherwise)."""
+    _check_cfg(cfg)
+    snap_rows = {s: i for i, s in enumerate(_snap_steps(cfg, probes))}
+    y0_all, burn_in_floored = _resolve_y0(params, cfg)
+    floored = _advance(params, cfg, _PHASE_MAIN, y0_all, snap_rows, sink)
+    return floored, burn_in_floored
+
+
+def simulate(params, cfg, probes=None):
+    """Simulate cfg.n_paths joint paths to cfg.horizon, snapshotting state
+    at the probe times (snapped to the step grid) and at the horizon."""
+    times = snapshot_times(cfg, probes)
     n, p = cfg.n_paths, params.p
-    sinks = (np.empty((len(ordered), n)),
-             np.empty((len(ordered), n, p)),
-             np.empty((len(ordered), n)))
-    floored = _advance(params, cfg, _PHASE_MAIN, y0_all, snap_rows, sinks)
-    return PathBatch(params=params, times=times, x=sinks[0], y=sinks[1],
-                     ivar=sinks[2], antithetic=cfg.antithetic, seed=cfg.seed,
+    x = np.empty((times.size, n))
+    y = np.empty((times.size, n, p))
+    ivar = np.empty((times.size, n))
+
+    def store(row, lo, xb, yb, ivarb):
+        cols = slice(lo, lo + xb.size)
+        x[row, cols] = xb
+        y[row, cols] = yb.T
+        ivar[row, cols] = ivarb
+
+    floored, burn_in_floored = stream(params, cfg, probes, store)
+    return PathBatch(params=params, times=times, x=x, y=y, ivar=ivar,
+                     antithetic=cfg.antithetic, seed=cfg.seed,
                      steps_per_year=cfg.steps_per_year, floored_steps=floored,
                      burn_in_floored_steps=burn_in_floored)
 

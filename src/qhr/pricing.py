@@ -5,7 +5,9 @@ Prices are computed in discounted coordinates with S0 = 1 and zero rates
 E[(e^{x_T} - K)+] and 1-homogeneity recovers any other spot.  One path
 batch prices every (maturity, strike) node: maturities are snapshots of the
 same trajectories, which makes smile and term-structure differences much
-less noisy than independent runs would be.
+less noisy than independent runs would be.  The paths are reduced as they
+are simulated (mc.stream into mc.BlockStats), so pricing keeps no path
+snapshots and its memory does not grow with the number of maturities.
 """
 
 from __future__ import annotations
@@ -178,43 +180,45 @@ def price_options(params, grid, cfg):
 
     The paths start from cfg.y0, as in mc.simulate; the simulation horizon
     is the largest maturity (cfg.horizon is not read) and every maturity
-    is a snapshot of the same paths.  Payoffs are reduced one strike at a
-    time in one reusable path-length buffer, so no (strikes, paths) matrix
-    is built; each row goes through the same pairwise sums as a row of such
-    a matrix, so the prices and errors are the same bits."""
+    is a snapshot of the same paths.  No snapshot is stored: each worker
+    thread folds e^x and the payoffs of its own paths into mc.BlockStats
+    as it reaches a maturity, one strike at a time in one reusable buffer.
+    The prices and errors are the bits that PathBatch.mean_se gives on
+    the stored snapshots, at any thread count."""
     mats = np.asarray(grid.maturities, dtype=float)
-    batch = mc.simulate(params, replace(cfg, horizon=float(mats.max())),
-                        probes=list(mats))
-    n_t = mats.size
+    cfg = replace(cfg, horizon=float(mats.max()))
+    times = mc.snapshot_times(cfg, mats)
+    rows = [mc.time_index(times, t, cfg.steps_per_year) for t in mats]
     ells = np.asarray(grid.log_moneyness, dtype=float)
-    shape = (n_t, ells.size)
-    call_m = np.empty(shape)
-    call_s = np.empty(shape)
-    put_m = np.empty(shape)
-    put_s = np.empty(shape)
-    fwd_m = np.empty(n_t)
-    fwd_s = np.empty(n_t)
-    actual = np.empty(n_t)
-    payoff = np.empty(batch.n_paths)
     strikes = np.exp(ells)
-    for i, t in enumerate(mats):
-        idx = batch.time_index(t)
-        actual[i] = batch.times[idx]
-        ex = np.exp(batch.x[idx])
+    n_l = strikes.size
+    # per snapshot row: the calls, the puts, then the forward
+    stats = mc.BlockStats((times.size, 2 * n_l + 1), cfg.n_paths,
+                          cfg.antithetic)
+
+    def fold(row, lo, x, y, ivar):
+        ex = np.exp(x)
+        payoff = np.empty_like(ex)
         for j, k in enumerate(strikes):
             np.subtract(ex, k, out=payoff)
             np.maximum(payoff, 0.0, out=payoff)
-            call_m[i, j], call_s[i, j] = batch.mean_se(payoff)
+            stats.add((row, j), lo, payoff)
             np.subtract(k, ex, out=payoff)
             np.maximum(payoff, 0.0, out=payoff)
-            put_m[i, j], put_s[i, j] = batch.mean_se(payoff)
-        fwd_m[i], fwd_s[i] = batch.mean_se(ex)
-    return SmileSurface(maturities=actual, ell=np.tile(ells, (n_t, 1)),
-                        call_price=call_m, call_se=call_s, put_price=put_m,
-                        put_se=put_s, forward_mean=fwd_m, forward_se=fwd_s,
-                        seed=cfg.seed, n_paths=batch.n_paths,
-                        floored_steps=batch.floored_steps,
-                        burn_in_floored_steps=batch.burn_in_floored_steps)
+            stats.add((row, n_l + j), lo, payoff)
+        stats.add((row, 2 * n_l), lo, ex)
+
+    floored, burn_in_floored = mc.stream(params, cfg, mats, fold)
+    mean, se = stats.result()
+    mean, se = mean[rows], se[rows]
+    return SmileSurface(maturities=times[rows],
+                        ell=np.tile(ells, (mats.size, 1)),
+                        call_price=mean[:, :n_l], call_se=se[:, :n_l],
+                        put_price=mean[:, n_l:-1], put_se=se[:, n_l:-1],
+                        forward_mean=mean[:, -1], forward_se=se[:, -1],
+                        seed=cfg.seed, n_paths=cfg.n_paths,
+                        floored_steps=floored,
+                        burn_in_floored_steps=burn_in_floored)
 
 
 def with_implied_vols(surface):
@@ -233,16 +237,22 @@ def with_implied_vols(surface):
     return replace(surface, ivol=iv)
 
 
-def atm_term_structures(surface, eps=0.01):
-    """ATM vol and central-difference ATM skew per maturity.
-
-    Requires log-moneyness nodes at -eps, 0 and +eps for every maturity
-    (common random numbers make the difference quotient stable).  eps must
-    be finite with e^-|eps| < 1 < e^|eps|, so that the three strikes differ."""
+def check_atm_eps(eps):
+    """Raise ValueError unless eps is finite with e^-|eps| < 1 < e^|eps|,
+    so that the strikes e^-eps, 1 and e^eps of the ATM skew differ."""
     if not (math.isfinite(eps)
             and math.exp(-abs(eps)) < 1.0 < math.exp(abs(eps))):
         raise ValueError(f"eps = {eps:.6g} does not separate the strikes "
                          "e^-eps, 1 and e^eps")
+
+
+def atm_term_structures(surface, eps=0.01):
+    """ATM vol and central-difference ATM skew per maturity.
+
+    Requires log-moneyness nodes at -eps, 0 and +eps for every maturity
+    (common random numbers make the difference quotient stable), and an
+    eps that check_atm_eps accepts."""
+    check_atm_eps(eps)
     if surface.ivol is None:
         surface = with_implied_vols(surface)
     n_t = surface.maturities.size

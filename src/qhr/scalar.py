@@ -218,8 +218,10 @@ class PearsonIV:
             out = -y / self._sd**2
         else:
             z = self._z(y)
-            out = self.params.gamma / self._sqd * (
-                self._nu - (self._a + 2.0) * z) / (1.0 + z * z)
+            tail = np.isinf(z)  # the ratio, inf/inf there, tends to 0
+            z = np.where(tail, 0.0, z)
+            out = np.where(tail, 0.0, self.params.gamma / self._sqd * (
+                self._nu - (self._a + 2.0) * z) / (1.0 + z * z))
         return float(out) if out.ndim == 0 else out
 
     def _z(self, y):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qhr import cli
+from qhr import cli, forward, mc, model
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -404,6 +404,48 @@ class TestMonteCarloCommands:
             t, vol, skew = map(float, row.split(","))
             assert vol > 0
             assert skew < 0  # negative feedback model
+
+    def test_atm_rejects_eps_before_simulating(self, capsys, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(mc, "_euler_block", no_paths)
+        rc, out, err = run(capsys, "atm", "--model", "M3",
+                           "--grid", "T=0.25;eps=0")
+        assert (rc, out) == (1, "")
+        assert ("eps = 0 does not separate the strikes e^-eps, 1 and e^eps"
+                in err)
+
+    @pytest.mark.parametrize("threads", ["1", "3", "8"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_simulate_summary_equals_stored_batch(self, capsys, monkeypatch,
+                                                  antithetic, threads):
+        # 9 * 4096 + 2 paths end on a partial block, which at 8 threads is
+        # a super-block of its own; the summary is folded as the paths run,
+        # the reference reduces a stored batch
+        monkeypatch.setenv("QHR_THREADS", threads)
+        params = model.load_fixture("MM3")
+        n_paths = 9 * mc._BLOCK + 2
+        probes = np.array([0.0, 0.1, 0.3])
+        cfg = mc.McConfig(n_paths=n_paths, horizon=0.3, seed=31,
+                          steps_per_year=50, antithetic=antithetic)
+        batch = mc.simulate(params, cfg, probes=probes)
+        ref = [[t, *batch.mean_se(batch.x[i]),
+                *batch.mean_se(np.exp(batch.x[i])),
+                *batch.mean_se(batch.sigma2(i)),
+                *batch.mean_se(batch.y[i].T)[0]]
+               for i, t in enumerate(batch.times)]
+        rows, floored, _ = cli._simulate_rows(params, cfg, probes)
+        assert forward._csv_rows(rows) == forward._csv_rows(ref)
+        assert floored == batch.floored_steps
+        if antithetic:  # the CLI's pairing
+            rc, out, _ = run(capsys, "simulate", "--model", "MM3",
+                             "--paths", str(n_paths), "--steps-per-year",
+                             "50", "--seed", "31", "--grid", "0,0.1,0.3")
+            assert rc == 0
+            body = out.splitlines()
+            body = body[[l.startswith("t,") for l in body].index(True) + 1:]
+            assert body == forward._csv_rows(ref)
 
     def test_simulate_layout_and_seed_line(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--model", "MM1",

@@ -2,6 +2,7 @@
 statistical behaviour of the estimators."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -548,3 +549,83 @@ class TestSnapshots:
         assert np.all(batch.x[0] == 0.0)
         assert np.all(batch.y[0] == 0.03)
         assert np.all(batch.ivar[0] == 0.0)
+
+    def test_snapshot_times_match_a_stored_batch(self, models):
+        cfg = mc.McConfig(n_paths=16, horizon=0.5, seed=18,
+                          steps_per_year=250)
+        probes = np.array([0.25, 0.0801, 0.25])
+        batch = mc.simulate(models["M1"], cfg, probes=probes)
+        assert np.array_equal(mc.snapshot_times(cfg, probes), batch.times)
+
+
+class TestBlockStats:
+    def paths(self, n):
+        rng = np.random.default_rng(404)
+        return rng.lognormal(0.0, 0.4, size=(3, n)) - 0.9
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_one_block_is_the_two_pass_formula(self, antithetic):
+        v = self.paths(mc._BLOCK)
+        batch = mc.PathBatch(None, None, v, None, None, antithetic, 0, 1)
+        u = 0.5 * (v[:, 0::2] + v[:, 1::2]) if antithetic else v
+        mean, se = batch.mean_se(v)
+        assert np.array_equal(mean, u.mean(axis=-1))
+        assert np.array_equal(
+            se, u.std(axis=-1, ddof=1) / math.sqrt(u.shape[-1]))
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_merged_blocks_match_the_whole_sample(self, antithetic):
+        v = self.paths(25 * mc._BLOCK - 300)
+        batch = mc.PathBatch(None, None, v, None, None, antithetic, 0, 1)
+        u = 0.5 * (v[:, 0::2] + v[:, 1::2]) if antithetic else v
+        mean, se = batch.mean_se(v)
+        assert mean == pytest.approx(u.mean(axis=-1), rel=1e-14)
+        assert se == pytest.approx(
+            u.std(axis=-1, ddof=1) / math.sqrt(u.shape[-1]), rel=1e-13)
+        # a row alone gets the bits it gets inside the matrix
+        for row in range(3):
+            assert batch.mean_se(v[row]) == (mean[row], se[row])
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_folding_order_does_not_change_bits(self, antithetic):
+        n = 9 * mc._BLOCK + 2
+        v = self.paths(n)
+        batch = mc.PathBatch(None, None, v, None, None, antithetic, 0, 1)
+        stats = mc.BlockStats((2, 3), n, antithetic)
+        # block-aligned runs of several sizes, last run first
+        cuts = [0, mc._BLOCK, 4 * mc._BLOCK, 5 * mc._BLOCK, n]
+        for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
+            stats.add(0, lo, v[:, lo:hi])
+            for row in range(3):
+                stats.add((1, row), lo, v[row, lo:hi])
+        mean, se = stats.result()
+        want = batch.mean_se(v)
+        for i in range(2):
+            assert np.array_equal(mean[i], want[0])
+            assert np.array_equal(se[i], want[1])
+
+    def test_streamed_partials_under_thread_switching(self, models,
+                                                      monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # lost or misplaced block partial changes the bits (or leaves NaN)
+        monkeypatch.setenv("QHR_THREADS", "8")
+        n = 9 * mc._BLOCK + 2
+        cfg = mc.McConfig(n_paths=n, horizon=0.2, seed=8, steps_per_year=50)
+        probes = [0.1]
+        stats = mc.BlockStats((2, 2), n, True)
+
+        def fold(row, lo, x, y, ivar):
+            stats.add((row, 0), lo, x)
+            stats.add((row, 1), lo, ivar)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mc.stream(models["MM3"], cfg, probes, fold)
+        finally:
+            sys.setswitchinterval(interval)
+        batch = mc.simulate(models["MM3"], cfg, probes)
+        mean, se = stats.result()
+        for row in range(2):
+            for j, v in enumerate((batch.x[row], batch.ivar[row])):
+                assert (mean[row, j], se[row, j]) == batch.mean_se(v)

@@ -1,6 +1,7 @@
 """Black-Scholes utilities, implied-vol inversion, and smile construction."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -313,10 +314,14 @@ def reference_price_options(params, grid, cfg):
 
 
 class TestReductionMatchesMatrixReference:
+    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("name", ["MM3", "M3"])
-    def test_bit_identical(self, models, name, antithetic):
-        # a partial last block: 2 * 4096 + 10 paths
+    def test_bit_identical(self, models, name, antithetic, threads,
+                           monkeypatch):
+        # a partial last block: 2 * 4096 + 10 paths; the streamed prices
+        # are reduced on the worker threads, the reference on stored paths
+        monkeypatch.setenv("QHR_THREADS", threads)
         grid = pricing.OptionGrid(maturities=(0.1, 0.25, 0.5),
                                   log_moneyness=(-0.4, -0.1, 0.0, 0.05, 0.3))
         cfg = mc.McConfig(n_paths=2 * mc._BLOCK + 10, horizon=1.0, seed=19,
@@ -327,3 +332,23 @@ class TestReductionMatchesMatrixReference:
                       "put_price", "put_se", "forward_mean", "forward_se"):
             assert np.array_equal(getattr(got, field), getattr(ref, field))
         assert got.n_paths == ref.n_paths
+
+
+class TestStreamedMemory:
+    def test_peak_does_not_grow_with_maturities(self, models, monkeypatch):
+        # stored snapshots of x, y and ivar would add 100 000 * 8 bytes per
+        # array and maturity: about 41 MiB for 18 more maturities
+        monkeypatch.setenv("QHR_THREADS", "2")
+        cfg = mc.McConfig(n_paths=100_000, horizon=2.0, seed=12345)
+        ells = (-0.01, 0.0, 0.01)
+        peaks = []
+        for mats in ((1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0),
+                     tuple(np.linspace(1.0 / 12.0, 2.0, 24))):
+            grid = pricing.OptionGrid(maturities=mats, log_moneyness=ells)
+            tracemalloc.start()
+            try:
+                pricing.price_options(models["M3"], grid, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20

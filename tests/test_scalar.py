@@ -213,6 +213,20 @@ class TestPearsonDensity:
         numeric = (pp.logpdf(ys + h) - pp.logpdf(ys - h)) / (2.0 * h)
         assert np.abs(pp.dlogpdf(ys) - numeric).max() < 1e-5
 
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4"])
+    def test_dlogpdf_tends_to_zero_at_infinity(self, models, name):
+        pp = scalar.PearsonIV(scalar.ScalarParams.from_model_params(
+            models[name]))
+        assert not pp.gaussian
+        with np.errstate(all="raise"):
+            assert pp.dlogpdf(np.inf) == 0.0
+            assert pp.dlogpdf(-np.inf) == 0.0
+            assert np.array_equal(pp.dlogpdf([-np.inf, np.inf]), [0.0, 0.0])
+        # finite arguments keep their values
+        ys = np.array([-0.3, -0.01, 0.0, 0.02, 0.5])
+        assert np.array_equal(pp.dlogpdf(np.append(ys, np.inf))[:-1],
+                              pp.dlogpdf(ys))
+
     def test_pearson_ode_residual(self, sp_m2, sp_m3):
         # p'/p + 2*(beta + (lam+gamma) y)/sigma^2(y) = 0
         for sp in (sp_m2, sp_m3):
