@@ -428,9 +428,7 @@ def _simulate_rows(params, cfg, probes):
     def fold(row, lo, x, y, ivar):
         stats.add((row, 0), lo, x)
         stats.add((row, 1), lo, np.exp(x))
-        # sigma^2 of path-major rows, as a stored PathBatch rounds it
-        stats.add((row, 2), lo, model.variance(params,
-                                               np.ascontiguousarray(y.T)))
+        stats.add((row, 2), lo, model.variance(params, y.T))
         stats.add((row, slice(3, None)), lo, y)
 
     floored, burn_in_floored = mc.stream(params, cfg, probes, fold)

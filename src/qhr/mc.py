@@ -40,6 +40,11 @@ into the (n_paths, p) result.  Its y is bit-identical to what a full run
 over the same draws would reach, and its floored steps are reported apart
 from the main phase's (PathBatch.burn_in_floored_steps).
 
+Every time the engine reads (the horizon, the probes, the maturities, the
+burn-in and each snapshot lookup) becomes a step by one rule, _step:
+round(t * steps_per_year), halves to even, so T = 0.25 at 250 steps a year
+is step 62 (0.248), and time_index finds the row of exactly that step.
+
 Snapshots go to a sink that runs on the worker thread of each super-block
 (stream): simulate's sink stores them in a PathBatch, while pricing and the
 CLI summary fold each snapshot into BlockStats and keep no (times, paths)
@@ -130,7 +135,7 @@ class PathBatch:
         return variance(self.params, self.y[i])
 
     def time_index(self, t):
-        """Snapshot row whose time matches t (within half a step)."""
+        """Snapshot row of the step that t snaps to (see time_index)."""
         return time_index(self.times, t, self.steps_per_year)
 
     def mean_se(self, values):
@@ -217,14 +222,29 @@ class BlockStats:
         return mean[()], (np.sqrt(m2 / (n - 1)) / math.sqrt(n))[()]
 
 
+def _step(t, steps_per_year, name, first):
+    """The step that time t snaps to, round(t * steps_per_year) with halves
+    to even: the one rule by which the engine turns a time into a step.
+    Raises ConfigInvalidError, naming t as name, unless t is finite and
+    snaps to step first or later."""
+    if not math.isfinite(t):
+        raise ConfigInvalidError(f"{name} must be finite, got {t}")
+    step = int(round(float(t) * steps_per_year))
+    if step < first:
+        raise ConfigInvalidError(
+            f"{name} {t} snaps to step {step} at {steps_per_year} steps a "
+            f"year, before step {first}")
+    return step
+
+
 def time_index(times, t, steps_per_year):
-    """Row of the snapshot times whose time matches t (within half a
-    step)."""
-    gaps = np.abs(times - t)
-    idx = int(np.argmin(gaps))
-    if gaps[idx] > 0.5 / steps_per_year + 1e-12:
-        raise KeyError(f"no snapshot near t={t}")
-    return idx
+    """Row of the snapshot times that holds the step t snaps to; KeyError
+    if no row does."""
+    step = _step(t, steps_per_year, "time", 0)
+    steps = [_step(u, steps_per_year, "snapshot time", 0) for u in times]
+    if step not in steps:
+        raise KeyError(f"no snapshot at t={t} (step {step})")
+    return steps.index(step)
 
 
 def _block_rng(seed, phase, block):
@@ -272,8 +292,6 @@ def _check_cfg(cfg):
         raise ConfigInvalidError("n_paths must be even with antithetic pairs")
     if cfg.steps_per_year < 1:
         raise ConfigInvalidError("steps_per_year must be >= 1")
-    if not cfg.horizon > 0:
-        raise ConfigInvalidError("horizon must be positive")
 
 
 def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
@@ -389,22 +407,14 @@ def _super_blocks(n_blocks, threads):
     return [r for r in np.array_split(np.arange(n_blocks), count) if r.size]
 
 
-def _n_steps(cfg):
-    n_steps = int(round(cfg.horizon * cfg.steps_per_year))
-    if n_steps < 1:
-        raise ConfigInvalidError("horizon shorter than one time step")
-    return n_steps
-
-
-def _advance(params, cfg, phase, y, snap_rows, sink):
-    """Advance the (n_paths, p) start states y over cfg.horizon in
+def _advance(params, cfg, phase, y, n_steps, snap_rows, sink):
+    """Advance the (n_paths, p) start states y over n_steps steps in
     super-blocks on the worker threads, and return the number of floored
     variance steps.  Each super-block's snapshots go to sink(row, lo, x, y,
     ivar) on its worker thread, lo being its first path (see stream).  With
     sink None only y is advanced, and its terminal state is written back
     into y."""
     n = cfg.n_paths
-    n_steps = _n_steps(cfg)
     dt = 1.0 / cfg.steps_per_year
     threads = _n_threads()
     supers = _super_blocks((n + _BLOCK - 1) // _BLOCK, threads)
@@ -430,16 +440,17 @@ def _advance(params, cfg, phase, y, snap_rows, sink):
 
 
 def _snap_steps(cfg, probes):
-    """The sorted distinct snapshot steps: the probes snapped to the step
-    grid, and the horizon."""
-    n_steps = _n_steps(cfg)
-    snap_steps = {n_steps}
-    for t in probes if probes is not None else ():
-        idx = int(round(t * cfg.steps_per_year))
-        if idx < 0 or idx > n_steps:
-            raise ConfigInvalidError(f"probe time {t} outside [0, horizon]")
-        snap_steps.add(idx)
-    return sorted(snap_steps)
+    """The sorted distinct snapshot steps: the probes' steps and the
+    horizon's, the last."""
+    spy = cfg.steps_per_year
+    probes = () if probes is None else probes
+    steps = [_step(t, spy, "probe", 0) for t in probes]
+    n_steps = _step(cfg.horizon, spy, "horizon", 1)
+    for t, step in zip(probes, steps):
+        if step > n_steps:
+            raise ConfigInvalidError(f"probe {t} snaps past the horizon "
+                                     f"{cfg.horizon}")
+    return sorted(set(steps) | {n_steps})
 
 
 def snapshot_times(cfg, probes=None):
@@ -464,9 +475,10 @@ def stream(params, cfg, probes, sink):
     modify them.  Returns the floored variance steps of the paths and of
     the burn-in behind a stationary start (0 otherwise)."""
     _check_cfg(cfg)
-    snap_rows = {s: i for i, s in enumerate(_snap_steps(cfg, probes))}
+    steps = _snap_steps(cfg, probes)
     y0_all, burn_in_floored = _resolve_y0(params, cfg)
-    floored = _advance(params, cfg, _PHASE_MAIN, y0_all, snap_rows, sink)
+    floored = _advance(params, cfg, _PHASE_MAIN, y0_all, steps[-1],
+                       {s: i for i, s in enumerate(steps)}, sink)
     return floored, burn_in_floored
 
 
@@ -499,8 +511,9 @@ def default_burn_in(params):
 
 def stationary_init(params, burn_in, cfg, *, return_floored=False):
     """Per-path starting offsets approximating the stationary law, obtained
-    by simulating the offset from zero for burn_in years on a separate
-    random stream (so main-phase draws are untouched).
+    by simulating the offset from zero for burn_in years (snapped to a
+    step count of at least 1 by _step) on a separate random stream (so
+    main-phase draws are untouched).  cfg.horizon is not read.
 
     Returns the (n_paths, p) offsets, and with return_floored also the
     number of path-steps of the burn-in whose variance was floored."""
@@ -508,11 +521,9 @@ def stationary_init(params, burn_in, cfg, *, return_floored=False):
     build_moment_system(params).require_stable()
     if burn_in is None:
         burn_in = default_burn_in(params)
-    bcfg = McConfig(n_paths=cfg.n_paths, horizon=burn_in, seed=cfg.seed,
-                    steps_per_year=cfg.steps_per_year,
-                    antithetic=cfg.antithetic)
+    n_steps = _step(burn_in, cfg.steps_per_year, "burn-in", 1)
     y = np.zeros((cfg.n_paths, params.p))
-    floored = _advance(params, bcfg, _PHASE_BURNIN, y, {}, None)
+    floored = _advance(params, cfg, _PHASE_BURNIN, y, n_steps, {}, None)
     return (y, floored) if return_floored else y
 
 

@@ -287,8 +287,10 @@ def canonicalize(params):
 def variance(params, y):
     """Instantaneous variance alpha + 2 y'beta + y'Gamma y.
 
-    y may be a single vector or an array with trailing axis p."""
-    y = np.asarray(y, dtype=float)
+    y may be a single vector or an array with trailing axis p.  It is read
+    as a C-ordered array, so the bits of a point do not depend on the
+    memory layout of y."""
+    y = np.ascontiguousarray(y, dtype=float)
     lin = y @ params.beta
     quad = np.einsum("...i,ij,...j->...", y, params.gamma_mat, y)
     return params.alpha + 2.0 * lin + quad

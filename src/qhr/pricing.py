@@ -141,10 +141,13 @@ class OptionGrid:
     def __post_init__(self):
         mats = tuple(float(t) for t in self.maturities)
         ells = tuple(float(x) for x in self.log_moneyness)
-        if not mats or min(mats) <= 0:
+        if not mats or any(t <= 0 for t in mats):
             raise ValueError("maturities must be positive and non-empty")
         if not ells:
             raise ValueError("log_moneyness must be non-empty")
+        if not all(math.isfinite(x) for x in ells):
+            raise mc.ConfigInvalidError(
+                f"log_moneyness must be finite, got {ells}")
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "log_moneyness", ells)
 
@@ -184,8 +187,11 @@ def price_options(params, grid, cfg):
     thread folds e^x and the payoffs of its own paths into mc.BlockStats
     as it reaches a maturity, one strike at a time in one reusable buffer.
     The prices and errors are the bits that PathBatch.mean_se gives on
-    the stored snapshots, at any thread count."""
+    the stored snapshots, at any thread count.  Each maturity must be
+    finite and snap (by mc's rule) to step 1 or later."""
     mats = np.asarray(grid.maturities, dtype=float)
+    for t in mats:
+        mc._step(t, cfg.steps_per_year, "maturity", 1)
     cfg = replace(cfg, horizon=float(mats.max()))
     times = mc.snapshot_times(cfg, mats)
     rows = [mc.time_index(times, t, cfg.steps_per_year) for t in mats]

@@ -2,12 +2,13 @@
 
 import argparse
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from qhr import cli, forward, mc, model
+from qhr import cli, forward, mc, model, pricing
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -94,6 +95,77 @@ class TestExitCodes:
         assert "is empty" in err
 
 
+def _mc_config(**kw):
+    return mc.McConfig(**{"n_paths": 100, "horizon": 0.1, "seed": 1, **kw})
+
+
+def _price(maturities, log_moneyness=(0.0,)):
+    return lambda params: pricing.price_options(params, pricing.OptionGrid(
+        maturities=maturities, log_moneyness=log_moneyness), _mc_config())
+
+
+def _burn_in(burn_in):
+    return lambda params: mc.simulate(params, _mc_config(
+        y0=mc.StationaryInit(burn_in=burn_in)))
+
+
+class TestTimeInputs:
+    """Every time is checked where mc snaps it to a step, before any path
+    is simulated: the library raises ConfigInvalidError naming the bad
+    quantity, and the CLI exits 1 with empty stdout."""
+
+    @pytest.mark.parametrize("call,name", [
+        pytest.param(lambda p: mc.simulate(p, _mc_config(horizon=math.inf)),
+                     "horizon", id="horizon-inf"),
+        pytest.param(lambda p: mc.simulate(p, _mc_config(horizon=math.nan)),
+                     "horizon", id="horizon-nan"),
+        pytest.param(lambda p: mc.simulate(p, _mc_config(),
+                                           probes=[math.nan]),
+                     "probe", id="probe-nan"),
+        pytest.param(_price((0.1, math.inf)), "maturity", id="maturity-inf"),
+        pytest.param(_price((math.nan, 0.1)), "maturity", id="maturity-nan"),
+        pytest.param(_price((0.001, 0.1)), "maturity 0.001 snaps to step 0",
+                     id="maturity-step-0"),
+        pytest.param(_price((0.1,), (0.0, math.nan)), "log_moneyness",
+                     id="log-moneyness-nan"),
+        pytest.param(_burn_in(math.inf), "burn-in", id="burn-in-inf"),
+        pytest.param(_burn_in(math.nan), "burn-in", id="burn-in-nan"),
+        pytest.param(_burn_in(0.001), "burn-in 0.001 snaps to step 0",
+                     id="burn-in-step-0"),
+        pytest.param(lambda p: mc.stationary_init(p, 0.001, _mc_config()),
+                     "burn-in", id="stationary-init-step-0"),
+        pytest.param(("smile", "--grid", "T=0.001,0.1;L=0"),
+                     "maturity 0.001 snaps to step 0",
+                     id="cli-maturity-step-0"),
+        pytest.param(("smile", "--grid", "T=nan,0.1;L=0"), "maturity",
+                     id="cli-maturity-nan"),
+        pytest.param(("smile", "--grid", "T=0.1;L=0,nan"), "log_moneyness",
+                     id="cli-log-moneyness-nan"),
+        pytest.param(("atm", "--grid", "T=0.1,inf"), "maturity",
+                     id="cli-atm-maturity-inf"),
+        pytest.param(("simulate", "--grid", "0,nan"), "probe",
+                     id="cli-probe-nan"),
+        pytest.param(("simulate", "--grid", "0,inf"), "probe",
+                     id="cli-probe-inf"),
+        pytest.param(("simulate", "--grid", "0.001"),
+                     "horizon 0.001 snaps to step 0", id="cli-horizon-step-0"),
+    ])
+    def test_rejected_before_any_path(self, capsys, monkeypatch, models,
+                                      call, name):
+        def no_paths(*args):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(mc, "_euler_block", no_paths)
+        if callable(call):
+            with pytest.raises(mc.ConfigInvalidError, match=name):
+                call(models["M3"])
+        else:
+            rc, out, err = run(capsys, call[0], "--model", "M3", "--paths",
+                               "100", *call[1:])
+            assert (rc, out) == (1, "")
+            assert name in err
+
+
 class TestGolden:
     @pytest.mark.parametrize("fname,argv", [
         ("validate_m1.txt", ("validate", "--model", "M1")),
@@ -110,6 +182,23 @@ class TestGolden:
         assert rc == 0
         with open(os.path.join(GOLDEN, fname)) as fh:
             assert out == fh.read()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("fname,argv", [
+        # T = 0.25 is 62.5 steps, a tie that snaps to step 62 (0.248)
+        ("smile_mm3.csv", ("smile", "--model", "MM3", "--paths", "8192",
+                           "--grid", "T=0.25,0.5;L=-0.1,0,0.1")),
+        ("atm_m3.csv", ("atm", "--model", "M3", "--y0=-0.05", "--paths",
+                        "8192", "--grid", "T=0.25,0.5;eps=0.01")),
+        # 8194 paths: the last block holds 2
+        ("simulate_mm1.csv", ("simulate", "--model", "MM1", "--y0",
+                              "stationary", "--paths", "8194", "--grid",
+                              "0,0.5")),
+    ])
+    def test_monte_carlo_matches_golden(self, capsys, monkeypatch, fname,
+                                        argv, threads):
+        monkeypatch.setenv("QHR_THREADS", threads)
+        self.test_matches_golden(capsys, fname, argv)
 
 
 def data_rows(text):

@@ -3,7 +3,6 @@ statistical behaviour of the estimators."""
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -465,9 +464,9 @@ class TestFlooring:
                           steps_per_year=100, antithetic=antithetic,
                           y0=mc.StationaryInit(burn_in=0.5))
         batch = mc.simulate(params, cfg)
-        bcfg = replace(cfg, horizon=0.5, y0=None)
         y = np.zeros((cfg.n_paths, 1))
-        floored = mc._advance(params, bcfg, mc._PHASE_BURNIN, y, {}, None)
+        # the burn-in of 0.5 years is 50 steps
+        floored = mc._advance(params, cfg, mc._PHASE_BURNIN, y, 50, {}, None)
         assert batch.burn_in_floored_steps > 0
         assert batch.burn_in_floored_steps == floored
         y0, count = mc.stationary_init(params, 0.5, cfg, return_floored=True)
@@ -556,6 +555,14 @@ class TestSnapshots:
         probes = np.array([0.25, 0.0801, 0.25])
         batch = mc.simulate(models["M1"], cfg, probes=probes)
         assert np.array_equal(mc.snapshot_times(cfg, probes), batch.times)
+
+    def test_half_step_lookup_takes_the_snapped_row(self, models):
+        # 0.015 * 100 = 1.5 snaps to step 2 (halves to even), as the probe
+        # itself did, not to the 0.01 row half a step away
+        cfg = mc.McConfig(n_paths=16, horizon=0.05, seed=18,
+                          steps_per_year=100)
+        batch = mc.simulate(models["M1"], cfg, probes=[0.01, 0.015])
+        assert batch.times[batch.time_index(0.015)] == 0.02
 
 
 class TestBlockStats:

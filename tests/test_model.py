@@ -174,6 +174,18 @@ class TestVariance:
         single = model.variance(models["MM1"], ys[2, 1])
         assert single == pytest.approx(out[2, 1], rel=1e-15)
 
+    def test_layout_does_not_change_bits(self, models, rng):
+        # the engine's component-major y gives F-ordered (n, p) chunks; on
+        # the 2-row chunk at the end of this array einsum rounded an
+        # F-ordered chunk differently from the same rows C-ordered
+        params = models["MM3"]
+        n = 9 * 4096 + 2
+        rows = 0.05 * rng.standard_normal((n, params.p))[n - 2:]
+        chunk = rows.T.copy().T
+        assert not chunk.flags.c_contiguous
+        assert (model.variance(params, chunk).tobytes()
+                == model.variance(params, rows).tobytes())
+
     def test_minimum_scalar(self, models):
         y_min, sigma_min = model.variance_min(models["M3"])
         assert y_min == pytest.approx([0.06], rel=1e-12)

@@ -266,6 +266,21 @@ class TestSurface:
         assert s.maturities[0] == pytest.approx(21.0 / 70.0)
         assert s.maturities[1] == pytest.approx(23.0 / 70.0)
 
+    def test_half_step_maturity_priced_at_its_snapped_step(self, models):
+        # 0.006 * 250 = 1.5 snaps to step 2: the row of 0.008, the row
+        # 0.006 alone gives, not a second copy of 0.004's
+        cfg = mc.McConfig(n_paths=2_000, horizon=0.006, seed=11,
+                          steps_per_year=250)
+        both = pricing.price_options(models["M3"], pricing.OptionGrid(
+            maturities=(0.004, 0.006), log_moneyness=(0.0,)), cfg)
+        alone = pricing.price_options(models["M3"], pricing.OptionGrid(
+            maturities=(0.006,), log_moneyness=(0.0,)), cfg)
+        assert both.maturities.tolist() == [0.004, 0.008]
+        for field in ("maturities", "call_price", "call_se", "put_price",
+                      "put_se", "forward_mean", "forward_se"):
+            assert (getattr(both, field)[1:].tobytes()
+                    == getattr(alone, field).tobytes())
+
     def test_y0_override(self, models):
         grid = pricing.OptionGrid(maturities=(0.25,), log_moneyness=(0.0,))
         cfg = mc.McConfig(n_paths=2_000, horizon=0.25, seed=12,
