@@ -373,13 +373,9 @@ def cmd_smile(args):
     surf = pricing.with_implied_vols(pricing.price_options(params, grid, cfg))
     if args.format == "table":
         headers = ["log-moneyness"] + [f"T={t:.4g}" for t in surf.maturities]
-        rows = []
-        for j in range(surf.ell.shape[1]):
-            row = [f"{surf.ell[0, j]:+.3f}"]
-            for i in range(surf.maturities.size):
-                v = surf.ivol[i, j]
-                row.append("-" if np.isnan(v) else f"{100.0 * v:.2f}")
-            rows.append(row)
+        rows = [[f"{ell:+.3f}"] + ["-" if np.isnan(v) else f"{100.0 * v:.2f}"
+                                   for v in vols]
+                for ell, vols in zip(surf.ell, surf.ivol.T)]
         return 0, _table(headers, rows)
     lines = _provenance([params], args.seed)
     lines.append(_mc_provenance(args, cfg.y0, surf.floored_steps,
@@ -388,9 +384,10 @@ def cmd_smile(args):
         lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
                      f"se={_g(surf.forward_se[i])}")
     lines.append("maturity,log_moneyness,call,call_se,put,put_se,ivol")
-    nodes = [np.broadcast_to(surf.maturities[:, None], surf.ell.shape),
-             surf.ell, surf.call_price, surf.call_se, surf.put_price,
-             surf.put_se, surf.ivol]
+    shape = surf.call_price.shape
+    nodes = [np.broadcast_to(surf.maturities[:, None], shape),
+             np.broadcast_to(surf.ell, shape), surf.call_price, surf.call_se,
+             surf.put_price, surf.put_se, surf.ivol]
     lines.extend(forward._csv_rows(np.stack([c.ravel() for c in nodes], 1)))
     return 0, lines
 

@@ -287,12 +287,16 @@ def canonicalize(params):
 def variance(params, y):
     """Instantaneous variance alpha + 2 y'beta + y'Gamma y.
 
-    y may be a single vector or an array with trailing axis p.  It is read
-    as a C-ordered array, so the bits of a point do not depend on the
-    memory layout of y."""
-    y = np.ascontiguousarray(y, dtype=float)
-    lin = y @ params.beta
-    quad = np.einsum("...i,ij,...j->...", y, params.gamma_mat, y)
+    y may be a single vector or an array with trailing axis p.  Each point
+    is summed elementwise in one fixed order, sum_k y_k beta_k and then
+    sum_i sum_j (y_i Gamma_ij) y_j in row-major (i, j) order, so its bits
+    depend on neither the shape nor the memory layout of y."""
+    y = np.asarray(y, dtype=float)
+    lin = quad = 0.0
+    for i in range(params.p):
+        lin = lin + y[..., i] * params.beta[i]
+        for j in range(params.p):
+            quad = quad + y[..., i] * params.gamma_mat[i, j] * y[..., j]
     return params.alpha + 2.0 * lin + quad
 
 

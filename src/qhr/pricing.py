@@ -157,10 +157,14 @@ class SmileSurface:
     """Per-node MC prices (call and put from the same paths), the forward
     (martingale) check per maturity, optionally implied vols, and the
     floored variance steps of the paths and of the burn-in behind a
-    stationary start (as in mc.PathBatch)."""
+    stationary start (as in mc.PathBatch).
 
-    maturities: np.ndarray            # actual (grid-snapped) maturities
-    ell: np.ndarray                   # (nT, nL) log strikes
+    ell is the grid's one (nL,) row of log strikes, shared by every
+    maturity; node (i, j) is maturity i at strike K_j = np.exp(ell)[j], the
+    strike its payoffs, implied vol and parity gap all use."""
+
+    maturities: np.ndarray            # (nT,) actual (grid-snapped) maturities
+    ell: np.ndarray                   # (nL,) log strikes
     call_price: np.ndarray
     call_se: np.ndarray
     put_price: np.ndarray
@@ -218,7 +222,7 @@ def price_options(params, grid, cfg):
     mean, se = stats.result()
     mean, se = mean[rows], se[rows]
     return SmileSurface(maturities=times[rows],
-                        ell=np.tile(ells, (mats.size, 1)),
+                        ell=ells,
                         call_price=mean[:, :n_l], call_se=se[:, :n_l],
                         put_price=mean[:, n_l:-1], put_se=se[:, n_l:-1],
                         forward_mean=mean[:, -1], forward_se=se[:, -1],
@@ -230,24 +234,24 @@ def price_options(params, grid, cfg):
 def with_implied_vols(surface):
     """Fill per-node implied vols from the call prices; nodes outside the
     no-arbitrage bounds become NaN."""
-    n_t, n_l = surface.call_price.shape
-    iv = np.full((n_t, n_l), np.nan)
-    for i in range(n_t):
-        for j in range(n_l):
+    iv = np.full(surface.call_price.shape, np.nan)
+    strikes = np.exp(surface.ell).tolist()
+    for i, t in enumerate(surface.maturities):
+        for j, k in enumerate(strikes):
             try:
-                iv[i, j] = implied_vol(surface.call_price[i, j],
-                                       math.exp(surface.ell[i, j]),
-                                       surface.maturities[i])
+                iv[i, j] = implied_vol(surface.call_price[i, j], k, t)
             except OutOfBoundsError:
                 pass
     return replace(surface, ivol=iv)
 
 
 def check_atm_eps(eps):
-    """Raise ValueError unless eps is finite with e^-|eps| < 1 < e^|eps|,
-    so that the strikes e^-eps, 1 and e^eps of the ATM skew differ."""
-    if not (math.isfinite(eps)
-            and math.exp(-abs(eps)) < 1.0 < math.exp(abs(eps))):
+    """Raise ValueError unless the strikes e^-|eps|, 1 and e^|eps| of the
+    ATM skew, taken by the strike rule K = np.exp(ell), are positive,
+    finite and distinct (so eps itself is finite)."""
+    with np.errstate(over="ignore"):
+        dn, atm, up = np.exp([-abs(eps), 0.0, abs(eps)])
+    if not 0.0 < dn < atm < up < math.inf:
         raise ValueError(f"eps = {eps:.6g} does not separate the strikes "
                          "e^-eps, 1 and e^eps")
 
@@ -255,30 +259,24 @@ def check_atm_eps(eps):
 def atm_term_structures(surface, eps=0.01):
     """ATM vol and central-difference ATM skew per maturity.
 
-    Requires log-moneyness nodes at -eps, 0 and +eps for every maturity
-    (common random numbers make the difference quotient stable), and an
-    eps that check_atm_eps accepts."""
+    Requires log-moneyness nodes at 0 and +-eps (common random numbers make
+    the difference quotient stable), and an eps that check_atm_eps accepts.
+    Each is the nearest node of the row, accepted within min(1e-9, |eps|/4)
+    so that the three columns differ."""
     check_atm_eps(eps)
     if surface.ivol is None:
         surface = with_implied_vols(surface)
-    n_t = surface.maturities.size
-    atm_vol = np.empty(n_t)
-    atm_skew = np.empty(n_t)
-    for i in range(n_t):
-        row = surface.ell[i]
-        cols = {}
-        for target, name in ((0.0, "atm"), (eps, "up"), (-eps, "dn")):
-            hit = np.nonzero(np.abs(row - target) < 1e-9)[0]
-            if hit.size == 0:
-                raise MissingNodesError(
-                    f"no node at log-moneyness {target} for maturity "
-                    f"{surface.maturities[i]:.6g}")
-            cols[name] = int(hit[0])
-        vals = [surface.ivol[i, cols[n]] for n in ("atm", "up", "dn")]
-        if any(np.isnan(v) for v in vals):
-            raise MissingNodesError(
-                f"implied vol undefined at an ATM node for maturity "
-                f"{surface.maturities[i]:.6g}")
-        atm_vol[i] = vals[0]
-        atm_skew[i] = (vals[1] - vals[2]) / (2.0 * eps)
-    return atm_vol, atm_skew
+    targets = np.array([0.0, eps, -eps])
+    dist = np.abs(surface.ell - targets[:, None])
+    cols = dist.argmin(axis=1)
+    for target, d in zip(targets, dist.min(axis=1)):
+        if not d <= min(1e-9, abs(eps) / 4.0):
+            raise MissingNodesError(f"no node at log-moneyness {target:.6g}")
+    vols = surface.ivol[:, cols]
+    undefined = np.isnan(vols).any(axis=1)
+    if undefined.any():
+        raise MissingNodesError(
+            f"implied vol undefined at an ATM node for maturity "
+            f"{surface.maturities[undefined.argmax()]:.6g}")
+    atm, up, dn = vols.T
+    return atm, (up - dn) / (2.0 * eps)

@@ -317,7 +317,7 @@ def test_09_option_pricing_sanity():
         for i, t in enumerate(surf.maturities):
             _zband(surf.forward_mean[i], surf.forward_se[i], 1.0,
                    f"{name} forward t={t:.3f}", bad)
-            for j in range(surf.ell.shape[1]):
+            for j in range(surf.ell.size):
                 gap = surf.parity_gap()[i, j]
                 if abs(gap) > 3.0 * surf.forward_se[i]:
                     bad.append(f"{name} parity t={t:.3f} node {j}: "
@@ -325,16 +325,16 @@ def test_09_option_pricing_sanity():
                 v = surf.ivol[i, j]
                 if np.isnan(v):
                     # only a deep corner may price inside its static bound
-                    if abs(surf.ell[i, j]) < 0.2 - 1e-12:
+                    if abs(surf.ell[j]) < 0.2 - 1e-12:
                         bad.append(f"{name} t={t:.3f} node {j}: no vol")
                     continue
-                back = pricing.bs_price(math.exp(surf.ell[i, j]), t, v)
+                back = pricing.bs_price(math.exp(surf.ell[j]), t, v)
                 if abs(back - surf.call_price[i, j]) > 1e-8:
                     bad.append(f"{name} round trip t={t:.3f} node {j}")
         if name == "flat":
             for i, t in enumerate(surf.maturities):
-                for j in range(surf.ell.shape[1]):
-                    ref = pricing.bs_price(math.exp(surf.ell[i, j]), t, 0.2)
+                for j in range(surf.ell.size):
+                    ref = pricing.bs_price(math.exp(surf.ell[j]), t, 0.2)
                     _zband(surf.call_price[i, j], surf.call_se[i, j], ref,
                            f"flat vs closed form t={t:.3f} node {j}", bad)
         elapsed = time.monotonic() - t0
@@ -369,7 +369,7 @@ def test_10_atm_skew_term_structure():
     # the symmetric model has no skew beyond Monte Carlo noise
     surf, skew = skew_curve(load_fixture("M1"), 0.0)
     for i, t in enumerate(surf.maturities):
-        vega = [pricing.bs_vega(math.exp(surf.ell[i, j]), t, surf.ivol[i, j])
+        vega = [pricing.bs_vega(math.exp(surf.ell[j]), t, surf.ivol[i, j])
                 for j in (0, 2)]
         se = math.hypot(surf.call_se[i, 0] / vega[0],
                         surf.call_se[i, 2] / vega[1]) / (2.0 * eps)

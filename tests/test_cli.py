@@ -190,6 +190,9 @@ class TestGolden:
                            "--grid", "T=0.25,0.5;L=-0.1,0,0.1")),
         ("atm_m3.csv", ("atm", "--model", "M3", "--y0=-0.05", "--paths",
                         "8192", "--grid", "T=0.25,0.5;eps=0.01")),
+        # eps below 1e-9, the ATM nodes' old acceptance distance
+        ("atm_m3_eps1e-10.csv", ("atm", "--model", "M3", "--paths", "8192",
+                                 "--grid", "T=0.25,0.5;eps=1e-10")),
         # 8194 paths: the last block holds 2
         ("simulate_mm1.csv", ("simulate", "--model", "MM1", "--y0",
                               "stationary", "--paths", "8194", "--grid",
@@ -493,6 +496,23 @@ class TestMonteCarloCommands:
             t, vol, skew = map(float, row.split(","))
             assert vol > 0
             assert skew < 0  # negative feedback model
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_atm_small_eps(self, capsys, monkeypatch, threads):
+        # eps below 1e-9 reads the same skew as eps = 2e-9 and the same
+        # ATM vol, bit for bit
+        monkeypatch.setenv("QHR_THREADS", threads)
+        rows = {}
+        for eps in ("2e-9", "1e-10", "5e-10"):
+            rc, out, _ = run(capsys, "atm", "--model", "M3", "--paths",
+                             "8192", "--grid", f"T=0.25,0.5;eps={eps}")
+            assert rc == 0
+            rows[eps] = data_rows(out)
+        ref = rows.pop("2e-9")
+        assert np.all(ref[:, 2] < -0.3)
+        for got in rows.values():
+            assert got[:, 1].tobytes() == ref[:, 1].tobytes()
+            assert np.allclose(got[:, 2], ref[:, 2], rtol=1e-5, atol=0.0)
 
     def test_atm_rejects_eps_before_simulating(self, capsys, monkeypatch):
         def no_paths(*args):

@@ -186,6 +186,18 @@ class TestVariance:
         assert (model.variance(params, chunk).tobytes()
                 == model.variance(params, rows).tobytes())
 
+    def test_shape_does_not_change_bits(self, models, rng):
+        # a 2-row or 1-row array has the bits of the same rows inside a
+        # longer array
+        params = models["MM3"]
+        n = 9 * 4096 + 2
+        y = 0.05 * rng.standard_normal((n, params.p))
+        whole = model.variance(params, y)
+        assert (model.variance(params, y[n - 2:]).tobytes()
+                == whole[n - 2:].tobytes())
+        for k in range(n - 8, n):
+            assert model.variance(params, y[k]) == whole[k]
+
     def test_minimum_scalar(self, models):
         y_min, sigma_min = model.variance_min(models["M3"])
         assert y_min == pytest.approx([0.06], rel=1e-12)

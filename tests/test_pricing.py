@@ -214,7 +214,7 @@ class TestSurface:
         # repricing through the implied vol recovers the MC price
         for i in range(2):
             for j in range(5):
-                back = pricing.bs_price(math.exp(surface.ell[i, j]),
+                back = pricing.bs_price(math.exp(surface.ell[j]),
                                         surface.maturities[i],
                                         s2.ivol[i, j])
                 assert back == pytest.approx(surface.call_price[i, j],
@@ -233,16 +233,27 @@ class TestSurface:
             pricing.atm_term_structures(surface, eps=0.05)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-300, -1e-17, float("nan"),
-                                     float("inf")])
+                                     float("inf"), 1e3])
     def test_degenerate_eps_rejected(self, surface, eps):
-        # e^(+-eps) rounds to 1 or is not finite: no difference quotient
+        # e^(+-eps) rounds to 1, to 0 or is not finite: no difference quotient
         with pytest.raises(ValueError, match="eps"):
             pricing.atm_term_structures(surface, eps=eps)
+
+    def test_inverts_at_the_payoff_strike(self, surface):
+        # math.exp(-0.01) is one ulp above np.exp(-0.01), the strike the
+        # payoffs were taken at; each node inverts at np.exp(ell)[j]
+        s2 = pricing.with_implied_vols(surface)
+        j, k = 1, np.exp(np.float64(-0.01))
+        assert k != math.exp(-0.01)
+        for i, t in enumerate(surface.maturities):
+            want = pricing.implied_vol(surface.call_price[i, j], k, t)
+            assert s2.ivol[i, j].tobytes() == np.float64(want).tobytes()
+        assert np.exp(surface.ell)[j] == k
 
     def test_undefined_atm_vol_is_a_missing_node(self, surface):
         s2 = pricing.with_implied_vols(surface)
         ivol = s2.ivol.copy()
-        ivol[1, np.argmin(np.abs(s2.ell[1]))] = np.nan
+        ivol[1, np.argmin(np.abs(s2.ell))] = np.nan
         with pytest.raises(pricing.MissingNodesError,
                            match="undefined at an ATM node for maturity"):
             pricing.atm_term_structures(replace(s2, ivol=ivol), eps=0.01)
@@ -292,6 +303,37 @@ class TestSurface:
         assert hot.call_price[0, 0] > cold.call_price[0, 0]
 
 
+class TestAtmNodes:
+    """The 0 and +-eps columns are the nearest nodes of the row, accepted
+    within min(1e-9, eps/4), so an eps below 1e-9 still finds three
+    distinct columns, each at its own target."""
+
+    ELLS = (-2e-9, -5e-10, -1e-10, 0.0, 1e-10, 5e-10, 2e-9)
+
+    @pytest.fixture(scope="class")
+    def tiny(self, models):
+        grid = pricing.OptionGrid(maturities=(0.25, 0.5),
+                                  log_moneyness=self.ELLS)
+        cfg = mc.McConfig(n_paths=8192, horizon=0.5, seed=12345)
+        return pricing.with_implied_vols(
+            pricing.price_options(models["M3"], grid, cfg))
+
+    @pytest.mark.parametrize("eps", [1e-10, 5e-10])
+    def test_small_eps_matches_wider_quotient(self, tiny, eps):
+        vol, skew = pricing.atm_term_structures(tiny, eps=eps)
+        _, ref = pricing.atm_term_structures(tiny, eps=2e-9)
+        assert np.all(ref < -0.3)
+        assert np.allclose(skew, ref, rtol=1e-5, atol=0.0)
+        atm = tiny.ivol[:, self.ELLS.index(0.0)]
+        assert vol.tobytes() == atm.tobytes()
+
+    def test_near_node_is_not_taken(self, tiny):
+        # 1e-10 is within 1e-9 of 3e-10 but not within 3e-10 / 4
+        sub = replace(tiny, ell=tiny.ell[..., 2:5], ivol=tiny.ivol[:, 2:5])
+        with pytest.raises(pricing.MissingNodesError, match="3e-10"):
+            pricing.atm_term_structures(sub, eps=3e-10)
+
+
 def reference_price_options(params, grid, cfg):
     """price_options as it reduced (strikes, paths) payoff matrices, kept
     verbatim as the reference for the one-strike-at-a-time reduction."""
@@ -302,7 +344,6 @@ def reference_price_options(params, grid, cfg):
     ells = np.asarray(grid.log_moneyness, dtype=float)
     n_l = ells.size
     shape = (n_t, n_l)
-    ell = np.empty(shape)
     call_m = np.empty(shape)
     call_s = np.empty(shape)
     put_m = np.empty(shape)
@@ -313,15 +354,14 @@ def reference_price_options(params, grid, cfg):
     for i, t in enumerate(mats):
         idx = batch.time_index(t)
         actual[i] = batch.times[idx]
-        ell[i] = ells
         ex = np.exp(batch.x[idx])
-        k = np.exp(ell[i])
+        k = np.exp(ells)
         call_m[i], call_s[i] = batch.mean_se(
             np.maximum(ex[None, :] - k[:, None], 0.0))
         put_m[i], put_s[i] = batch.mean_se(
             np.maximum(k[:, None] - ex[None, :], 0.0))
         fwd_m[i], fwd_s[i] = batch.mean_se(ex)
-    return pricing.SmileSurface(maturities=actual, ell=ell, call_price=call_m,
+    return pricing.SmileSurface(maturities=actual, ell=ells, call_price=call_m,
                                 call_se=call_s, put_price=put_m,
                                 put_se=put_s, forward_mean=fwd_m,
                                 forward_se=fwd_s, seed=cfg.seed,
