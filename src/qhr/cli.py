@@ -7,8 +7,9 @@ header (package version, model hash, seed; for the Monte Carlo commands
 also the path count, steps per year, starting state and floored variance
 steps) and full-precision numbers; table output rounds the way the
 reference tables do.  Each subcommand accepts only the options its handler
-reads; a handler returns (exit code, report lines) and main writes the
-report once, to stdout or to --out.
+reads; a handler computes its numbers and returns (exit code, report
+lines), a numeric CSV report through _csv, and main writes the report
+once, to stdout or to --out.
 
 Exit codes: 0 success, 1 invalid or non-stationary model (or a numerical
 failure downstream), 2 usage or parse errors.
@@ -79,6 +80,13 @@ def _provenance(models, seed):
     return lines
 
 
+def _csv(models, seed, comments, header, table):
+    """The one writer of the numeric CSV reports: the provenance block, the
+    comment lines, the header row and one %.17g line per table row."""
+    return [*_provenance(models, seed), *comments, header,
+            *forward._csv_rows(table)]
+
+
 def _parse_vector(text):
     try:
         out = np.array([float(tok) for tok in text.split(",")], dtype=float)
@@ -108,17 +116,20 @@ def _parse_values(text):
     return values
 
 
-def _parse_keyed_grid(text):
-    """'T=0.25,0.5;L=-0.2:0.2:9;eps=0.01' -> dict of arrays/floats."""
+def _parse_keyed_grid(text, keys):
+    """'T=0.25,0.5;L=-0.2:0.2:9' -> dict of arrays (eps: a float).  Every
+    part names one of keys, each at most once; empty parts are skipped."""
     out = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (s.strip() for s in text.split(";"))):
         if "=" not in part:
             raise UsageError(f"grid part '{part}' has no key= prefix")
         key, val = part.split("=", 1)
         key = key.strip()
+        if key not in keys:
+            raise UsageError(f"grid key '{key}' is not one of "
+                             f"{', '.join(keys)}")
+        if key in out:
+            raise UsageError(f"grid key '{key}' is given twice")
         if key == "eps":
             try:
                 out[key] = float(val)
@@ -213,75 +224,48 @@ def cmd_validate(args):
 
 
 def cmd_diagnostics(args):
-    rows_csv = []
-    rows_scalar = []
-    rows_multi = []
-    eig_rows = []
-    models = []
-    failed = False
+    models, done = [], []  # every model read; (label, p, diagnostics)
     for spec in args.model:
         params = _load_params(spec)
         models.append(params)
         label = params.label or spec
         try:
-            diag = model.diagnostics(params)
+            done.append((label, params.p, model.diagnostics(params)))
         except _FAILURES as exc:
             print(f"{label}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        eig_rows.append((label, diag.eig_block2))
-        if params.p == 1:
-            rows_scalar.append([
-                label,
-                f"{diag.mu2:.2f}",
-                f"{100.0 * diag.sigma_min:.2f}",
-                f"{float(diag.y_min[0]):.2f}",
-                f"{100.0 * diag.sigma_infty:.2f}",
-                f"{diag.kurt_infty:.2f}",
-            ])
-        else:
-            ymin = "(" + ", ".join(f"{v:.4f}" for v in diag.y_min) + ")"
-            rows_multi.append([
-                label,
-                f"{diag.mu2:.2f}", f"{diag.mu3:.2f}", f"{diag.mu4:.2f}",
-                f"{diag.kappa:.2f}", f"{diag.kappa_tilde:.2f}",
-                ymin,
-                f"{100.0 * diag.sigma_min:.2f}",
-                f"{100.0 * diag.sigma_infty:.2f}",
-                f"{diag.kurt_infty:.2f}",
-            ])
-        ymin_full = ";".join(_g(v) for v in diag.y_min)
-        eig_full = ";".join(f"{v.real:.17g}{v.imag:+.17g}j"
-                            for v in diag.eig_block2)
-        rows_csv.append(",".join([
-            label, _g(diag.mu2), _g(diag.mu3), _g(diag.mu4), _g(diag.kappa),
-            _g(diag.kappa_tilde), _g(diag.sigma_min), _g(diag.sigma_infty),
-            _g(diag.kurt_infty), ymin_full, eig_full,
-        ]))
+    rc = 0 if len(done) == len(models) else 1
     if args.format == "csv":
-        lines = _provenance(models, args.seed)
-        lines.append("label,mu2,mu3,mu4,kappa,kappa_tilde,sigma_min,"
-                     "sigma_infty,kurt_infty,y_min,eig_block2")
-        lines.extend(rows_csv)
-    else:
-        lines = []
-        if rows_scalar:
-            lines.extend(_table(
-                ["model", "2*lambda-gamma", "sigma_min %", "y_min",
-                 "sqrt(v_infty) %", "Kurt_infty"], rows_scalar))
-        if rows_multi:
-            if lines:
-                lines.append("")
-            lines.extend(_table(
-                ["model", "mu_2", "mu_3", "mu_4", "kappa", "kappa_tilde",
-                 "y_min", "sigma_min %", "sqrt(v_infty) %", "Kurt_infty"],
-                rows_multi))
-        if eig_rows:
-            lines.append("")
-            lines.extend(_table(
-                ["model", "eig(second-moment block)"],
-                [[lab, _fmt_eigs(e)] for lab, e in eig_rows]))
-    return (1 if failed else 0), lines
+        rows = [",".join([
+            label, *map(_g, (d.mu2, d.mu3, d.mu4, d.kappa, d.kappa_tilde,
+                             d.sigma_min, d.sigma_infty, d.kurt_infty)),
+            ";".join(map(_g, d.y_min)),
+            ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in d.eig_block2),
+        ]) for label, _, d in done]
+        return rc, [*_provenance(models, args.seed),
+                    "label,mu2,mu3,mu4,kappa,kappa_tilde,sigma_min,"
+                    "sigma_infty,kurt_infty,y_min,eig_block2", *rows]
+    scalar_rows = [
+        [label, f"{d.mu2:.2f}", f"{100.0 * d.sigma_min:.2f}",
+         f"{d.y_min[0]:.2f}", f"{100.0 * d.sigma_infty:.2f}",
+         f"{d.kurt_infty:.2f}"] for label, p, d in done if p == 1]
+    multi_rows = [
+        [label, *(f"{v:.2f}" for v in (d.mu2, d.mu3, d.mu4, d.kappa,
+                                        d.kappa_tilde)),
+         "(" + ", ".join(f"{v:.4f}" for v in d.y_min) + ")",
+         f"{100.0 * d.sigma_min:.2f}", f"{100.0 * d.sigma_infty:.2f}",
+         f"{d.kurt_infty:.2f}"] for label, p, d in done if p > 1]
+    eig_rows = [[label, _fmt_eigs(d.eig_block2)] for label, _, d in done]
+    lines = []
+    for headers, rows in (
+            (["model", "2*lambda-gamma", "sigma_min %", "y_min",
+              "sqrt(v_infty) %", "Kurt_infty"], scalar_rows),
+            (["model", "mu_2", "mu_3", "mu_4", "kappa", "kappa_tilde",
+              "y_min", "sigma_min %", "sqrt(v_infty) %", "Kurt_infty"],
+             multi_rows),
+            (["model", "eig(second-moment block)"], eig_rows)):
+        if rows:  # one blank line between tables
+            lines += [""] * bool(lines) + _table(headers, rows)
+    return rc, lines
 
 
 def cmd_curves(args):
@@ -294,17 +278,14 @@ def cmd_curves(args):
         if y0.size != params.p:
             raise UsageError(f"y0 has {y0.size} entries, model has "
                              f"{params.p} factors")
-    header = ["t"]
-    header += [f"vol_y0_{i + 1}" for i in range(len(y0_list))]
-    header += ["vol_forward", "vol_min"]
-    lines = _provenance([params], args.seed)
-    lines.append(",".join(header))
     v0, vmin = forward.forward_min_envelope(sys_, grid)
     states = moments.monomials(np.reshape(y0_list, (-1, params.p)), 2)
     curves = forward.forward_variance(sys_, states, grid)
     vols = np.sqrt(np.maximum(np.column_stack([*curves, v0, vmin]), 0.0))
-    lines.extend(forward._csv_rows(np.column_stack([grid, vols])))
-    return 0, lines
+    header = ",".join(["t", *(f"vol_y0_{i + 1}" for i in range(len(y0_list))),
+                       "vol_forward", "vol_min"])
+    return 0, _csv([params], args.seed, [], header,
+                   np.column_stack([grid, vols]))
 
 
 def cmd_pca(args):
@@ -315,8 +296,7 @@ def cmd_pca(args):
     grid = (forward.default_grid() if args.grid is None
             else _parse_values(args.grid))
     body = forward.pca_curves_csv(dec, np.asarray(grid, dtype=float))
-    lines = _provenance([params], args.seed) + body.splitlines()
-    return 0, lines
+    return 0, _provenance([params], args.seed) + body.splitlines()
 
 
 def cmd_density(args):
@@ -329,16 +309,13 @@ def cmd_density(args):
         ys = _parse_values(args.grid)
     else:
         ys = np.linspace(pp.ppf(1e-4), pp.ppf(1.0 - 1e-4), 401)
-    header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
-    lines = _provenance([params], args.seed)
-    lines.append(header)
     columns = [ys, pp.pdf(ys), pp.cdf(ys)]
     if pp.student:  # the closed form of scipy.stats.t.pdf, bit for bit
         df, s = pp.student_df, pp.student_scale
         columns.append(np.exp(np.log(poch(df / 2, 0.5)) - (np.log(df) + np.log(
             np.pi)) / 2 - (df + 1) / 2 * np.log1p((ys / s) ** 2 / df)) / s)
-    lines.extend(forward._csv_rows(np.column_stack(columns)))
-    return 0, lines
+    header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
+    return 0, _csv([params], args.seed, [], header, np.column_stack(columns))
 
 
 def _mc_config(args, horizon):
@@ -347,70 +324,67 @@ def _mc_config(args, horizon):
                        y0=_resolve_y0(args.y0))
 
 
-def _mc_provenance(args, y0, floored, burn_in_floored):
+def _mc_provenance(cfg, floored, burn_in_floored):
     """The '# paths' line, with the floored variance steps of the paths and
     of the burn-in behind a stationary start."""
     counts = f" floored_steps {floored}"
-    if y0 is None:
+    if cfg.y0 is None:
         start = "-"
-    elif isinstance(y0, mc.StationaryInit):
+    elif isinstance(cfg.y0, mc.StationaryInit):
         start = "stationary"
         counts += f" burn_in_floored_steps {burn_in_floored}"
     else:
-        start = ",".join(_g(v) for v in y0)
-    return (f"# paths {args.paths} steps_per_year {args.steps_per_year} "
+        start = ",".join(_g(v) for v in cfg.y0)
+    return (f"# paths {cfg.n_paths} steps_per_year {cfg.steps_per_year} "
             f"y0 {start}{counts}")
 
 
-def cmd_smile(args):
-    params = _load_params(args.model)
-    keyed = _parse_keyed_grid(args.grid) if args.grid else {}
-    mats = keyed.get("T", np.array([0.25, 0.5, 1.0, 2.0]))
-    ells = keyed.get("L", np.linspace(-0.4, 0.4, 17))
+def _surface(args, params, mats, ells):
+    """The one pricing path of smile and atm: the maturities x
+    log-moneyness surface priced on the paths args ask for, with its
+    implied vols filled, and its '# paths' line."""
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=tuple(ells))
     cfg = _mc_config(args, float(np.max(mats)))
     surf = pricing.with_implied_vols(pricing.price_options(params, grid, cfg))
+    return surf, _mc_provenance(cfg, surf.floored_steps,
+                                surf.burn_in_floored_steps)
+
+
+def cmd_smile(args):
+    params = _load_params(args.model)
+    keyed = _parse_keyed_grid(args.grid or "", ("T", "L"))
+    surf, paths = _surface(args, params,
+                           keyed.get("T", np.array([0.25, 0.5, 1.0, 2.0])),
+                           keyed.get("L", np.linspace(-0.4, 0.4, 17)))
     if args.format == "table":
         headers = ["log-moneyness"] + [f"T={t:.4g}" for t in surf.maturities]
         rows = [[f"{ell:+.3f}"] + ["-" if np.isnan(v) else f"{100.0 * v:.2f}"
                                    for v in vols]
                 for ell, vols in zip(surf.ell, surf.ivol.T)]
         return 0, _table(headers, rows)
-    lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, surf.floored_steps,
-                                surf.burn_in_floored_steps))
-    for i, t in enumerate(surf.maturities):
-        lines.append(f"# forward T={_g(t)} mean={_g(surf.forward_mean[i])} "
-                     f"se={_g(surf.forward_se[i])}")
-    lines.append("maturity,log_moneyness,call,call_se,put,put_se,ivol")
+    forwards = [f"# forward T={_g(t)} mean={_g(m)} se={_g(se)}" for t, m, se
+                in zip(surf.maturities, surf.forward_mean, surf.forward_se)]
     shape = surf.call_price.shape
     nodes = [np.broadcast_to(surf.maturities[:, None], shape),
              np.broadcast_to(surf.ell, shape), surf.call_price, surf.call_se,
              surf.put_price, surf.put_se, surf.ivol]
-    lines.extend(forward._csv_rows(np.stack([c.ravel() for c in nodes], 1)))
-    return 0, lines
+    return 0, _csv([params], args.seed, [paths, *forwards],
+                   "maturity,log_moneyness,call,call_se,put,put_se,ivol",
+                   np.stack([c.ravel() for c in nodes], 1))
 
 
 def cmd_atm(args):
     params = _load_params(args.model)
-    keyed = _parse_keyed_grid(args.grid) if args.grid else {}
-    mats = keyed.get("T", np.array([1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
+    keyed = _parse_keyed_grid(args.grid or "", ("T", "eps"))
     eps = keyed.get("eps", 0.01)
     pricing.check_atm_eps(eps)  # before any path is simulated
-    grid = pricing.OptionGrid(maturities=tuple(mats),
-                              log_moneyness=(-eps, 0.0, eps))
-    cfg = _mc_config(args, float(np.max(mats)))
-    surf = pricing.price_options(params, grid, cfg)
+    mats = keyed.get("T", np.array([1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
+    surf, paths = _surface(args, params, mats, (-eps, 0.0, eps))
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
-    lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, surf.floored_steps,
-                                surf.burn_in_floored_steps))
-    lines.append(f"# eps {_g(eps)}")
-    lines.append("maturity,atm_vol,atm_skew")
-    lines.extend(forward._csv_rows(
-        np.column_stack([surf.maturities, atm_vol, atm_skew])))
-    return 0, lines
+    return 0, _csv([params], args.seed, [paths, f"# eps {_g(eps)}"],
+                   "maturity,atm_vol,atm_skew",
+                   np.column_stack([surf.maturities, atm_vol, atm_skew]))
 
 
 def _simulate_rows(params, cfg, probes):
@@ -440,13 +414,11 @@ def cmd_simulate(args):
     probes = _parse_values(args.grid) if args.grid else np.array([1.0])
     cfg = _mc_config(args, float(np.max(probes)))
     rows, floored, burn_in_floored = _simulate_rows(params, cfg, probes)
-    lines = _provenance([params], args.seed)
-    lines.append(_mc_provenance(args, cfg.y0, floored, burn_in_floored))
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
-    lines.append("t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,"
-                 f"se_sigma2,{ycols}")
-    lines.extend(forward._csv_rows(rows))
-    return 0, lines
+    return 0, _csv([params], args.seed,
+                   [_mc_provenance(cfg, floored, burn_in_floored)],
+                   "t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,se_sigma2,"
+                   + ycols, rows)
 
 
 # ---------------------------------------------------------------------------

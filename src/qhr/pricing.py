@@ -133,7 +133,8 @@ def implied_vol(price, strike, maturity):
 @dataclass(frozen=True)
 class OptionGrid:
     """Strike/maturity layout.  log_moneyness entries are log(K) (spot 1),
-    the same at every maturity."""
+    the same at every maturity; each strike np.exp(ell) must be a positive
+    finite float (ConfigInvalidError otherwise, before any path runs)."""
 
     maturities: tuple
     log_moneyness: tuple
@@ -145,9 +146,13 @@ class OptionGrid:
             raise ValueError("maturities must be positive and non-empty")
         if not ells:
             raise ValueError("log_moneyness must be non-empty")
-        if not all(math.isfinite(x) for x in ells):
-            raise mc.ConfigInvalidError(
-                f"log_moneyness must be finite, got {ells}")
+        with np.errstate(over="ignore"):
+            strikes = np.exp(ells)
+        for ell, k in zip(ells, strikes):
+            if not 0.0 < k < math.inf:
+                raise mc.ConfigInvalidError(
+                    f"log_moneyness {ell} gives strike np.exp(ell) = {k}, "
+                    "not a positive finite number")
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "log_moneyness", ells)
 

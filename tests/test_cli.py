@@ -4,11 +4,13 @@ import argparse
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from qhr import cli, forward, mc, model, pricing
+from qhr import __version__, cli, forward, mc, model, pricing
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -110,9 +112,10 @@ def _burn_in(burn_in):
 
 
 class TestTimeInputs:
-    """Every time is checked where mc snaps it to a step, before any path
-    is simulated: the library raises ConfigInvalidError naming the bad
-    quantity, and the CLI exits 1 with empty stdout."""
+    """Every time is checked where mc snaps it to a step, and every strike
+    where its OptionGrid is built, before any path is simulated: the
+    library raises ConfigInvalidError naming the bad quantity, and the CLI
+    exits 1 with empty stdout."""
 
     @pytest.mark.parametrize("call,name", [
         pytest.param(lambda p: mc.simulate(p, _mc_config(horizon=math.inf)),
@@ -128,6 +131,8 @@ class TestTimeInputs:
                      id="maturity-step-0"),
         pytest.param(_price((0.1,), (0.0, math.nan)), "log_moneyness",
                      id="log-moneyness-nan"),
+        pytest.param(_price((0.1,), (0.0, 800.0)), "log_moneyness 800.0",
+                     id="log-moneyness-strike-inf"),
         pytest.param(_burn_in(math.inf), "burn-in", id="burn-in-inf"),
         pytest.param(_burn_in(math.nan), "burn-in", id="burn-in-nan"),
         pytest.param(_burn_in(0.001), "burn-in 0.001 snaps to step 0",
@@ -141,6 +146,9 @@ class TestTimeInputs:
                      id="cli-maturity-nan"),
         pytest.param(("smile", "--grid", "T=0.1;L=0,nan"), "log_moneyness",
                      id="cli-log-moneyness-nan"),
+        # e^-800 rounds to strike 0 and e^800 overflows to inf
+        pytest.param(("smile", "--grid", "T=0.1;L=-800,0,800"),
+                     "log_moneyness -800.0", id="cli-strike-zero-and-inf"),
         pytest.param(("atm", "--grid", "T=0.1,inf"), "maturity",
                      id="cli-atm-maturity-inf"),
         pytest.param(("simulate", "--grid", "0,nan"), "probe",
@@ -156,14 +164,16 @@ class TestTimeInputs:
             raise AssertionError("a path was simulated")
 
         monkeypatch.setattr(mc, "_euler_block", no_paths)
-        if callable(call):
-            with pytest.raises(mc.ConfigInvalidError, match=name):
-                call(models["M3"])
-        else:
-            rc, out, err = run(capsys, call[0], "--model", "M3", "--paths",
-                               "100", *call[1:])
-            assert (rc, out) == (1, "")
-            assert name in err
+        with warnings.catch_warnings():  # and no RuntimeWarning on the way
+            warnings.simplefilter("error")
+            if callable(call):
+                with pytest.raises(mc.ConfigInvalidError, match=name):
+                    call(models["M3"])
+            else:
+                rc, out, err = run(capsys, call[0], "--model", "M3",
+                                   "--paths", "100", *call[1:])
+                assert (rc, out) == (1, "")
+                assert name in err
 
 
 class TestGolden:
@@ -176,6 +186,11 @@ class TestGolden:
         ("curves_mm3.csv",
          ("curves", "--model", "MM3", "--y0=0.08,0.03", "--y0=-0.05,0.02")),
         ("pca_mm1.csv", ("pca", "--model", "MM1")),
+        ("diagnostics_csv.csv", ("diagnostics", "--format", "csv", "--model",
+                                 "M1", "M3", "MM3", "MM5")),
+        # M2 is symmetric, so its report has the Student column
+        ("density_m2.csv", ("density", "--model", "M2")),
+        ("density_m3.csv", ("density", "--model", "M3")),
     ])
     def test_matches_golden(self, capsys, fname, argv):
         rc, out, _ = run(capsys, *argv)
@@ -188,6 +203,9 @@ class TestGolden:
         # T = 0.25 is 62.5 steps, a tie that snaps to step 62 (0.248)
         ("smile_mm3.csv", ("smile", "--model", "MM3", "--paths", "8192",
                            "--grid", "T=0.25,0.5;L=-0.1,0,0.1")),
+        ("smile_mm3_table.txt", ("smile", "--model", "MM3", "--paths", "8192",
+                                 "--grid", "T=0.25,0.5;L=-0.1,0,0.1",
+                                 "--format", "table")),
         ("atm_m3.csv", ("atm", "--model", "M3", "--y0=-0.05", "--paths",
                         "8192", "--grid", "T=0.25,0.5;eps=0.01")),
         # eps below 1e-9, the ATM nodes' old acceptance distance
@@ -637,9 +655,27 @@ class TestMonteCarloCommands:
         assert "cannot parse eps" in err
 
     def test_keyed_grid_skips_empty_parts(self):
-        out = cli._parse_keyed_grid(" T=0.25,0.5 ;; eps=0.02 ;")
+        out = cli._parse_keyed_grid(" T=0.25,0.5 ;; eps=0.02 ;",
+                                    ("T", "eps"))
         assert out.keys() == {"T", "eps"}
         assert np.array_equal(out["T"], [0.25, 0.5]) and out["eps"] == 0.02
+
+    @pytest.mark.parametrize("command,grid,message", [
+        ("smile", "t=0.5;L=0", "grid key 't' is not one of T, L"),
+        ("smile", "T=0.5;eps=0.01", "grid key 'eps' is not one of T, L"),
+        ("atm", "T=0.25;L=-1,0,1", "grid key 'L' is not one of T, eps"),
+        ("atm", "T=0.25;T=0.5", "grid key 'T' is given twice"),
+    ], ids=["smile-lowercase-t", "smile-eps", "atm-L", "atm-T-twice"])
+    def test_keyed_grid_takes_each_own_key_once(self, capsys, monkeypatch,
+                                               command, grid, message):
+        def no_paths(*args):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(mc, "_euler_block", no_paths)
+        rc, out, err = run(capsys, command, "--model", "M1", "--paths",
+                           "100", "--grid", grid)
+        assert (rc, out) == (2, "")
+        assert message in err
 
     def test_bad_threads_setting(self, capsys, monkeypatch):
         monkeypatch.setenv("QHR_THREADS", "two")
@@ -664,6 +700,46 @@ class TestMonteCarloCommands:
                                             if command == "simulate" else ()))
         assert (rc, out) == (2, "")
         assert "non-finite entry" in err
+
+
+class TestCsvProvenance:
+    """Every CSV report comes from one writer: it opens with the version,
+    one model line per model read and the seed, then its own # lines, and
+    its first non-# line is the header row."""
+
+    @pytest.mark.parametrize("argv,labels,header", [
+        (("curves", "--model", "MM3", "--grid", "0.1:2:5"), ["MM3"],
+         "t,vol_forward,vol_min"),
+        (("pca", "--model", "MM1", "--grid", "geom:0.01:3.0:6"), ["MM1"],
+         "t,pc1,pc2,pc3"),
+        (("density", "--model", "M3", "--grid=-0.1,0.0,0.1"), ["M3"],
+         "y,pdf,cdf"),
+        (("smile", "--model", "M2", "--paths", "200", "--steps-per-year",
+          "20", "--grid", "T=0.25;L=-0.1,0.0,0.1"), ["M2"],
+         "maturity,log_moneyness,call,call_se,put,put_se,ivol"),
+        (("atm", "--model", "M3", "--paths", "200", "--steps-per-year", "20",
+          "--grid", "T=0.25"), ["M3"], "maturity,atm_vol,atm_skew"),
+        (("simulate", "--model", "MM1", "--paths", "200", "--steps-per-year",
+          "20", "--grid", "0.1"), ["MM1"],
+         "t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,se_sigma2,mean_y1,"
+         "mean_y2"),
+        (("diagnostics", "--model", "M1", "MM1", "--format", "csv"),
+         ["M1", "MM1"], "label,mu2,mu3,mu4,kappa,kappa_tilde,sigma_min,"
+                        "sigma_infty,kurt_infty,y_min,eig_block2"),
+    ], ids=["curves", "pca", "density", "smile", "atm", "simulate",
+            "diagnostics"])
+    def test_provenance_then_header(self, capsys, argv, labels, header):
+        rc, out, _ = run(capsys, *argv, "--seed", "7")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == f"# qhr {__version__}"
+        for line, label in zip(lines[1:], labels):
+            assert re.fullmatch(rf"# model {label} hash [0-9a-f]{{12}}", line)
+        assert lines[1 + len(labels)] == "# seed 7"
+        top = next(i for i, line in enumerate(lines)
+                   if not line.startswith("#"))
+        assert lines[top] == header
+        assert not any(line.startswith("#") for line in lines[top:])
 
 
 class TestOutFile:
