@@ -108,19 +108,28 @@ def _parse_values(text):
             a, b, n = text.split(":")
             values = np.linspace(float(a), float(b), int(n))
         else:
-            values = np.array([float(tok) for tok in text.split(",")])
+            values = np.array([float(tok) for tok in text.split(",")]
+                              if text else [])
     except (ValueError, TypeError):
         raise UsageError(f"cannot parse grid '{text}'")
     if values.size == 0:
         raise UsageError(f"grid '{text}' is empty")
+    if not np.isfinite(values).all():
+        raise UsageError(f"grid '{text}' has a non-finite entry")
     return values
 
 
 def _parse_keyed_grid(text, keys):
-    """'T=0.25,0.5;L=-0.2:0.2:9' -> dict of arrays (eps: a float).  Every
-    part names one of keys, each at most once; empty parts are skipped."""
+    """'T=0.25,0.5;L=-0.2:0.2:9' -> dict of arrays (eps: a float); no grid
+    (None) gives {}.  Every part names one of keys, each at most once;
+    empty parts are skipped, but a given grid with no part is an error."""
+    if text is None:
+        return {}
+    parts = [part for part in (s.strip() for s in text.split(";")) if part]
+    if not parts:
+        raise UsageError(f"grid '{text}' is empty")
     out = {}
-    for part in filter(None, (s.strip() for s in text.split(";"))):
+    for part in parts:
         if "=" not in part:
             raise UsageError(f"grid part '{part}' has no key= prefix")
         key, val = part.split("=", 1)
@@ -353,7 +362,7 @@ def _surface(args, params, mats, ells):
 
 def cmd_smile(args):
     params = _load_params(args.model)
-    keyed = _parse_keyed_grid(args.grid or "", ("T", "L"))
+    keyed = _parse_keyed_grid(args.grid, ("T", "L"))
     surf, paths = _surface(args, params,
                            keyed.get("T", np.array([0.25, 0.5, 1.0, 2.0])),
                            keyed.get("L", np.linspace(-0.4, 0.4, 17)))
@@ -376,7 +385,7 @@ def cmd_smile(args):
 
 def cmd_atm(args):
     params = _load_params(args.model)
-    keyed = _parse_keyed_grid(args.grid or "", ("T", "eps"))
+    keyed = _parse_keyed_grid(args.grid, ("T", "eps"))
     eps = keyed.get("eps", 0.01)
     pricing.check_atm_eps(eps)  # before any path is simulated
     mats = keyed.get("T", np.array([1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
@@ -411,7 +420,8 @@ def _simulate_rows(params, cfg, probes):
 
 def cmd_simulate(args):
     params = _load_params(args.model)
-    probes = _parse_values(args.grid) if args.grid else np.array([1.0])
+    probes = (np.array([1.0]) if args.grid is None
+              else _parse_values(args.grid))
     cfg = _mc_config(args, float(np.max(probes)))
     rows, floored, burn_in_floored = _simulate_rows(params, cfg, probes)
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .moments import MomentSystem, pairs
+from .moments import MomentSystem
 
 
 class NonConvexSliceError(ValueError):
@@ -78,7 +78,7 @@ def forward_min_envelope(sys, s):
     psi = sys.psi(grid)
     v0 = sys.sigma2_infty - _dot(psi, sys.eta_infty)
     # the coefficient of y_i y_j (i < j) is split evenly over (i, j), (j, i)
-    i, j = pairs(sys.exponents)
+    i, j = sys.quadratic_pairs
     q_mat = np.empty((grid.size, p, p))
     q_mat[:, i, j] = q_mat[:, j, i] = \
         psi[:, p:] * np.where(i == j, 1.0, 0.5)

@@ -125,6 +125,11 @@ class ModelParams:
             object.__setattr__(self, "beta0", float(self.beta0))
         if self.gamma0 is not None:
             object.__setattr__(self, "gamma0", float(self.gamma0))
+        for name in ("lam", "b", "alpha", "beta", "gamma_mat", "w", "beta0",
+                     "gamma0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"model parameter {name} is not finite")
         if self.w is not None:
             w = np.asarray(self.w, dtype=float).reshape(-1)
             if w.shape != (p,):

@@ -46,13 +46,18 @@ class WindowOrderError(ValueError):
     """The averaging window r is negative or not finite, or exceeds the lag."""
 
 
+DEGREE = 4  # the moment degree: S holds the monomials of degree 1..DEGREE
+
+
 @functools.lru_cache(maxsize=None)
 def _monomial_tree(p, degree):
     """The monomials of degree 1..degree in p variables, in S order, as
-    (exponents, parent, last, offsets): y^e = y^parent * y_last, where last
-    is the largest index of e's sorted index tuple and parent the row of
-    e with that index removed (-1 at degree 1); offsets are the degree
-    boundaries.  The arrays are read-only."""
+    (exponents, parent, last, offsets, index): y^e = y^parent * y_last, where
+    last is the largest index of e's sorted index tuple and parent the row
+    of e with that index removed (-1 at degree 1; y_i y_j has (i, j));
+    offsets are the degree boundaries and index(e) the row of exponent
+    vectors e of degree 0..degree (last axis), -1 for 0.  The arrays are
+    read-only."""
     by_degree = [list(itertools.combinations_with_replacement(range(p), k))
                  for k in range(1, degree + 1)]
     offsets = tuple(itertools.accumulate(map(len, by_degree), initial=0))
@@ -61,9 +66,12 @@ def _monomial_tree(p, degree):
     expo = np.array([[t.count(i) for i in range(p)] for t in tuples])
     parent = np.array([row.get(t[:-1], -1) for t in tuples])
     last = np.array([t[-1] for t in tuples])
-    for a in (expo, parent, last):
+    radix = (degree + 1) ** np.arange(p)
+    table = np.full((degree + 1) ** p, -1)
+    table[expo @ radix] = np.arange(len(tuples))
+    for a in (expo, parent, last, table):
         a.flags.writeable = False
-    return expo, parent, last, offsets
+    return expo, parent, last, offsets, lambda e: table[e @ radix]
 
 
 def monomials(y, degree):
@@ -74,7 +82,7 @@ def monomials(y, degree):
     the Kronecker powers of y at the sorted index tuples bit for bit.
     monomials(y, 2) is the eta of a path state."""
     y = np.asarray(y, dtype=float)
-    _, parent, last, offsets = _monomial_tree(y.shape[-1], degree)
+    _, parent, last, offsets, _ = _monomial_tree(y.shape[-1], degree)
     out = np.empty(y.shape[:-1] + (offsets[-1],))
     out[..., :offsets[1]] = y
     for lo, hi in zip(offsets[1:-1], offsets[2:]):
@@ -115,6 +123,13 @@ class MomentSystem:
     def n_eta(self):
         """Number of S coordinates of eta = (y; y(x)y)."""
         return self.sym_offsets[2]
+
+    @property
+    def quadratic_pairs(self):
+        """(i, j), i <= j, of the degree-2 rows y_i y_j in their order: each
+        row's (parent, last) in the monomial tree."""
+        _, parent, last, _, _ = _monomial_tree(self.p, DEGREE)
+        return parent[self.p:self.n_eta], last[self.p:self.n_eta]
 
     @property
     def a_tilde(self):
@@ -182,22 +197,6 @@ class MomentSystem:
         return linalg.ExpmAction(-self.a_tilde)
 
 
-def pairs(exponents):
-    """Index pairs (i, j), i <= j, of the degree-2 rows of exponents, in
-    their order: row y_i y_j."""
-    e = exponents[exponents.sum(axis=1) == 2]
-    ij = np.repeat(np.tile(np.arange(e.shape[1]), len(e)), e.reshape(-1))
-    return ij.reshape(-1, 2).T
-
-
-def _index(exponents):
-    """Map from exponent vectors (last axis) to their rows in exponents."""
-    radix = 5 ** np.arange(exponents.shape[1])
-    table = np.full(5 ** exponents.shape[1], -1)
-    table[exponents @ radix] = np.arange(len(exponents))
-    return lambda e: table[e @ radix]
-
-
 def build_moment_system(params):
     """Assemble A, the source term and the stationary moments from L.
 
@@ -212,40 +211,40 @@ def build_moment_system(params):
     if p > linalg.DIM_CAP:
         raise linalg.DimensionCapError(
             f"state dimension {p} exceeds the configured cap {linalg.DIM_CAP}")
-    sym_expo, _, _, sym_offsets = _monomial_tree(p, 4)
+    sym_expo, parent, last, sym_offsets, sym_index = _monomial_tree(p, DEGREE)
+    blocks = [slice(lo, hi) for lo, hi in zip(sym_offsets, sym_offsets[1:])]
     eye = np.eye(p, dtype=int)
-    # the monomials of degree 0..4: the constant, then S
+    # the monomials of degree 0..DEGREE: the constant, then S, so a row
+    # here is one past the S row (the constant's is -1)
     expo = np.concatenate([np.zeros((1, p), dtype=int), sym_expo])
-    index = _index(expo)
     n = len(expo)
 
     drift = np.zeros((n, n))
     r, i = np.nonzero(expo)
     r, i, l = np.repeat(r, p), np.repeat(i, p), np.tile(np.arange(p), r.size)
-    np.add.at(drift, (r, index(expo[r] - eye[i] + eye[l])),
+    np.add.at(drift, (r, 1 + sym_index(expo[r] - eye[i] + eye[l])),
               expo[r, i] * params.lam[i, l])
 
     lower = np.zeros((n, n))
     count = expo[:, :, None] * (expo[:, None, :] - eye)
     r, i, j = np.nonzero(count > 0)
-    np.add.at(lower, (r, index(expo[r] - eye[i] - eye[j])),
+    np.add.at(lower, (r, 1 + sym_index(expo[r] - eye[i] - eye[j])),
               0.5 * count[r, i, j] * (params.b[i] * params.b[j]))
 
     # sigma^2(y) on the monomials of degree 0..2: alpha, then g
-    i, j = pairs(expo)
+    i, j = parent[blocks[1]], last[blocks[1]]
     gam = params.gamma_mat
     coef = np.concatenate([[params.alpha], 2.0 * params.beta,
                            np.where(i == j, gam[i, j], gam[i, j] + gam[j, i])])
     g = coef[1:]
     deg = expo.sum(axis=1)
-    r, c = np.nonzero(deg[:, None] + deg[None, :coef.size] <= 4)
+    r, c = np.nonzero(deg[:, None] + deg[None, :coef.size] <= DEGREE)
     times_sigma2 = np.zeros((n, n))
-    times_sigma2[r, index(expo[r] + expo[c])] = coef[c]
+    times_sigma2[r, 1 + sym_index(expo[r] + expo[c])] = coef[c]
     diffusion = lower @ times_sigma2
 
     a_sym = drift[1:, 1:] - diffusion[1:, 1:]
     source = diffusion[1:, 0]
-    blocks = [slice(sym_offsets[k - 1], sym_offsets[k]) for k in (1, 2, 3, 4)]
     b2 = blocks[1]
     m_sym = np.zeros(n - 1)
     try:
@@ -343,7 +342,7 @@ def stationary_summary(sys, params):
 def _eta_second_moment(sys):
     """E[eta eta'] on S: E[y^a y^b] is the stationary moment of y^(a+b)."""
     e = sys.exponents[:sys.n_eta]
-    return sys.m_infty[_index(sys.exponents)(e[:, None] + e)]
+    return sys.m_infty[_monomial_tree(sys.p, DEGREE)[4](e[:, None] + e)]
 
 
 def omega(sys):
@@ -360,7 +359,7 @@ def conditional_moments(sys, y0, t):
     in S coordinates: m(t) = m_infty + e^{-A_sym t}(m(0) - m_infty), m(0)
     the monomials of y0.  One row per horizon of a 1-D grid t."""
     y0 = np.asarray(y0, dtype=float).reshape(-1)
-    diff = monomials(y0, 4) - sys.m_infty
+    diff = monomials(y0, DEGREE) - sys.m_infty
     return sys.m_infty + sys._moment_action(diff, t)
 
 

@@ -41,6 +41,8 @@ class ScalarParams:
     def __post_init__(self):
         for name in ("lam", "alpha", "beta", "gamma"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} is not finite")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.alpha <= 0:
@@ -52,11 +54,15 @@ class ScalarParams:
 
     @classmethod
     def from_model_params(cls, params):
+        """The law of a one-factor model's offset.  Its diffusion is
+        b^2 sigma^2(y), so alpha, beta and gamma are each scaled by b^2;
+        the kurtosis of sigma^2 does not change with that scale."""
         if params.p != 1:
             raise ValueError("scalar reduction requires p = 1")
-        return cls(lam=float(params.lam[0, 0]), alpha=params.alpha,
-                   beta=float(params.beta[0]),
-                   gamma=float(params.gamma_mat[0, 0]))
+        b2 = float(params.b[0]) ** 2
+        return cls(lam=float(params.lam[0, 0]), alpha=params.alpha * b2,
+                   beta=float(params.beta[0]) * b2,
+                   gamma=float(params.gamma_mat[0, 0]) * b2)
 
     def to_model_params(self, label=""):
         return ModelParams(lam=[[self.lam]], b=[1.0], alpha=self.alpha,

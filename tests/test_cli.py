@@ -89,12 +89,67 @@ class TestExitCodes:
         ("simulate", "--paths", "100", "--grid", "0:1:0"),
         ("smile", "--paths", "100", "--grid", "T=0:1:0"),
         ("atm", "--paths", "100", "--grid", "T=0:1:0"),
-    ], ids=lambda argv: argv[0])
+        # a blank grid is not the default grid
+        ("curves", "--grid", ""),
+        ("simulate", "--paths", "100", "--grid", ""),
+        ("smile", "--paths", "100", "--grid", ""),
+        ("atm", "--paths", "100", "--grid", " ; "),
+    ], ids=lambda argv: argv[0] + ("" if ":" in argv[-1] else "-blank"))
     def test_empty_grid(self, capsys, argv):
         rc, out, err = run(capsys, argv[0], "--model", "M1", *argv[1:])
         assert rc == 2
         assert out == ""
         assert "is empty" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("curves", "--grid", "nan"), id="curves"),
+        pytest.param(("pca", "--grid", "0.5,inf"), id="pca"),
+        pytest.param(("density", "--grid", "nan,0"), id="density"),
+        pytest.param(("smile", "--grid", "T=nan,0.1;L=0"),
+                     id="cli-maturity-nan"),
+        pytest.param(("smile", "--grid", "T=0.1;L=0,nan"),
+                     id="cli-log-moneyness-nan"),
+        pytest.param(("atm", "--grid", "T=0.1,inf"),
+                     id="cli-atm-maturity-inf"),
+        pytest.param(("simulate", "--grid", "0,nan"), id="cli-probe-nan"),
+        pytest.param(("simulate", "--grid", "0,inf"), id="cli-probe-inf"),
+    ])
+    def test_non_finite_grid_is_a_usage_error(self, capsys, monkeypatch,
+                                              argv):
+        def no_paths(*args):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(mc, "_euler_block", no_paths)
+        paths = ("--paths", "100") if argv[0] in ("smile", "atm",
+                                                  "simulate") else ()
+        rc, out, err = run(capsys, argv[0], "--model", "M3", *paths,
+                           *argv[1:])
+        assert (rc, out) == (2, "")
+        assert "non-finite entry" in err
+
+
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("entry", [
+        {"gamma": [[math.nan]]}, {"b": [math.nan]}, {"alpha": math.inf},
+    ], ids=lambda entry: next(iter(entry)))
+    @pytest.mark.parametrize("argv", [
+        ("validate",), ("diagnostics",), ("curves",), ("pca",), ("density",),
+        ("smile", "--paths", "64"), ("atm", "--paths", "64"),
+        ("simulate", "--paths", "64"),
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_exits_1(self, capsys, monkeypatch, tmp_path,
+                                      entry, argv):
+        # json reads NaN and Infinity, so a model file can hold them
+        def no_paths(*args):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(mc, "_euler_block", no_paths)
+        path = write_model(tmp_path, "bad.json", {
+            "lambda": [[6.0]], "b": [1.0], "alpha": 0.0133, "beta": [-0.18],
+            "gamma": [[3.0]], **entry})
+        rc, out, err = run(capsys, argv[0], "--model", path, *argv[1:])
+        assert (rc, out) == (1, "")
+        assert "is not finite" in err
 
 
 def _mc_config(**kw):
@@ -142,19 +197,9 @@ class TestTimeInputs:
         pytest.param(("smile", "--grid", "T=0.001,0.1;L=0"),
                      "maturity 0.001 snaps to step 0",
                      id="cli-maturity-step-0"),
-        pytest.param(("smile", "--grid", "T=nan,0.1;L=0"), "maturity",
-                     id="cli-maturity-nan"),
-        pytest.param(("smile", "--grid", "T=0.1;L=0,nan"), "log_moneyness",
-                     id="cli-log-moneyness-nan"),
         # e^-800 rounds to strike 0 and e^800 overflows to inf
         pytest.param(("smile", "--grid", "T=0.1;L=-800,0,800"),
                      "log_moneyness -800.0", id="cli-strike-zero-and-inf"),
-        pytest.param(("atm", "--grid", "T=0.1,inf"), "maturity",
-                     id="cli-atm-maturity-inf"),
-        pytest.param(("simulate", "--grid", "0,nan"), "probe",
-                     id="cli-probe-nan"),
-        pytest.param(("simulate", "--grid", "0,inf"), "probe",
-                     id="cli-probe-inf"),
         pytest.param(("simulate", "--grid", "0.001"),
                      "horizon 0.001 snaps to step 0", id="cli-horizon-step-0"),
     ])

@@ -68,6 +68,19 @@ class TestModelParams:
                              "gamma_mat": 1.5 * mm3.gamma_mat})
         model.ModelParams(**{**keep, "beta": (1 + 1e-12) * mm3.beta})
 
+    @pytest.mark.parametrize("field", ["lam", "b", "alpha", "beta",
+                                       "gamma_mat", "w", "beta0", "gamma0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, models, field, bad):
+        mm3 = models["MM3"]
+        keep = dict(lam=mm3.lam, b=mm3.b, alpha=mm3.alpha, beta=mm3.beta,
+                    gamma_mat=mm3.gamma_mat, w=mm3.w, beta0=mm3.beta0,
+                    gamma0=mm3.gamma0)
+        value = np.array(keep[field], dtype=float)
+        value.flat[0] = bad
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            model.ModelParams(**{**keep, field: value})
+
 
 class TestValidate:
     def test_fixtures_admissible(self, models):

@@ -6,6 +6,8 @@ the stationary second moment, an ODE integrator for the conditional decay,
 and exact rational values for the sufficient stability scalar.
 """
 
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -122,6 +124,21 @@ class TestStationarySummary:
             summ = moments.stationary_summary(sys, models[name])
             assert summ.kurt_infty == pytest.approx(
                 scalar.scalar_kurtosis(sp), rel=1e-10), name
+
+    @pytest.mark.parametrize("b", [2.0, -0.5])
+    def test_scalar_closed_forms_carry_b(self, b):
+        # y's diffusion is b^2 sigma^2(y): the scalar law scales alpha, beta
+        # and gamma by b^2
+        params = model.ModelParams(lam=[[6.0]], b=[b], alpha=0.0133,
+                                   beta=[-0.05], gamma_mat=[[0.5]])
+        sys = moments.build_moment_system(params)
+        sp = scalar.ScalarParams.from_model_params(params)
+        got = sys.m_infty[[order(sys, k).start for k in (2, 3, 4)]]
+        assert np.allclose(got, scalar.scalar_closed_moments(sp),
+                           rtol=1e-12, atol=0)
+        summ = moments.stationary_summary(sys, params)
+        assert summ.kurt_infty == pytest.approx(scalar.scalar_kurtosis(sp),
+                                                rel=1e-12)
 
     def test_sigma2_infty_property_consistent(self, models, systems):
         # one formula, alpha + g'eta_infty, behind both
@@ -258,12 +275,12 @@ class TestUnstableModels:
 
     def test_constants_are_not_rebuilt(self, systems, monkeypatch):
         # g is built once with the system: the loading curve, the variance
-        # level and its autocovariance read it without assembling sigma^2's
-        # coefficients (the only caller of pairs in moments) again
+        # level and its autocovariance read it without assembling the
+        # system, and sigma^2's coefficients with it, again
         def rebuilt(*_):
-            raise AssertionError("sigma^2 coefficients rebuilt")
+            raise AssertionError("moment system rebuilt")
 
-        monkeypatch.setattr(moments, "pairs", rebuilt)
+        monkeypatch.setattr(moments, "build_moment_system", rebuilt)
         for name in ("M2", "MM3", "MM5"):
             sys = systems[name]
             om = moments.omega(sys)
@@ -504,6 +521,32 @@ class TestMonomials:
             for y, row in zip(ys, rows):
                 assert np.array_equal(row, kron_powers(y)[rep]), p
                 assert np.array_equal(moments.monomials(y, 4), row), p
+
+    def test_one_table_at_any_degree(self):
+        # the monomial tree is the one table of S: its index sends each
+        # row's exponents back to that row, with no cap on the degree, and
+        # each degree-2 row's (parent, last) is its sorted index pair
+        for p in (1, 2, 3):
+            for degree in range(1, 9):
+                expo, parent, last, offsets, index = moments._monomial_tree(
+                    p, degree)
+                assert np.array_equal(index(expo), np.arange(len(expo))), \
+                    (p, degree)
+                assert index(np.zeros(p, dtype=int)) == -1
+                if degree < 2:
+                    continue
+                rows = slice(offsets[1], offsets[2])
+                assert list(zip(parent[rows], last[rows])) == list(
+                    itertools.combinations_with_replacement(range(p), 2)), \
+                    (p, degree)
+
+    def test_quadratic_pairs_name_the_degree_two_rows(self, systems):
+        for name, sys in systems.items():
+            i, j = sys.quadratic_pairs
+            want = np.zeros((i.size, sys.p), dtype=int)
+            np.add.at(want, (np.arange(i.size), i), 1)
+            np.add.at(want, (np.arange(i.size), j), 1)
+            assert np.array_equal(sys.exponents[sys.p:sys.n_eta], want), name
 
 
 class TestOmega:

@@ -146,6 +146,14 @@ class TestScalarParams:
         with pytest.raises(ValueError):
             scalar.ScalarParams(1.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["lam", "alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = {**dict(lam=3.0, alpha=0.01, beta=0.0, gamma=1.0),
+                  field: bad}
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            scalar.ScalarParams(**values)
+
 
 class TestKurtosis:
     def test_reference_values(self, models):
