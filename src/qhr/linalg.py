@@ -8,10 +8,21 @@ matrix.  A move through time, e^{a t} v over a grid of horizons, is an
 ExpmAction: one Pade exponential of a h, its squarings shared by the grid
 and vector products per horizon, O(n^2) per horizon where a matrix per
 horizon costs O(n^3).  scipy supplies the Lyapunov solve.
+
+BLAS runs on one thread.  Every matrix here has at most 209 rows (the
+moment system at DIM_CAP), where a BLAS thread pool costs more in hand-offs
+than it saves in arithmetic, and the Monte Carlo engine already runs its
+own worker threads (QHR_THREADS), under which a second pool only competes
+for the same cores.  One thread also makes every result independent of the
+BLAS thread count.  So importing this module sets each OpenBLAS the process
+has loaded to one thread, through the library's own entry point, once (see
+_pin_blas_threads).  It is not an option: to undo it, call the library's
+own set_num_threads after the import.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -26,6 +37,44 @@ import scipy.linalg
 # and 61-71, 54-58 and 2.1-2.4 ms at p = 8 with the cap raised.  A later
 # call on the same system from a new start takes 0.3, 0.7 and 1.5 ms.
 DIM_CAP = 6
+
+# OpenBLAS's thread setters, by build: plain, ILP64 (64_ suffix) and the
+# scipy-openblas wheels' prefixed symbols.  A library exports one of them.
+_BLAS_SET_THREADS = ("openblas_set_num_threads",
+                     "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_")
+
+
+def _pin_blas_threads():
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    The libraries are those mapped into the process whose path contains
+    "openblas" (/proc/self/maps); each gets the first setter of
+    _BLAS_SET_THREADS it exports, called with 1.  An environment variable
+    could not do this: numpy, and its OpenBLAS, is usually loaded before
+    qhr.  Where there is no /proc, no OpenBLAS or no setter, this does
+    nothing and raises nothing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                break
+
+
+_pin_blas_threads()
 
 
 class DimensionCapError(ValueError):

@@ -31,6 +31,9 @@ bit-identical to a row-major step over each block alone (tests/test_mc.py
 keeps that step as the reference); for p >= 3 BLAS and einsum may order
 the contractions differently, and results differ from it at rounding level
 (a few 1e-16 relative), while staying bit-identical across thread counts.
+BLAS itself runs on one thread (importing qhr.linalg pins it), so each
+p >= 3 contraction runs on the worker thread that calls it, and no second
+thread pool competes with the QHR_THREADS workers for the cores.
 
 A stationary start is drawn by a burn-in from zero on its own random
 streams (phase _PHASE_BURNIN), so main-phase draws are untouched.  The

@@ -56,10 +56,14 @@ class ScalarParams:
     def from_model_params(cls, params):
         """The law of a one-factor model's offset.  Its diffusion is
         b^2 sigma^2(y), so alpha, beta and gamma are each scaled by b^2;
-        the kurtosis of sigma^2 does not change with that scale."""
+        the kurtosis of sigma^2 does not change with that scale.  b = 0
+        raises ValueError: the offset is then deterministic and has no
+        Pearson IV law."""
         if params.p != 1:
             raise ValueError("scalar reduction requires p = 1")
         b2 = float(params.b[0]) ** 2
+        if b2 == 0.0:
+            raise ValueError("scalar reduction requires b != 0")
         return cls(lam=float(params.lam[0, 0]), alpha=params.alpha * b2,
                    beta=float(params.beta[0]) * b2,
                    gamma=float(params.gamma_mat[0, 0]) * b2)

@@ -514,6 +514,15 @@ class TestDensity:
         assert rc == 2
         assert "one-factor" in err
 
+    def test_zero_b_names_b(self, capsys, tmp_path):
+        path = write_model(tmp_path, "still.json", {
+            "lambda": [[6.0]], "b": [0.0], "alpha": 0.0133, "beta": [-0.05],
+            "gamma": [[0.5]]})
+        assert run(capsys, "validate", "--model", path)[0] == 0
+        rc, out, err = run(capsys, "density", "--model", path)
+        assert (rc, out) == (1, "")
+        assert "scalar reduction requires b != 0" in err
+
 
 class TestMonteCarloCommands:
     def test_smile_csv_layout(self, capsys):

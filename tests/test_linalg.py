@@ -8,13 +8,19 @@ Kronecker-system Lyapunov solutions.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kron_reference import build_kron_operators, symmetric_orbits
+import qhr
 from qhr import linalg, model, moments
 
 
@@ -392,3 +398,69 @@ class TestSolveLyapunov:
             linalg.solve_lyapunov(np.array([[-1.0]]), np.array([1.0]))
         with pytest.raises(linalg.UnstableError):
             linalg.solve_lyapunov(np.array([[0.0]]), np.array([1.0]))
+
+
+def _run_python(args, threads):
+    """A fresh interpreter on qhr's source with OPENBLAS_NUM_THREADS set."""
+    src = os.path.dirname(os.path.dirname(qhr.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+class TestBlasThreads:
+    def test_import_pins_every_openblas_to_one_thread(self):
+        # numpy, and its OpenBLAS, is loaded first, as in a notebook: the
+        # environment's two threads are already in force when qhr arrives
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no /proc/self/maps to find OpenBLAS in")
+        code = textwrap.dedent("""
+            import ctypes, json
+            import numpy
+            import qhr
+            getters = ("openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "scipy_openblas_get_num_threads64_")
+            with open("/proc/self/maps") as maps:
+                paths = {line.split(None, 5)[5].strip() for line in maps
+                         if "openblas" in line}
+            found = {}
+            for path in sorted(paths):
+                lib = ctypes.CDLL(path)
+                for name in getters:
+                    getter = getattr(lib, name, None)
+                    if getter is not None:
+                        getter.argtypes, getter.restype = (), ctypes.c_int
+                        found[path] = getter()
+                        break
+            print(json.dumps(found))
+        """)
+        found = json.loads(_run_python(["-c", code], threads=2))
+        if not found:
+            pytest.skip("no OpenBLAS loaded")
+        assert found == dict.fromkeys(found, 1)
+
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # a p = 6 rank-one cascade on perfbench's G6c ladder, whose
+        # smallest pca components a two-thread BLAS rounds differently
+        jordan = model.JordanSpec(((30.0, 2), (8.0, 2), (2.0, 1), (0.6, 1)))
+        w = np.array([0.3, 0.1, 0.25, 0.05, 0.2, 0.1])
+        x = np.linalg.solve(jordan.lambda_matrix(), jordan.b_vector())
+        gamma0 = 0.3 / (30.0 * float(w @ x) ** 2)  # fastest-rate kappa 0.3
+        alpha = 0.01
+        params = model.rank_one(jordan, w, alpha,
+                                -0.5 * math.sqrt(alpha * gamma0), gamma0)
+        path = str(tmp_path / "g6c.json")
+        model.save_model(params, path)
+        commands = [["pca"], ["diagnostics", "--format", "csv"]]
+        outputs = {threads: [_run_python(["-m", "qhr.cli", *cmd,
+                                          "--model", path], threads)
+                             for cmd in commands]
+                   for threads in (1, 2)}
+        assert all(outputs[1])
+        assert outputs[1] == outputs[2]

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate, stats
 
 import qhr
-from qhr import moments, scalar
+from qhr import model, moments, scalar
 
 
 # Exact quantiles of the law at each u, rounded to float: an upper-tail u
@@ -135,6 +135,13 @@ class TestScalarParams:
     def test_multifactor_rejected(self, models):
         with pytest.raises(ValueError):
             scalar.ScalarParams.from_model_params(models["MM1"])
+
+    def test_zero_b_rejected(self):
+        # b = 0 leaves the offset deterministic: no Pearson IV law to scale
+        params = model.ModelParams(lam=[[6.0]], b=[0.0], alpha=0.0133,
+                                   beta=[-0.05], gamma_mat=[[0.5]])
+        with pytest.raises(ValueError, match=r"requires b != 0"):
+            scalar.ScalarParams.from_model_params(params)
 
     def test_stationary_flag(self):
         assert scalar.ScalarParams(3.0, 0.01, 0.0, 1.9).stationary
