@@ -333,30 +333,36 @@ def _mc_config(args, horizon):
                        y0=_resolve_y0(args.y0))
 
 
-def _mc_provenance(cfg, floored, burn_in_floored):
+def _mc_provenance(params, cfg, floored, burn_in_floored):
     """The '# paths' line, with the floored variance steps of the paths and
-    of the burn-in behind a stationary start."""
+    of the burn-in behind a stationary start, and after it for a stationary
+    start the '# burn_in' line: its length, its start and the moment
+    residual it leaves (mc.default_burn_in)."""
     counts = f" floored_steps {floored}"
+    burn_in = []
     if cfg.y0 is None:
         start = "-"
     elif isinstance(cfg.y0, mc.StationaryInit):
         start = "stationary"
         counts += f" burn_in_floored_steps {burn_in_floored}"
+        steps, residual = mc.default_burn_in(params, cfg.steps_per_year)
+        burn_in = [f"# burn_in years {steps / cfg.steps_per_year:g} steps "
+                   f"{steps} start gaussian residual {residual:.3g}"]
     else:
         start = ",".join(_g(v) for v in cfg.y0)
-    return (f"# paths {cfg.n_paths} steps_per_year {cfg.steps_per_year} "
-            f"y0 {start}{counts}")
+    return [f"# paths {cfg.n_paths} steps_per_year {cfg.steps_per_year} "
+            f"y0 {start}{counts}", *burn_in]
 
 
 def _surface(args, params, mats, ells):
     """The one pricing path of smile and atm: the maturities x
     log-moneyness surface priced on the paths args ask for, with its
-    implied vols filled, and its '# paths' line."""
+    implied vols filled, and its provenance lines (_mc_provenance)."""
     grid = pricing.OptionGrid(maturities=tuple(mats),
                               log_moneyness=tuple(ells))
     cfg = _mc_config(args, float(np.max(mats)))
     surf = pricing.with_implied_vols(pricing.price_options(params, grid, cfg))
-    return surf, _mc_provenance(cfg, surf.floored_steps,
+    return surf, _mc_provenance(params, cfg, surf.floored_steps,
                                 surf.burn_in_floored_steps)
 
 
@@ -378,7 +384,7 @@ def cmd_smile(args):
     nodes = [np.broadcast_to(surf.maturities[:, None], shape),
              np.broadcast_to(surf.ell, shape), surf.call_price, surf.call_se,
              surf.put_price, surf.put_se, surf.ivol]
-    return 0, _csv([params], args.seed, [paths, *forwards],
+    return 0, _csv([params], args.seed, [*paths, *forwards],
                    "maturity,log_moneyness,call,call_se,put,put_se,ivol",
                    np.stack([c.ravel() for c in nodes], 1))
 
@@ -391,7 +397,7 @@ def cmd_atm(args):
     mats = keyed.get("T", np.array([1.0 / 12.0, 0.25, 0.5, 1.0, 1.5, 2.0]))
     surf, paths = _surface(args, params, mats, (-eps, 0.0, eps))
     atm_vol, atm_skew = pricing.atm_term_structures(surf, eps=eps)
-    return 0, _csv([params], args.seed, [paths, f"# eps {_g(eps)}"],
+    return 0, _csv([params], args.seed, [*paths, f"# eps {_g(eps)}"],
                    "maturity,atm_vol,atm_skew",
                    np.column_stack([surf.maturities, atm_vol, atm_skew]))
 
@@ -426,7 +432,7 @@ def cmd_simulate(args):
     rows, floored, burn_in_floored = _simulate_rows(params, cfg, probes)
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     return 0, _csv([params], args.seed,
-                   [_mc_provenance(cfg, floored, burn_in_floored)],
+                   _mc_provenance(params, cfg, floored, burn_in_floored),
                    "t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,se_sigma2,"
                    + ycols, rows)
 

@@ -35,13 +35,17 @@ BLAS itself runs on one thread (importing qhr.linalg pins it), so each
 p >= 3 contraction runs on the worker thread that calls it, and no second
 thread pool competes with the QHR_THREADS workers for the cores.
 
-A stationary start is drawn by a burn-in from zero on its own random
-streams (phase _PHASE_BURNIN), so main-phase draws are untouched.  The
-burn-in advances y alone: x and the integrated variance are neither
-updated nor stored, and each super-block writes its terminal y straight
-into the (n_paths, p) result.  Its y is bit-identical to what a full run
-over the same draws would reach, and its floored steps are reported apart
-from the main phase's (PathBatch.burn_in_floored_steps).
+A stationary start is drawn by a burn-in on its own random streams (phase
+_PHASE_BURNIN), so main-phase draws are untouched.  By default the burn-in
+starts from the moment-matched Gaussian of the stationary law, drawn per
+block on the streams of phase _PHASE_START, and runs the shortest number of
+steps after which the moment system puts every stationary moment of degree
+1..4 within BURN_IN_TOL of its limit (default_burn_in); an explicit burn-in
+starts from zero.  The burn-in advances y alone: x and the integrated
+variance are neither updated nor stored, and each super-block writes its
+terminal y straight into the (n_paths, p) result.  Its y is bit-identical
+to what a full run over the same draws would reach, and its floored steps
+are reported apart from the main phase's (PathBatch.burn_in_floored_steps).
 
 Every time the engine reads (the horizon, the probes, the maturities, the
 burn-in and each snapshot lookup) becomes a step by one rule, _step:
@@ -67,12 +71,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import variance
-from .moments import build_moment_system, monomials
+from .moments import DEGREE, build_moment_system, monomials
 
 _BLOCK = 4096
 _SUPER = 8
 _PHASE_MAIN = 0
 _PHASE_BURNIN = 1
+_PHASE_START = 2
+# the largest residual a default burn-in leaves (see default_burn_in)
+BURN_IN_TOL = 1e-4
 
 
 class ConfigInvalidError(ValueError):
@@ -83,7 +90,10 @@ class ConfigInvalidError(ValueError):
 class StationaryInit:
     """Marker for drawing per-path starting offsets by burn-in simulation.
 
-    burn_in None picks the default 10 / (slowest mean-reversion rate)."""
+    burn_in None (the default) starts every path from the moment-matched
+    Gaussian of the stationary law and burns in for default_burn_in's
+    step count; a burn_in in years simulates from zero for that long (see
+    stationary_init)."""
 
     burn_in: float = None
 
@@ -507,25 +517,114 @@ def simulate(params, cfg, probes=None):
                      burn_in_floored_steps=burn_in_floored)
 
 
-def default_burn_in(params):
-    rates = np.linalg.eigvals(params.lam).real
-    return 10.0 / float(rates.min())
+def _gaussian_start(sys):
+    """The moment-matched Gaussian N(mu, Sigma) of the stationary law as
+    (mu, root): mu = E[y] and Sigma = E[yy'] - mu mu' read from m_infty,
+    and root root' = Sigma from eigh, with rounding-level negative
+    eigenvalues taken as 0 (Sigma may be only semidefinite)."""
+    p = sys.p
+    mu = sys.m_infty[:p]
+    i, j = sys.quadratic_pairs
+    cov = np.empty((p, p))
+    cov[i, j] = cov[j, i] = sys.m_infty[p:sys.n_eta]
+    w, v = np.linalg.eigh(cov - np.outer(mu, mu))
+    return mu, v * np.sqrt(np.maximum(w, 0.0))
+
+
+def _burn_in_length(sys, mu, root, steps_per_year):
+    """The shortest step count n >= 0 whose residual r(n / steps_per_year)
+    from N(mu, root root') is at most BURN_IN_TOL, and that residual (see
+    default_burn_in).  The Gaussian's moments are exact: the 3-point
+    Gauss-Hermite product rule integrates each axis up to degree 5.  The
+    step grid is scanned in growing chunks, one propagation each."""
+    p = sys.p
+    # nodes mu + root sqrt(3) k, k in {-1, 0, 1}^p, weights 1/6, 2/3, 1/6
+    k = np.indices((3,) * p).reshape(p, -1).T - 1.0
+    weights = np.prod(np.where(k == 0.0, 2.0 / 3.0, 1.0 / 6.0), axis=1)
+    m0 = weights @ monomials(mu + math.sqrt(3.0) * k @ root.T, DEGREE)
+    i, j = sys.quadratic_pairs
+    s2 = sys.m_infty[p:sys.n_eta][i == j].max()
+    scale = math.sqrt(s2) ** sys.exponents.sum(axis=1)
+    diff = m0 - sys.m_infty
+    lo, size = 0, 256
+    while True:
+        steps = np.arange(lo, lo + size)
+        r = np.max(np.abs(sys._moment_action(diff, steps / steps_per_year))
+                   / scale, axis=1)
+        hit = np.flatnonzero(r <= BURN_IN_TOL)
+        if hit.size:
+            return int(steps[hit[0]]), float(r[hit[0]])
+        lo, size = lo + size, min(2 * size, 4096)
+
+
+def default_burn_in(params, steps_per_year):
+    """The default burn-in of a stationary start at steps_per_year steps a
+    year, as (n, r): the shortest step count n >= 0 whose residual r is at
+    most BURN_IN_TOL (1e-4), from the moment-matched Gaussian start.
+
+    The residual of a burn-in of length tau from moments m0 is the moment
+    formula of a polynomial diffusion (Filipovic & Larsson 2016,
+    "Polynomial diffusions and applications in finance"),
+
+        r(tau) = max_i |(e^{-A_sym tau} (m0 - m_infty))_i| / s^deg(i),
+
+    over the S coordinates i of degree 1..4, with s^2 the largest
+    stationary E[y_i^2], so each degree is measured in units of the
+    stationary scale.  It is a residual of the continuous moments without
+    the variance floor: it neither sees the Euler scheme's O(dt) bias nor
+    floored steps.  The Gaussian's moments m0 are exact at degrees 1 and 2,
+    so only degrees 3 and 4 decay.  Raises NotStationaryError unless every
+    moment block is stable."""
+    sys = build_moment_system(params)
+    sys.require_stable()
+    return _burn_in_length(sys, *_gaussian_start(sys), steps_per_year)
+
+
+def _gaussian_draws(mu, root, cfg):
+    """(n_paths, p) starts mu + root z, each _BLOCK-path block drawing its
+    standard normals z (one row per path, or per antithetic pair) from its
+    own generator of phase _PHASE_START, so the starts do not depend on the
+    thread count.  Under antithetic pairing the partners start at
+    mu + root z and mu - root z."""
+    n = cfg.n_paths
+    y = np.empty((n, mu.size))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        rng = _block_rng(cfg.seed, _PHASE_START, lo // _BLOCK)
+        units = (hi - lo) // 2 if cfg.antithetic else hi - lo
+        shift = rng.standard_normal((units, mu.size)) @ root.T
+        if cfg.antithetic:
+            y[lo:hi:2] = mu + shift
+            y[lo + 1:hi:2] = mu - shift
+        else:
+            y[lo:hi] = mu + shift
+    return y
 
 
 def stationary_init(params, burn_in, cfg, *, return_floored=False):
-    """Per-path starting offsets approximating the stationary law, obtained
-    by simulating the offset from zero for burn_in years (snapped to a
-    step count of at least 1 by _step) on a separate random stream (so
-    main-phase draws are untouched).  cfg.horizon is not read.
+    """Per-path starting offsets approximating the stationary law, drawn by
+    a burn-in on a separate random stream (so main-phase draws are
+    untouched).  cfg.horizon is not read.
+
+    burn_in None starts every path from the moment-matched Gaussian
+    N(mu, Sigma) of the stationary moments (drawn per block on its own
+    stream, see _gaussian_draws) and burns in for default_burn_in's step
+    count, the shortest that leaves a moment residual of at most
+    BURN_IN_TOL.  A burn_in in years starts from zero and simulates for
+    that long, snapped to a step count of at least 1 by _step.
 
     Returns the (n_paths, p) offsets, and with return_floored also the
     number of path-steps of the burn-in whose variance was floored."""
     _check_cfg(cfg)
-    build_moment_system(params).require_stable()
+    sys = build_moment_system(params)
+    sys.require_stable()
     if burn_in is None:
-        burn_in = default_burn_in(params)
-    n_steps = _step(burn_in, cfg.steps_per_year, "burn-in", 1)
-    y = np.zeros((cfg.n_paths, params.p))
+        mu, root = _gaussian_start(sys)
+        n_steps, _ = _burn_in_length(sys, mu, root, cfg.steps_per_year)
+        y = _gaussian_draws(mu, root, cfg)
+    else:
+        n_steps = _step(burn_in, cfg.steps_per_year, "burn-in", 1)
+        y = np.zeros((cfg.n_paths, params.p))
     floored = _advance(params, cfg, _PHASE_BURNIN, y, n_steps, {}, None)
     return (y, floored) if return_floored else y
 

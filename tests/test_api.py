@@ -40,11 +40,12 @@ def test_signatures_without_tolerance_options():
     # their tolerances, brackets and grids are private module constants
     assert {f.__name__: str(inspect.signature(f)) for f in (
         qhr.implied_vol, qhr.solve_lyapunov, qhr.default_grid,
-        qhr.filter_check)} == {
+        qhr.filter_check, qhr.default_burn_in)} == {
         "implied_vol": "(price, strike, maturity)",
         "solve_lyapunov": "(a_tilde, g)",
         "default_grid": "()",
         "filter_check": "(params, w)",
+        "default_burn_in": "(params, steps_per_year)",
     }
 
 

@@ -663,6 +663,38 @@ class TestMonteCarloCommands:
         assert ("# paths 200 steps_per_year 20 y0 stationary floored_steps 0 "
                 "burn_in_floored_steps 0" in out.splitlines())
 
+    @pytest.mark.parametrize("command, grid", [
+        ("simulate", "0.1"), ("smile", "T=0.25;L=0"), ("atm", "T=0.25")])
+    def test_stationary_start_names_its_burn_in(self, capsys, command, grid):
+        # the '# burn_in' line follows the '# paths' line and repeats
+        # default_burn_in's steps and residual; other starts have none
+        argv = (command, "--model", "M3", "--paths", "200",
+                "--steps-per-year", "20", "--grid", grid)
+        _, out, _ = run(capsys, *argv, "--y0", "stationary")
+        lines = out.splitlines()
+        at = [l.startswith("# paths") for l in lines].index(True)
+        steps, residual = mc.default_burn_in(model.load_fixture("M3"), 20)
+        assert lines[at + 1] == (f"# burn_in years {steps / 20:g} steps "
+                                 f"{steps} start gaussian residual "
+                                 f"{residual:.3g}")
+        _, out, _ = run(capsys, *argv, "--y0=0.01")
+        assert not any(l.startswith("# burn_in") for l in out.splitlines())
+
+    def test_stationary_simulate_bit_identical_across_threads(
+            self, capsys, monkeypatch):
+        # 8194 paths: the last block holds 2
+        outs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QHR_THREADS", threads)
+            rc, out, _ = run(capsys, "simulate", "--model", "MM1", "--y0",
+                             "stationary", "--paths", "8194", "--grid",
+                             "0,0.5")
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert ("# burn_in years 3.464 steps 866 start gaussian residual "
+                "9.96e-05") in outs[0].splitlines()
+
     def test_every_mc_command_reports_floored_steps(self, capsys, tmp_path):
         # sigma^2 = 0.01 - 0.6 y + 2 y^2 is negative for 0.0177 < y < 0.282,
         # so the burn-in and the main phase both floor; a one-maturity atm

@@ -1,11 +1,13 @@
 """Path simulation: determinism, exact discrete-chain identities, and the
 statistical behaviour of the estimators."""
 
+import hashlib
 import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qhr import mc, model, moments, scalar
 
@@ -18,6 +20,37 @@ def scalar_model(lam, alpha, beta, gamma):
 def flat_model(alpha):
     """Constant volatility: the offset feeds back into nothing."""
     return scalar_model(1.0, alpha, 0.0, 0.0)
+
+
+# a p = 3 rank-one cascade: one Jordan block of rate 4
+CASCADE = model.rank_one(model.JordanSpec(((4.0, 3),)), w=(0.5, 0.3, 0.2),
+                         alpha=0.01, beta0=-0.05, gamma0=1.0)
+
+
+def burn_in_residual(params, steps, steps_per_year, gaussian):
+    """The largest |m(tau) - m_infty| over the moments of degree 1..4, each
+    in units of s^degree (s^2 the largest stationary E[y_i^2]), after each
+    step count of steps from zero or from the Gaussian with the stationary
+    mean (0) and covariance, whose moments Isserlis' theorem gives; the
+    propagation is scipy's expm."""
+    sys_ = moments.build_moment_system(params)
+    p = sys_.p
+    assert not sys_.m_infty[:p].any()
+    i, j = sys_.quadratic_pairs
+    cov = np.empty((p, p))
+    cov[i, j] = cov[j, i] = sys_.m_infty[p:sys_.n_eta]
+    m0 = np.zeros_like(sys_.m_infty)
+    for row, e in enumerate(sys_.exponents if gaussian else ()):
+        k = np.repeat(np.arange(p), e)
+        if k.size == 2:
+            m0[row] = cov[k[0], k[1]]
+        elif k.size == 4:
+            m0[row] = (cov[k[0], k[1]] * cov[k[2], k[3]]
+                       + cov[k[0], k[2]] * cov[k[1], k[3]]
+                       + cov[k[0], k[3]] * cov[k[1], k[2]])
+    scale = cov.diagonal().max() ** (0.5 * sys_.exponents.sum(axis=1))
+    return [np.max(np.abs(scipy.linalg.expm(-sys_.a_sym * n / steps_per_year)
+                          @ (m0 - sys_.m_infty)) / scale) for n in steps]
 
 
 def chain_mean(params, y0, dt, n_steps):
@@ -409,9 +442,96 @@ class TestStationaryStart:
         with pytest.raises(moments.NotStationaryError):
             mc.simulate(params, cfg)
 
-    def test_default_burn_in_uses_slowest_rate(self, models):
-        assert mc.default_burn_in(models["M2"]) == pytest.approx(2.5)
-        assert mc.default_burn_in(models["MM4"]) == pytest.approx(10.0)
+    @pytest.mark.parametrize("name", [*model.list_fixtures(), "cascade"])
+    def test_default_burn_in_meets_the_tolerance(self, models, name):
+        # n is the shortest step count whose residual, recomputed here from
+        # Isserlis' moments and scipy's expm, is at most the tolerance
+        params = CASCADE if name == "cascade" else models[name]
+        n, r = mc.default_burn_in(params, 250)
+        ref = burn_in_residual(params, [n - 1, n], 250, gaussian=True)
+        assert ref[1] <= mc.BURN_IN_TOL
+        assert r == pytest.approx(ref[1], rel=1e-6)
+        assert ref[0] > mc.BURN_IN_TOL
+
+    def test_slowest_rate_rule_left_more_than_the_tolerance(self, models):
+        # the rule default_burn_in replaces, 10 / lam_min years from zero
+        for name in ("M1", "M3", "M4", "MM5"):
+            params = models[name]
+            years = 10.0 / np.linalg.eigvals(params.lam).real.min()
+            steps = round(years * 250)
+            assert burn_in_residual(params, [steps], 250,
+                                    gaussian=False)[0] > mc.BURN_IN_TOL
+
+    def test_gaussian_stationary_law_needs_no_burn_in(self):
+        # beta = Gamma = 0: y is an Ornstein-Uhlenbeck process, whose
+        # stationary law is the moment-matched Gaussian itself
+        n, r = mc.default_burn_in(flat_model(0.04), 250)
+        assert n == 0
+        assert r < 1e-12
+
+    def test_default_burn_in_takes_the_step_grid(self, models):
+        # the same length in years to within one coarse step
+        n250, _ = mc.default_burn_in(models["MM1"], 250)
+        n50, _ = mc.default_burn_in(models["MM1"], 50)
+        assert abs(n250 / 250 - n50 / 50) <= 1 / 50
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_gaussian_start_matches_the_stationary_moments(self, models,
+                                                           antithetic):
+        # partners start at mu + L z and mu - L z (mu = 0), and the start's
+        # covariance is E[yy'] within its sampling error
+        params = models["MM3"]
+        sys_ = moments.build_moment_system(params)
+        mu, root = mc._gaussian_start(sys_)
+        cfg = mc.McConfig(n_paths=40_000, horizon=0.1, seed=4,
+                          antithetic=antithetic)
+        y = mc._gaussian_draws(mu, root, cfg)
+        if antithetic:
+            assert np.array_equal(y[0::2], -y[1::2])
+        eta = moments.monomials(y, 2)[:, 2:]
+        want = sys_.m_infty[2:sys_.n_eta]
+        se = eta.std(axis=0, ddof=1) / math.sqrt(len(y))
+        assert np.all(np.abs(eta.mean(axis=0) - want) < 4.0 * se)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["MM1", "cascade"])
+    def test_default_start_bit_identical_across_threads(
+            self, models, name, antithetic, monkeypatch):
+        # 8194 paths: the last block holds 2; every block draws its start
+        # from its own generator, so the first block's 4096 starts are those
+        # of a 4096-path run
+        params = CASCADE if name == "cascade" else models[name]
+        cfg = mc.McConfig(n_paths=8194, horizon=0.1, seed=6,
+                          steps_per_year=100, antithetic=antithetic)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QHR_THREADS", threads)
+            runs.append(mc.stationary_init(params, None, cfg).tobytes())
+        assert runs[0] == runs[1] == runs[2]
+        sys_ = moments.build_moment_system(params)
+        mu, root = mc._gaussian_start(sys_)
+        start = mc._gaussian_draws(mu, root, cfg)
+        short = mc._gaussian_draws(mu, root, mc.McConfig(
+            n_paths=4096, horizon=0.1, seed=6, antithetic=antithetic))
+        assert np.array_equal(start[:4096], short)
+
+    @pytest.mark.parametrize("antithetic, digest", [
+        (True, "a14bf8e13d97858c955a70cef35f16056e4e2da9fab39fe27005eed271b3d"
+               "747"),
+        (False, "85905f16d0ea3818c37e6be033fbacea82ee66de60045ad0bce69d6f2a2d"
+                "97b4"),
+    ])
+    def test_explicit_burn_in_keeps_its_bits(self, models, antithetic, digest,
+                                             monkeypatch):
+        # an explicit burn-in still runs from zero: the sha256 of the MM3
+        # sample is the one the slowest-rate rule's code produced
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QHR_THREADS", threads)
+            cfg = mc.McConfig(n_paths=8194, horizon=0.1, seed=5,
+                              antithetic=antithetic,
+                              y0=mc.StationaryInit(burn_in=1.5))
+            y = mc.stationary_init(models["MM3"], 1.5, cfg)
+            assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
 
 class TestCovEstimator:
