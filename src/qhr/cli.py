@@ -333,25 +333,26 @@ def _mc_config(args, horizon):
                        y0=_resolve_y0(args.y0))
 
 
-def _mc_provenance(params, cfg, floored, burn_in_floored):
+def _mc_provenance(cfg, floored, burn_in):
     """The '# paths' line, with the floored variance steps of the paths and
     of the burn-in behind a stationary start, and after it for a stationary
-    start the '# burn_in' line: its length, its start and the moment
-    residual it leaves (mc.default_burn_in)."""
+    start the '# burn_in' line: the length of the run's mc.BurnIn, its
+    Gaussian start and the moment residual it leaves (mc.default_burn_in;
+    the CLI's stationary start is always the default one)."""
     counts = f" floored_steps {floored}"
-    burn_in = []
+    lines = []
     if cfg.y0 is None:
         start = "-"
     elif isinstance(cfg.y0, mc.StationaryInit):
         start = "stationary"
-        counts += f" burn_in_floored_steps {burn_in_floored}"
-        steps, residual = mc.default_burn_in(params, cfg.steps_per_year)
-        burn_in = [f"# burn_in years {steps / cfg.steps_per_year:g} steps "
-                   f"{steps} start gaussian residual {residual:.3g}"]
+        counts += f" burn_in_floored_steps {burn_in.floored_steps}"
+        lines = [f"# burn_in years {burn_in.steps / cfg.steps_per_year:g} "
+                 f"steps {burn_in.steps} start gaussian residual "
+                 f"{burn_in.residual:.3g}"]
     else:
         start = ",".join(_g(v) for v in cfg.y0)
     return [f"# paths {cfg.n_paths} steps_per_year {cfg.steps_per_year} "
-            f"y0 {start}{counts}", *burn_in]
+            f"y0 {start}{counts}", *lines]
 
 
 def _surface(args, params, mats, ells):
@@ -362,8 +363,7 @@ def _surface(args, params, mats, ells):
                               log_moneyness=tuple(ells))
     cfg = _mc_config(args, float(np.max(mats)))
     surf = pricing.with_implied_vols(pricing.price_options(params, grid, cfg))
-    return surf, _mc_provenance(params, cfg, surf.floored_steps,
-                                surf.burn_in_floored_steps)
+    return surf, _mc_provenance(cfg, surf.floored_steps, surf.burn_in)
 
 
 def cmd_smile(args):
@@ -406,7 +406,7 @@ def _simulate_rows(params, cfg, probes):
     """The summary rows of simulate, t and the mean and standard error of
     x, e^x and sigma^2 followed by the mean of each y component, folded
     into mc.BlockStats as the paths run, with the floored variance steps
-    of the paths and of the burn-in."""
+    of the paths and the mc.BurnIn behind a stationary start."""
     times = mc.snapshot_times(cfg, probes)
     stats = mc.BlockStats((times.size, 3 + params.p), cfg.n_paths,
                           cfg.antithetic)
@@ -417,11 +417,11 @@ def _simulate_rows(params, cfg, probes):
         stats.add((row, 2), lo, model.variance(params, y.T))
         stats.add((row, slice(3, None)), lo, y)
 
-    floored, burn_in_floored = mc.stream(params, cfg, probes, fold)
+    floored, burn_in = mc.stream(params, cfg, probes, fold)
     mean, se = stats.result()
     rows = np.column_stack([times, mean[:, 0], se[:, 0], mean[:, 1],
                             se[:, 1], mean[:, 2], se[:, 2], mean[:, 3:]])
-    return rows, floored, burn_in_floored
+    return rows, floored, burn_in
 
 
 def cmd_simulate(args):
@@ -429,10 +429,10 @@ def cmd_simulate(args):
     probes = (np.array([1.0]) if args.grid is None
               else _parse_values(args.grid))
     cfg = _mc_config(args, float(np.max(probes)))
-    rows, floored, burn_in_floored = _simulate_rows(params, cfg, probes)
+    rows, floored, burn_in = _simulate_rows(params, cfg, probes)
     ycols = ",".join(f"mean_y{i + 1}" for i in range(params.p))
     return 0, _csv([params], args.seed,
-                   _mc_provenance(params, cfg, floored, burn_in_floored),
+                   _mc_provenance(cfg, floored, burn_in),
                    "t,mean_x,se_x,mean_exp_x,se_exp_x,mean_sigma2,se_sigma2,"
                    + ycols, rows)
 

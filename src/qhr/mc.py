@@ -45,7 +45,8 @@ starts from zero.  The burn-in advances y alone: x and the integrated
 variance are neither updated nor stored, and each super-block writes its
 terminal y straight into the (n_paths, p) result.  Its y is bit-identical
 to what a full run over the same draws would reach, and its floored steps
-are reported apart from the main phase's (PathBatch.burn_in_floored_steps).
+are reported apart from the main phase's, with its length and residual
+(BurnIn, on PathBatch.burn_in).
 
 Every time the engine reads (the horizon, the probes, the maturities, the
 burn-in and each snapshot lookup) becomes a step by one rule, _step:
@@ -80,6 +81,8 @@ _PHASE_BURNIN = 1
 _PHASE_START = 2
 # the largest residual a default burn-in leaves (see default_burn_in)
 BURN_IN_TOL = 1e-4
+# the longest default burn-in, in steps, before the scan gives up
+_BURN_IN_MAX_STEPS = 2**20
 
 
 class ConfigInvalidError(ValueError):
@@ -99,6 +102,18 @@ class StationaryInit:
 
 
 @dataclass(frozen=True)
+class BurnIn:
+    """The burn-in behind a stationary start: its length in steps, the
+    moment residual it leaves (see default_burn_in; None for an explicit
+    burn-in, which starts from zero), and the path-steps whose variance
+    was floored."""
+
+    steps: int
+    residual: float
+    floored_steps: int
+
+
+@dataclass(frozen=True)
 class McConfig:
     n_paths: int
     horizon: float
@@ -115,8 +130,9 @@ class PathBatch:
     Arrays are indexed [time, path(, component)].  The horizon is always the
     last snapshot.  xi(i) returns the martingale part of x at snapshot i.
     Pair-aware summary statistics live in mean_se.  floored_steps counts the
-    path-steps whose variance was floored at zero; burn_in_floored_steps
-    counts those of the burn-in behind a stationary start (0 otherwise)."""
+    path-steps whose variance was floored at zero; burn_in is the BurnIn
+    behind a stationary start (None otherwise), and burn_in_floored_steps
+    its floored path-steps (0 without one)."""
 
     params: object
     times: np.ndarray
@@ -127,7 +143,11 @@ class PathBatch:
     seed: int
     steps_per_year: int
     floored_steps: int = 0
-    burn_in_floored_steps: int = 0
+    burn_in: BurnIn = None
+
+    @property
+    def burn_in_floored_steps(self):
+        return 0 if self.burn_in is None else self.burn_in.floored_steps
 
     @property
     def n_paths(self):
@@ -278,24 +298,24 @@ def _n_threads():
 
 
 def _resolve_y0(params, cfg):
-    """The (n_paths, p) start states and the floored steps of the burn-in
-    that drew them (0 without a stationary start)."""
+    """The (n_paths, p) start states and the BurnIn that drew them (None
+    without a stationary start)."""
     p = params.p
     y0 = cfg.y0
     if isinstance(y0, StationaryInit):
-        return stationary_init(params, y0.burn_in, cfg, return_floored=True)
+        return stationary_init(params, y0.burn_in, cfg, return_burn_in=True)
     if y0 is None:
-        return np.zeros((cfg.n_paths, p)), 0
+        return np.zeros((cfg.n_paths, p)), None
     arr = np.asarray(y0, dtype=float)
     if not np.isfinite(arr).all():  # the variance floor cannot catch NaN
         raise ConfigInvalidError("y0 must be finite")
     if arr.ndim == 1:
         if arr.shape != (p,):
             raise ConfigInvalidError(f"y0 vector must have length {p}")
-        return np.tile(arr, (cfg.n_paths, 1)), 0
+        return np.tile(arr, (cfg.n_paths, 1)), None
     if arr.shape != (cfg.n_paths, p):
         raise ConfigInvalidError("per-path y0 must be (n_paths, p)")
-    return arr.copy(), 0
+    return arr.copy(), None
 
 
 def _check_cfg(cfg):
@@ -485,14 +505,14 @@ def stream(params, cfg, probes, sink):
     component-major, of shape (p, m).  lo is a multiple of _BLOCK and m
     runs to a block boundary or to n_paths, as BlockStats.add expects.  The
     arrays are the engine's working buffers: read them, do not keep or
-    modify them.  Returns the floored variance steps of the paths and of
-    the burn-in behind a stationary start (0 otherwise)."""
+    modify them.  Returns the floored variance steps of the paths and the
+    BurnIn behind a stationary start (None otherwise)."""
     _check_cfg(cfg)
     steps = _snap_steps(cfg, probes)
-    y0_all, burn_in_floored = _resolve_y0(params, cfg)
+    y0_all, burn_in = _resolve_y0(params, cfg)
     floored = _advance(params, cfg, _PHASE_MAIN, y0_all, steps[-1],
                        {s: i for i, s in enumerate(steps)}, sink)
-    return floored, burn_in_floored
+    return floored, burn_in
 
 
 def simulate(params, cfg, probes=None):
@@ -510,11 +530,11 @@ def simulate(params, cfg, probes=None):
         y[row, cols] = yb.T
         ivar[row, cols] = ivarb
 
-    floored, burn_in_floored = stream(params, cfg, probes, store)
+    floored, burn_in = stream(params, cfg, probes, store)
     return PathBatch(params=params, times=times, x=x, y=y, ivar=ivar,
                      antithetic=cfg.antithetic, seed=cfg.seed,
                      steps_per_year=cfg.steps_per_year, floored_steps=floored,
-                     burn_in_floored_steps=burn_in_floored)
+                     burn_in=burn_in)
 
 
 def _gaussian_start(sys):
@@ -536,25 +556,34 @@ def _burn_in_length(sys, mu, root, steps_per_year):
     from N(mu, root root') is at most BURN_IN_TOL, and that residual (see
     default_burn_in).  The Gaussian's moments are exact: the 3-point
     Gauss-Hermite product rule integrates each axis up to degree 5.  The
-    step grid is scanned in growing chunks, one propagation each."""
+    step grid is scanned in growing chunks, one propagation each, up to
+    _BURN_IN_MAX_STEPS; a model that needs longer raises
+    ConfigInvalidError.  A stationary law with s = 0 is the point mass at
+    y = 0, which the Gaussian start already is: (0, 0.0)."""
     p = sys.p
+    i, j = sys.quadratic_pairs
+    s2 = sys.m_infty[p:sys.n_eta][i == j].max()
+    if s2 <= 0.0:
+        return 0, 0.0
     # nodes mu + root sqrt(3) k, k in {-1, 0, 1}^p, weights 1/6, 2/3, 1/6
     k = np.indices((3,) * p).reshape(p, -1).T - 1.0
     weights = np.prod(np.where(k == 0.0, 2.0 / 3.0, 1.0 / 6.0), axis=1)
     m0 = weights @ monomials(mu + math.sqrt(3.0) * k @ root.T, DEGREE)
-    i, j = sys.quadratic_pairs
-    s2 = sys.m_infty[p:sys.n_eta][i == j].max()
     scale = math.sqrt(s2) ** sys.exponents.sum(axis=1)
     diff = m0 - sys.m_infty
     lo, size = 0, 256
-    while True:
-        steps = np.arange(lo, lo + size)
+    while lo <= _BURN_IN_MAX_STEPS:
+        steps = np.arange(lo, min(lo + size, _BURN_IN_MAX_STEPS + 1))
         r = np.max(np.abs(sys._moment_action(diff, steps / steps_per_year))
                    / scale, axis=1)
         hit = np.flatnonzero(r <= BURN_IN_TOL)
         if hit.size:
             return int(steps[hit[0]]), float(r[hit[0]])
         lo, size = lo + size, min(2 * size, 4096)
+    raise ConfigInvalidError(
+        f"the default burn-in leaves a moment residual of {r[-1]:.3g} > "
+        f"{BURN_IN_TOL:g} after {_BURN_IN_MAX_STEPS} steps; give an "
+        "explicit burn_in")
 
 
 def default_burn_in(params, steps_per_year):
@@ -574,7 +603,8 @@ def default_burn_in(params, steps_per_year):
     the variance floor: it neither sees the Euler scheme's O(dt) bias nor
     floored steps.  The Gaussian's moments m0 are exact at degrees 1 and 2,
     so only degrees 3 and 4 decay.  Raises NotStationaryError unless every
-    moment block is stable."""
+    moment block is stable, and ConfigInvalidError if no n up to
+    _BURN_IN_MAX_STEPS meets the tolerance."""
     sys = build_moment_system(params)
     sys.require_stable()
     return _burn_in_length(sys, *_gaussian_start(sys), steps_per_year)
@@ -601,7 +631,7 @@ def _gaussian_draws(mu, root, cfg):
     return y
 
 
-def stationary_init(params, burn_in, cfg, *, return_floored=False):
+def stationary_init(params, burn_in, cfg, *, return_burn_in=False):
     """Per-path starting offsets approximating the stationary law, drawn by
     a burn-in on a separate random stream (so main-phase draws are
     untouched).  cfg.horizon is not read.
@@ -613,20 +643,24 @@ def stationary_init(params, burn_in, cfg, *, return_floored=False):
     BURN_IN_TOL.  A burn_in in years starts from zero and simulates for
     that long, snapped to a step count of at least 1 by _step.
 
-    Returns the (n_paths, p) offsets, and with return_floored also the
-    number of path-steps of the burn-in whose variance was floored."""
+    Returns the (n_paths, p) offsets, and with return_burn_in also the
+    BurnIn: the step count, the residual (None for an explicit burn_in)
+    and the number of path-steps whose variance was floored."""
     _check_cfg(cfg)
     sys = build_moment_system(params)
     sys.require_stable()
     if burn_in is None:
         mu, root = _gaussian_start(sys)
-        n_steps, _ = _burn_in_length(sys, mu, root, cfg.steps_per_year)
+        n_steps, residual = _burn_in_length(sys, mu, root, cfg.steps_per_year)
         y = _gaussian_draws(mu, root, cfg)
     else:
         n_steps = _step(burn_in, cfg.steps_per_year, "burn-in", 1)
+        residual = None
         y = np.zeros((cfg.n_paths, params.p))
     floored = _advance(params, cfg, _PHASE_BURNIN, y, n_steps, {}, None)
-    return (y, floored) if return_floored else y
+    if return_burn_in:
+        return y, BurnIn(n_steps, residual, floored)
+    return y
 
 
 def estimate_cov_eta_xi2(params, r, cfg):

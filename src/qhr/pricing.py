@@ -160,9 +160,9 @@ class OptionGrid:
 @dataclass
 class SmileSurface:
     """Per-node MC prices (call and put from the same paths), the forward
-    (martingale) check per maturity, optionally implied vols, and the
-    floored variance steps of the paths and of the burn-in behind a
-    stationary start (as in mc.PathBatch).
+    (martingale) check per maturity, optionally implied vols, the
+    floored variance steps of the paths, and the mc.BurnIn behind a
+    stationary start (None otherwise), as in mc.PathBatch.
 
     ell is the grid's one (nL,) row of log strikes, shared by every
     maturity; node (i, j) is maturity i at strike K_j = np.exp(ell)[j], the
@@ -180,7 +180,7 @@ class SmileSurface:
     n_paths: int
     ivol: np.ndarray = None
     floored_steps: int = 0
-    burn_in_floored_steps: int = 0
+    burn_in: mc.BurnIn = None
 
     def parity_gap(self):
         """call - put - (1 - K) per node; zero in exact arithmetic."""
@@ -223,7 +223,7 @@ def price_options(params, grid, cfg):
             stats.add((row, n_l + j), lo, payoff)
         stats.add((row, 2 * n_l), lo, ex)
 
-    floored, burn_in_floored = mc.stream(params, cfg, mats, fold)
+    floored, burn_in = mc.stream(params, cfg, mats, fold)
     mean, se = stats.result()
     mean, se = mean[rows], se[rows]
     return SmileSurface(maturities=times[rows],
@@ -232,8 +232,7 @@ def price_options(params, grid, cfg):
                         put_price=mean[:, n_l:-1], put_se=se[:, n_l:-1],
                         forward_mean=mean[:, -1], forward_se=se[:, -1],
                         seed=cfg.seed, n_paths=cfg.n_paths,
-                        floored_steps=floored,
-                        burn_in_floored_steps=burn_in_floored)
+                        floored_steps=floored, burn_in=burn_in)
 
 
 def with_implied_vols(surface):

@@ -65,7 +65,7 @@ def test_signatures_of_benchmark_calls():
         "stationary_summary": "(sys, params)",
         "estimate_cov_eta_xi2": "(params, r, cfg)",
         "simulate": "(params, cfg, probes=None)",
-        "stationary_init": "(params, burn_in, cfg, *, return_floored=False)",
+        "stationary_init": "(params, burn_in, cfg, *, return_burn_in=False)",
     }
 
 

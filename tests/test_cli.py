@@ -665,20 +665,39 @@ class TestMonteCarloCommands:
 
     @pytest.mark.parametrize("command, grid", [
         ("simulate", "0.1"), ("smile", "T=0.25;L=0"), ("atm", "T=0.25")])
-    def test_stationary_start_names_its_burn_in(self, capsys, command, grid):
+    def test_stationary_start_names_its_burn_in(self, capsys, monkeypatch,
+                                                command, grid):
         # the '# burn_in' line follows the '# paths' line and repeats
-        # default_burn_in's steps and residual; other starts have none
+        # default_burn_in's steps and residual, taken from the run itself
+        # (default_burn_in is not called again); other starts have none
         argv = (command, "--model", "M3", "--paths", "200",
                 "--steps-per-year", "20", "--grid", grid)
+        steps, residual = mc.default_burn_in(model.load_fixture("M3"), 20)
+
+        def recompute(*args):
+            raise AssertionError("provenance recomputed the burn-in")
+
+        monkeypatch.setattr(mc, "default_burn_in", recompute)
         _, out, _ = run(capsys, *argv, "--y0", "stationary")
         lines = out.splitlines()
         at = [l.startswith("# paths") for l in lines].index(True)
-        steps, residual = mc.default_burn_in(model.load_fixture("M3"), 20)
         assert lines[at + 1] == (f"# burn_in years {steps / 20:g} steps "
                                  f"{steps} start gaussian residual "
                                  f"{residual:.3g}")
         _, out, _ = run(capsys, *argv, "--y0=0.01")
         assert not any(l.startswith("# burn_in") for l in out.splitlines())
+
+    def test_point_mass_stationary_start(self, capsys, tmp_path):
+        # b = 0 (valid, stable): the stationary law is the point mass at 0,
+        # which the Gaussian start already is, so the burn-in is 0 steps
+        path = write_model(tmp_path, "still.json", {
+            "lambda": [[6.0]], "b": [0.0], "alpha": 0.0133, "beta": [-0.05],
+            "gamma": [[0.5]]})
+        rc, out, err = run(capsys, "simulate", "--model", path, "--y0",
+                           "stationary", "--paths", "100", "--grid", "0.1")
+        assert rc == 0, err
+        assert ("# burn_in years 0 steps 0 start gaussian residual 0"
+                in out.splitlines())
 
     def test_stationary_simulate_bit_identical_across_threads(
             self, capsys, monkeypatch):

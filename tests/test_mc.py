@@ -4,6 +4,7 @@ statistical behaviour of the estimators."""
 import hashlib
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,6 +470,31 @@ class TestStationaryStart:
         assert n == 0
         assert r < 1e-12
 
+    def test_point_mass_law_needs_no_burn_in(self):
+        # b = 0: y never leaves 0, so s = 0 and the residual is 0 / 0
+        params = model.ModelParams(lam=[[6.0]], b=[0.0], alpha=0.0133,
+                                   beta=[-0.05], gamma_mat=[[0.5]])
+        assert mc.default_burn_in(params, 250) == (0, 0.0)
+        cfg = mc.McConfig(n_paths=100, horizon=0.1, seed=1,
+                          y0=mc.StationaryInit())
+        batch = mc.simulate(params, cfg)
+        assert batch.burn_in == mc.BurnIn(0, 0.0, 0)
+        assert not batch.y.any()
+
+    def test_default_burn_in_gives_up_past_its_cap(self):
+        # rate 1e-5: the degree-3 and -4 moments need ~1e5 years
+        with pytest.raises(mc.ConfigInvalidError, match="explicit burn_in"):
+            mc.default_burn_in(scalar_model(1e-5, 0.01, -0.05, 1e-6), 250)
+
+    def test_run_reports_its_burn_in(self, models):
+        # the BurnIn on the batch is the one default_burn_in describes
+        cfg = mc.McConfig(n_paths=100, horizon=0.1, seed=2,
+                          y0=mc.StationaryInit())
+        batch = mc.simulate(models["MM1"], cfg)
+        steps, residual = mc.default_burn_in(models["MM1"], 250)
+        assert batch.burn_in == mc.BurnIn(steps, residual, 0)
+        assert mc.simulate(models["MM1"], replace(cfg, y0=None)).burn_in is None
+
     def test_default_burn_in_takes_the_step_grid(self, models):
         # the same length in years to within one coarse step
         n250, _ = mc.default_burn_in(models["MM1"], 250)
@@ -589,8 +615,11 @@ class TestFlooring:
         floored = mc._advance(params, cfg, mc._PHASE_BURNIN, y, 50, {}, None)
         assert batch.burn_in_floored_steps > 0
         assert batch.burn_in_floored_steps == floored
-        y0, count = mc.stationary_init(params, 0.5, cfg, return_floored=True)
-        assert count == floored
+        y0, burn_in = mc.stationary_init(params, 0.5, cfg,
+                                         return_burn_in=True)
+        assert burn_in == mc.BurnIn(steps=50, residual=None,
+                                    floored_steps=floored)
+        assert batch.burn_in == burn_in
         assert y0.tobytes() == y.tobytes()
         assert mc.stationary_init(params, 0.5, cfg).tobytes() == y.tobytes()
 
