@@ -8,32 +8,42 @@ with one shared Brownian driver.  Paths are generated in fixed blocks of
 as adjacent paths.  The integrated variance is tracked alongside x so the
 martingale part xi = x + ivar/2 is available exactly on the step grid.
 
-Each worker thread advances a super-block of up to 8 consecutive blocks,
-so every NumPy call in a step covers tens of thousands of paths and the
-threads overlap in native code.  Inside a super-block the state is held
-component-major, y with shape (p, n), and each step runs in preallocated
-buffers: one product [Gamma'; Lambda] y gives Gamma' y and Lambda y, 2 beta' y
-is its own product, the quadratic is summed over components in order, the
-floor is tested with one minimum, and the Gamma' y rows serve as scratch for
-the rest of the step (y += b shock - (Lambda y) dt runs over all
-components at once).  The partition into super-blocks depends on
-the thread count but the arithmetic per path does not: every block still
-fills its own slice of the normals from its own generator, and the
-contractions round each path alike wherever it sits in a super-block.  A
-short final block keeps row-major contractions on its own (y' [Gamma |
-Lambda'] and y' 2 beta), because BLAS rounds the ragged end of a short
-matrix differently.  For p = 1 the contractions are single products, so
-one broadcast multiply of the column [2 beta; Gamma; Lambda] into y fills
-sig2's row and both contracted rows; numpy's matmul takes a slow
-non-BLAS loop when the inner dimension is 1, and an elementwise product
-has no ragged end, so p = 1 needs no tail.  For p <= 2 the results are
-bit-identical to a row-major step over each block alone (tests/test_mc.py
-keeps that step as the reference); for p >= 3 BLAS and einsum may order
-the contractions differently, and results differ from it at rounding level
-(a few 1e-16 relative), while staying bit-identical across thread counts.
-BLAS itself runs on one thread (importing qhr.linalg pins it), so each
-p >= 3 contraction runs on the worker thread that calls it, and no second
-thread pool competes with the QHR_THREADS workers for the cores.
+The paths are cut into super-blocks of up to 8 consecutive blocks,
+ceil(blocks / 8) of them as even as np.array_split makes them, so every
+NumPy call in a step covers tens of thousands of paths.  The partition
+depends on the path count alone.  Up to QHR_THREADS threads step the
+super-blocks, one thread each at a time.  Each super-block reads its
+normals from a two-chunk ring (_Ring, at most _RING_BYTES): every block
+draws the next chunk of steps from its own generator in one call, as a
+task on one shared queue that any thread not stepping serves, and that a
+stepper serves while its own next chunk is not drawn yet.  So a second
+thread draws while the first steps even when all paths fit in one
+super-block, and the drawing, which releases the GIL, overlaps the
+stepping.  Each block draws the same normals in the same order as a draw
+per step, and the super-blocks, and so every contraction, are the same
+at any thread count: the results are bit-identical across thread counts
+by construction.
+
+Inside a super-block the state is held component-major, y with shape
+(p, n), and each step runs in preallocated buffers: one product
+[Gamma'; Lambda] y gives Gamma' y and Lambda y, 2 beta' y is its own
+product, the quadratic is summed over components in order, the floor is
+tested with one minimum, and the Gamma' y rows serve as scratch for the
+rest of the step (y += b shock - (Lambda y) dt runs over all components
+at once).  A short final block keeps row-major contractions on its own
+(y' [Gamma | Lambda'] and y' 2 beta), because BLAS rounds the ragged end
+of a short matrix differently.  For p = 1 the contractions are single
+products, so one broadcast multiply of the column [2 beta; Gamma; Lambda]
+into y fills sig2's row and both contracted rows; numpy's matmul takes a
+slow non-BLAS loop when the inner dimension is 1, and an elementwise
+product has no ragged end, so p = 1 needs no tail.  For p <= 2 the
+results are bit-identical to a row-major step over each block alone
+(tests/test_mc.py keeps that step as the reference); for p >= 3 BLAS and
+einsum may order the contractions differently, and results differ from it
+at rounding level (a few 1e-16 relative).  BLAS itself runs on one thread
+(importing qhr.linalg pins it), so each p >= 3 contraction runs on the
+thread that calls it, and no second thread pool competes with the
+QHR_THREADS threads for the cores.
 
 A stationary start is drawn by a burn-in on its own random streams (phase
 _PHASE_BURNIN), so main-phase draws are untouched.  By default the burn-in
@@ -53,7 +63,7 @@ burn-in and each snapshot lookup) becomes a step by one rule, _step:
 round(t * steps_per_year), halves to even, so T = 0.25 at 250 steps a year
 is step 62 (0.248), and time_index finds the row of exactly that step.
 
-Snapshots go to a sink that runs on the worker thread of each super-block
+Snapshots go to a sink that runs on the thread that steps each super-block
 (stream): simulate's sink stores them in a PathBatch, while pricing and the
 CLI summary fold each snapshot into BlockStats and keep no (times, paths)
 array.  BlockStats holds one (count, mean, M2) partial per _BLOCK-path
@@ -64,9 +74,10 @@ count.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +87,8 @@ from .moments import DEGREE, build_moment_system, monomials
 
 _BLOCK = 4096
 _SUPER = 8
+# the bytes of one super-block's draw ring (two chunks of normals)
+_RING_BYTES = 1 << 20
 _PHASE_MAIN = 0
 _PHASE_BURNIN = 1
 _PHASE_START = 2
@@ -288,9 +301,13 @@ def _block_rng(seed, phase, block):
 
 
 def _n_threads():
+    """QHR_THREADS, or by default the number of CPUs this process may run
+    on (os.cpu_count() where the affinity is unknown), at most 8."""
     env = os.environ.get("QHR_THREADS", "").strip()
     if not env:
-        return min(8, os.cpu_count() or 1)
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        return min(8, cpus or 1)
     if not (env.isascii() and env.isdigit()) or int(env) < 1:
         raise ConfigInvalidError(
             f"QHR_THREADS must be a positive integer, got {env!r}")
@@ -327,18 +344,20 @@ def _check_cfg(cfg):
         raise ConfigInvalidError("steps_per_year must be >= 1")
 
 
-def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
+def _euler_block(params, y, n_steps, dt, normals, antithetic, snap_rows,
                  record):
     """Advance one super-block of paths in place and return the number of
     floored variance steps.
 
-    y is component-major, shape (p, n), and rngs holds one generator per
-    sub-block of _BLOCK paths (the last may be shorter), in path order.
-    At each snapshot step, record(row, x, y, ivar) gets the state in the
-    working buffers, which it must neither keep nor modify.  With record
-    None (the burn-in, which asks for no snapshots) only y is advanced: x
-    and ivar are neither updated nor passed on, and y is left at its
-    terminal state."""
+    y is component-major, shape (p, n).  normals(z) returns an iterator
+    that yields, at each step, the (src, dst) pairs that carry the step's
+    standard normals (one per path, or per antithetic pair, in path order)
+    into z: dst are views of z and src arrays of the same shapes (see
+    _Ring.steps).  At each snapshot step, record(row, x, y, ivar) gets
+    the state in the working buffers, which it must neither keep nor
+    modify.  With record None (the burn-in, which asks for no snapshots)
+    only y is advanced: x and ivar are neither updated nor passed on, and y
+    is left at its terminal state."""
     p, nb = y.shape
     n_base = nb // 2 if antithetic else nb
     alpha = params.alpha
@@ -370,9 +389,7 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     tmp = contracted[0]
     # normals land in shock directly unless they are interleaved into it
     z = tmp[:n_base] if antithetic else shock
-    # sub-block i owns paths [i, i + 1) * _BLOCK and their share of z
-    per = _BLOCK // 2 if antithetic else _BLOCK
-    draws = [(rng, z[i * per:(i + 1) * per]) for i, rng in enumerate(rngs)]
+    steps = normals(z)
     # A short final sub-block keeps its own row-major contractions: BLAS
     # rounds the ragged end of a short matrix differently from the same
     # columns inside a long one.  Elementwise products have no such end.
@@ -408,9 +425,8 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
             np.copyto(sig2, 0.0, where=bad)
         # shock = sig * (sqrt(dt) z); scaling before the +z/-z interleave
         # is exact
-        for rng, zb in draws:
-            rng.standard_normal(out=zb)
-        np.multiply(z, sqdt, out=z)
+        for src, dst in next(steps):
+            np.multiply(src, sqdt, out=dst)
         if antithetic:
             shock[0::2] = z
             np.negative(z, out=shock[1::2])
@@ -432,44 +448,195 @@ def _euler_block(params, y, n_steps, dt, rngs, antithetic, snap_rows,
     return floored
 
 
-def _super_blocks(n_blocks, threads):
-    """Contiguous runs of sub-block indices, threads * ceil(n_blocks /
-    (threads * _SUPER)) of them (empty runs dropped), so each holds at most
-    _SUPER sub-blocks and every thread gets at least one when it can."""
-    count = threads * -(-n_blocks // (threads * _SUPER))
-    return [r for r in np.array_split(np.arange(n_blocks), count) if r.size]
+def _super_blocks(n_blocks):
+    """Contiguous runs of sub-block indices, ceil(n_blocks / _SUPER) of
+    them as even as np.array_split makes them, so each holds at most
+    _SUPER sub-blocks.  The partition depends on the path count alone."""
+    return np.array_split(np.arange(n_blocks), -(-n_blocks // _SUPER))
+
+
+class _Aborted(Exception):
+    """Raised in a worker when another worker has failed."""
+
+
+class _Workers:
+    """The threads of one _advance call, with a queue of super-blocks to
+    step and one FIFO queue of draw tasks.
+
+    A task fills one sub-block's share of a chunk of normals from the
+    sub-block's own generator, with the GIL released.  Each thread steps
+    super-blocks while any are left, then serves draw tasks until every
+    super-block is done; a stepper also serves them (its own or another
+    super-block's) while its own next chunk is not drawn yet.  The first
+    exception in any thread stops the others at their next chunk, and run
+    re-raises it once every thread has ended."""
+
+    def __init__(self, runs):
+        self._cond = threading.Condition()
+        self._runs = collections.deque(runs)
+        self._tasks = collections.deque()
+        self._live = len(runs)
+        self._failed = []
+
+    def run(self, threads, step):
+        """Call step(blocks) on every super-block, on this thread and up to
+        threads - 1 more, and return when they have all ended."""
+        started = []
+        try:
+            for _ in range(threads - 1):
+                thread = threading.Thread(target=self._work, args=(step,))
+                thread.start()
+                started.append(thread)
+            self._work(step)
+        finally:
+            for thread in started:
+                thread.join()
+        if self._failed:
+            raise self._failed[0]
+
+    def submit(self, ring, tasks):
+        """Queue the (generator, out) draws of ring's next chunk."""
+        with self._cond:
+            ring.left = len(tasks)
+            self._tasks.extend((rng, out, ring) for rng, out in tasks)
+            self._cond.notify_all()
+
+    def wait(self, ring):
+        """Serve draw tasks until ring's last submitted chunk is drawn."""
+        with self._cond:
+            while ring.left:
+                self._serve()
+
+    def _serve(self):
+        # under the lock: draw the oldest task, releasing the lock while
+        # the normals are drawn, or wait for one
+        if self._failed:
+            raise _Aborted
+        if not self._tasks:
+            self._cond.wait()
+            return
+        rng, out, ring = self._tasks.popleft()
+        self._cond.release()
+        try:
+            rng.standard_normal(out=out)
+        finally:
+            self._cond.acquire()
+        ring.left -= 1
+        if not ring.left:
+            self._cond.notify_all()
+
+    def _work(self, step):
+        try:
+            while True:
+                with self._cond:
+                    if self._failed or not self._runs:
+                        break
+                    blocks = self._runs.popleft()
+                step(blocks)
+                with self._cond:
+                    self._live -= 1
+                    if not self._live:
+                        self._cond.notify_all()
+            with self._cond:
+                while self._live:
+                    self._serve()
+        except _Aborted:
+            pass
+        except BaseException as exc:  # re-raised by run
+            with self._cond:
+                self._failed.append(exc)
+                self._tasks.clear()
+                self._cond.notify_all()
+
+
+class _Ring:
+    """The normals of one super-block, drawn ahead into two chunks of size
+    steps: while the stepper reads one chunk, the workers draw the next
+    into the other.  Sub-block i's share of a chunk is a contiguous
+    (size, units[i]) array, one row per step, filled by one call to the
+    sub-block's own generator, so every sub-block draws the sequence of
+    normals that a draw per step would.  The two chunks hold at most
+    _RING_BYTES (one step each if that is more)."""
+
+    def __init__(self, workers, rngs, units, n_steps):
+        n_base = sum(units)
+        self.size = max(1, min(n_steps, _RING_BYTES // (16 * n_base)))
+        self.n_steps = n_steps
+        self.left = 0
+        self._workers = workers
+        self._rngs = rngs
+        self._units = units
+        self._offsets = np.cumsum([0] + units[:-1]) * self.size
+        self._chunks = np.empty((2, self.size * n_base))
+        if n_steps:
+            self._submit(0)
+
+    def _submit(self, chunk):
+        steps = min(self.size, self.n_steps - chunk * self.size)
+        flat = self._chunks[chunk % 2]
+        self._workers.submit(self, [
+            (rng, flat[off:off + steps * u])
+            for rng, u, off in zip(self._rngs, self._units, self._offsets)])
+
+    def steps(self, z):
+        """An iterator over the n_steps steps that yields, at each step,
+        the (src, dst) pairs that carry its normals from the ring into z,
+        the (n_base,) normals in path order: one pair for the sub-blocks
+        of the first one's size, and one for a shorter last sub-block."""
+        full = self._units.count(self._units[0])
+        groups = [(full, self._units[0])]
+        if full < len(self._units):
+            groups.append((1, self._units[-1]))
+        views = []
+        for flat in self._chunks:
+            at, pairs = 0, []
+            for count, u in groups:
+                src = flat[at * self.size:(at + count * u) * self.size]
+                pairs.append((src.reshape(count, self.size, u),
+                              z[at:at + count * u].reshape(count, u)))
+                at += count * u
+            views.append([[(src[:, k], dst) for src, dst in pairs]
+                          for k in range(self.size)])
+        n_chunks = -(-self.n_steps // self.size)
+        for chunk in range(n_chunks):
+            self._workers.wait(self)
+            if chunk + 1 < n_chunks:
+                self._submit(chunk + 1)
+            yield from views[chunk % 2][:self.n_steps - chunk * self.size]
 
 
 def _advance(params, cfg, phase, y, n_steps, snap_rows, sink):
     """Advance the (n_paths, p) start states y over n_steps steps in
-    super-blocks on the worker threads, and return the number of floored
-    variance steps.  Each super-block's snapshots go to sink(row, lo, x, y,
-    ivar) on its worker thread, lo being its first path (see stream).  With
-    sink None only y is advanced, and its terminal state is written back
-    into y."""
+    super-blocks on up to _n_threads() threads, and return the number of
+    floored variance steps.  Each super-block's snapshots go to sink(row,
+    lo, x, y, ivar) on the thread that steps it, lo being its first path
+    (see stream).  With sink None only y is advanced, and its terminal
+    state is written back into y."""
     n = cfg.n_paths
     dt = 1.0 / cfg.steps_per_year
-    threads = _n_threads()
-    supers = _super_blocks((n + _BLOCK - 1) // _BLOCK, threads)
+    n_blocks = -(-n // _BLOCK)
+    runs = _super_blocks(n_blocks)
+    workers = _Workers(runs)
+    floored = []
 
-    def work(blocks):
+    def step(blocks):
         lo = int(blocks[0]) * _BLOCK
         hi = min((int(blocks[-1]) + 1) * _BLOCK, n)
         rngs = [_block_rng(cfg.seed, phase, int(bi)) for bi in blocks]
+        paths = [min(_BLOCK, n - int(bi) * _BLOCK) for bi in blocks]
+        units = [m // 2 for m in paths] if cfg.antithetic else paths
+        ring = _Ring(workers, rngs, units, n_steps)
         yb = y[lo:hi].T.copy()
         record = None if sink is None else (
             lambda row, x, yr, ivar: sink(row, lo, x, yr, ivar))
-        floored = _euler_block(params, yb, n_steps, dt, rngs, cfg.antithetic,
-                               snap_rows, record)
+        floored.append(_euler_block(params, yb, n_steps, dt, ring.steps,
+                                    cfg.antithetic, snap_rows, record))
         if sink is None:
             y[lo:hi] = yb.T
-        return floored
 
-    workers = min(threads, len(supers))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(work, supers))
-    return sum(map(work, supers))
+    # a thread past one per super-block and one per draw task never works
+    workers.run(min(_n_threads(), len(runs) + n_blocks), step)
+    return sum(floored)
 
 
 def _snap_steps(cfg, probes):
@@ -499,7 +666,7 @@ def stream(params, cfg, probes, sink):
     """Simulate cfg.n_paths joint paths as simulate does, handing each
     snapshot to sink instead of storing it.
 
-    sink(row, lo, x, y, ivar) runs on the worker thread of each
+    sink(row, lo, x, y, ivar) runs on the thread that steps each
     super-block, once for each row of snapshot_times(cfg, probes), with the
     state of paths [lo, lo + m): x and ivar of shape (m,) and y
     component-major, of shape (p, m).  lo is a multiple of _BLOCK and m

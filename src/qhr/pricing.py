@@ -75,13 +75,16 @@ def implied_vol(price, strike, maturity):
     absolute tolerance would accept the bracket floor for any deep
     out-of-the-money price below it.  Prices at or outside the static
     bounds (1-K)+ < C < 1, or whose volatility escapes the bracket, raise
-    OutOfBoundsError with boundary 'lower' or 'upper'."""
+    OutOfBoundsError with boundary 'lower' or 'upper'; so does a time
+    value within the rounding of the price (at most 4 eps C), whose vol
+    the price does not determine ('lower')."""
     if maturity <= 0 or strike <= 0:
         raise ValueError("maturity and strike must be positive")
     intrinsic = max(1.0 - strike, 0.0)
-    if price <= intrinsic:
+    if price - intrinsic <= 4.0 * _EPS * price:
         raise OutOfBoundsError(
-            f"price {price} at/below intrinsic {intrinsic}", "lower")
+            f"price {price} at/below intrinsic {intrinsic} to rounding",
+            "lower")
     if price >= 1.0:
         raise OutOfBoundsError(f"price {price} at/above forward 1", "upper")
     time_value = price - intrinsic

@@ -4,6 +4,7 @@ statistical behaviour of the estimators."""
 import hashlib
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -147,7 +148,7 @@ def reference_simulate(params, cfg, probes, phase=mc._PHASE_MAIN):
 
 
 class TestKernelMatchesRowMajorReference:
-    # a partial last block; three threads split the ten blocks 4/3/3
+    # a partial last block; the ten blocks form two super-blocks of five
     N_PATHS = 9 * mc._BLOCK + 2
     BURN_IN = 0.2
 
@@ -302,15 +303,171 @@ class TestDeterminism:
             mc.simulate(models["M1"], cfg)
 
     def test_super_blocks_partition_the_blocks(self):
-        assert [len(r) for r in mc._super_blocks(25, 2)] == [7, 6, 6, 6]
-        assert [len(r) for r in mc._super_blocks(4, 2)] == [2, 2]
-        assert [len(r) for r in mc._super_blocks(1, 3)] == [1]
-        for n_blocks in (1, 7, 16, 17, 100):
-            for threads in (1, 2, 3, 8):
-                runs = mc._super_blocks(n_blocks, threads)
-                assert np.array_equal(np.concatenate(runs),
-                                      np.arange(n_blocks))
-                assert max(len(r) for r in runs) <= mc._SUPER
+        # the partition reads the block count alone, not the thread count
+        assert [len(r) for r in mc._super_blocks(25)] == [7, 6, 6, 6]
+        assert [len(r) for r in mc._super_blocks(4)] == [4]
+        assert [len(r) for r in mc._super_blocks(1)] == [1]
+        assert [len(r) for r in mc._super_blocks(9)] == [5, 4]
+        for n_blocks in (1, 7, 8, 16, 17, 100):
+            runs = mc._super_blocks(n_blocks)
+            assert np.array_equal(np.concatenate(runs), np.arange(n_blocks))
+            assert max(len(r) for r in runs) <= mc._SUPER
+            assert len(runs) == -(-n_blocks // mc._SUPER)
+
+    def test_default_threads_count_the_cpus_the_process_may_use(
+            self, monkeypatch):
+        monkeypatch.delenv("QHR_THREADS", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert mc._n_threads() == 1
+        monkeypatch.setattr(mc.os, "sched_getaffinity",
+                            lambda pid: set(range(20)))
+        assert mc._n_threads() == 8
+        # without an affinity call the count falls back to the CPUs
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
+        assert mc._n_threads() == 2
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._n_threads() == 1
+        monkeypatch.setenv("QHR_THREADS", "3")
+        assert mc._n_threads() == 3
+
+
+class TestPartition:
+    """Every sink call and every array is the same at any thread count and
+    any ring size: the super-blocks depend on the path count alone, and
+    each block draws its normals from its own generator."""
+
+    # 1, 2, 4, 8 and 25 blocks, and a ragged 4 * 4096 + 2
+    N_PATHS = [mc._BLOCK, 2 * mc._BLOCK, 4 * mc._BLOCK, 8 * mc._BLOCK,
+               25 * mc._BLOCK, 4 * mc._BLOCK + 2]
+
+    @staticmethod
+    def _run(params, cfg, probes):
+        """{(row, lo): (x, y, ivar)} from stream, the floored steps, and
+        the stationary start."""
+        seen = {}
+
+        def sink(row, lo, x, y, ivar):
+            assert (row, lo) not in seen
+            seen[row, lo] = (x.copy(), y.copy(), ivar.copy())
+
+        floored, burn_in = mc.stream(params, cfg, probes, sink)
+        start = mc.stationary_init(params, cfg.y0.burn_in, cfg)
+        return seen, floored, burn_in, start
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name", ["M3", "MM3", "cascade"])
+    @pytest.mark.parametrize("n_paths", N_PATHS)
+    def test_outputs_do_not_depend_on_the_thread_count(
+            self, models, name, n_paths, antithetic, monkeypatch):
+        params = CASCADE if name == "cascade" else models[name]
+        # 7 burn-in steps and 7 main steps; the small ring takes them in
+        # chunks of 3, 3 and 1
+        cfg = mc.McConfig(n_paths=n_paths, horizon=0.028, seed=17,
+                          antithetic=antithetic,
+                          y0=mc.StationaryInit(burn_in=0.028))
+        probes = [0.0, 0.012]
+        monkeypatch.setenv("QHR_THREADS", "1")
+        want = self._run(params, cfg, probes)
+        assert len(want[0]) == 3 * len(mc._super_blocks(-(-n_paths
+                                                           // mc._BLOCK)))
+        per = mc._BLOCK // 2 if antithetic else mc._BLOCK
+        small = 3 * 16 * min(n_paths // (2 if antithetic else 1), 8 * per)
+        for threads, ring in [("2", None), ("3", None), ("8", None),
+                              ("1", small), ("3", small)]:
+            monkeypatch.setenv("QHR_THREADS", threads)
+            if ring is not None:
+                monkeypatch.setattr(mc, "_RING_BYTES", ring)
+            got = self._run(params, cfg, probes)
+            assert got[0].keys() == want[0].keys()
+            for key, arrays in want[0].items():
+                for g, w in zip(got[0][key], arrays):
+                    assert g.tobytes() == w.tobytes()
+            assert got[1:3] == want[1:3]
+            assert got[3].tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_small_ring_matches_the_row_major_reference(self, models,
+                                                        antithetic,
+                                                        monkeypatch):
+        # chunks of 2 steps, the last of 1, over 9 * 4096 + 2 paths
+        monkeypatch.setenv("QHR_THREADS", "2")
+        monkeypatch.setattr(mc, "_RING_BYTES", 2 * 16 * 5 * mc._BLOCK)
+        cfg = mc.McConfig(n_paths=9 * mc._BLOCK + 2, horizon=0.1, seed=31,
+                          steps_per_year=50, antithetic=antithetic,
+                          y0=np.full(2, 0.02))
+        batch = mc.simulate(models["MM3"], cfg, probes=[0.0, 0.06])
+        ref = reference_simulate(models["MM3"], cfg, [0.0, 0.06])
+        for g, r in zip((batch.x, batch.y, batch.ivar), ref[:3]):
+            assert g.tobytes() == r.tobytes()
+        assert batch.floored_steps == ref[3]
+
+
+class TestThreadHygiene:
+    """No thread outlives a run, whether it returns or its sink raises."""
+
+    CFG = mc.McConfig(n_paths=9 * mc._BLOCK + 2, horizon=0.2, seed=4,
+                      steps_per_year=50)
+
+    @staticmethod
+    def _bounded(call, timeout=120.0):
+        """call() on a thread of its own, failing the test unless it ends
+        within timeout seconds (a worker left waiting would hang it);
+        returns its result or raises its exception."""
+        outcome = []
+
+        def target():
+            try:
+                outcome.append((True, call()))
+            except Exception as exc:
+                outcome.append((False, exc))
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout)
+        assert not thread.is_alive()
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return value
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_runs_leave_no_thread(self, models, threads, monkeypatch):
+        from qhr import pricing
+
+        monkeypatch.setenv("QHR_THREADS", threads)
+        before = threading.active_count()
+        grid = pricing.OptionGrid((0.1, 0.2), (-0.1, 0.0, 0.1))
+        stationary = replace(self.CFG, y0=mc.StationaryInit())
+        for call in (lambda: mc.simulate(models["MM3"], self.CFG, [0.1]),
+                     lambda: pricing.price_options(models["MM3"], grid,
+                                                   self.CFG),
+                     lambda: mc.simulate(models["MM1"], stationary)):
+            self._bounded(call)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_a_raising_sink_leaves_no_thread(self, models, threads,
+                                             monkeypatch):
+        monkeypatch.setenv("QHR_THREADS", threads)
+        before = threading.active_count()
+        calls = []
+
+        def sink(row, lo, x, y, ivar):
+            calls.append((row, lo))
+            # the second of the two super-blocks, at t = 0.1 (row 1 of
+            # t = 0, 0.1 and the horizon 0.2)
+            if row == 1 and lo == mc._BLOCK * 5:
+                raise RuntimeError("sink failed")
+
+        with pytest.raises(RuntimeError, match="sink failed"):
+            self._bounded(lambda: mc.stream(models["MM3"], self.CFG,
+                                            [0.0, 0.1], sink))
+        assert threading.active_count() == before
+        # the failing super-block stopped before its horizon row
+        assert (1, mc._BLOCK * 5) in calls
+        assert (2, mc._BLOCK * 5) not in calls
 
 
 class TestExactChainIdentities:

@@ -130,6 +130,18 @@ class TestImpliedVol:
             pricing.implied_vol(0.29, 0.7, 1.0)
         assert exc.value.boundary == "lower"
 
+    @pytest.mark.parametrize("ell, t, vol", [(-0.3, 0.25, 0.08),
+                                             (-0.45, 0.25, 0.12)])
+    def test_time_value_at_the_rounding_of_the_price(self, ell, t, vol):
+        # the time value is 1.1e-16, below 4 eps of the price: these used
+        # to return 0.080279 and 0.119610
+        k = math.exp(ell)
+        price = pricing.bs_price(k, t, vol)
+        assert 0.0 < price - (1.0 - k) <= 4.0 * np.finfo(float).eps * price
+        with pytest.raises(pricing.OutOfBoundsError) as exc:
+            pricing.implied_vol(price, k, t)
+        assert exc.value.boundary == "lower"
+
     def test_above_forward(self):
         with pytest.raises(pricing.OutOfBoundsError) as exc:
             pricing.implied_vol(1.0, 1.0, 1.0)
