@@ -426,7 +426,11 @@ def change_of_measure(params, mu0, mu1):
 
 
 def diagnostics(params):
-    """Assemble the static summary used by the model tables."""
+    """Assemble the static summary used by the model tables.  An
+    inadmissible model raises ValueError naming the clauses it violates."""
+    bad = validate(params)
+    if bad:
+        raise ValueError("inadmissible model: " + "; ".join(bad))
     sys = moments.build_moment_system(params)
     summ = moments.stationary_summary(sys, params)
     y_min, sigma_min = variance_min(params)

@@ -9,7 +9,9 @@ bounds, and the stationary law itself is a Pearson type IV density
              * exp(nu * arctan((beta + gamma*y)/sqrt(delta))),
 
 with delta = alpha*gamma - beta^2 > 0 and nu = 2*lam*beta/(gamma*sqrt(delta)).
-Everything here doubles as an analytic oracle for the general-p machinery.
+beta = 0 is its nu = 0 member, a scaled Student t, and takes the same
+evaluation; gamma -> 0 is the Gaussian limit.  Everything here doubles as
+an analytic oracle for the general-p machinery.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_jacobi, stdtr, stdtrit
+from scipy.special import ndtr, ndtri, roots_jacobi
 
 from .model import ModelParams
 from .moments import NotStationaryError
@@ -116,27 +118,28 @@ def scalar_kurtosis_bounds(lam, gamma):
 class PearsonIV:
     """Stationary law of the one-factor offset.
 
-    Three branches, each with one way to evaluate pdf, cdf and ppf.  gamma
-    -> 0 (the OU limit) is Gaussian.  beta = 0 is a Student t with
-    2*lam/gamma + 1 degrees of freedom and scale sqrt(alpha/(2 lam + gamma))
-    (stdtr, stdtrit).  Otherwise, and for the pdf of both non-Gaussian
-    branches, the angle theta = arctan((beta + gamma*y)/sqrt(delta))
-    has density proportional to cos(theta)^a * exp(nu*theta),
-    a = 2 lam/gamma.  In u = theta + pi/2 the log density a log sin u + nu u
-    is concave: the mass of a tail, from the nearer end of (0, pi), is a
-    fixed-node Gauss rule on a window across which it drops by _DROP
-    (concavity bounds the rest), on the law mirrored by nu -> -nu above the
-    mode.  The two tails at the mode give Z, the angle law's mass over its
-    density at the mode: pdf is the log density relative to the mode less
-    log Z, cdf divides a tail by Z and ppf takes Halley steps on its log.
+    Two branches, each with one way to evaluate pdf, cdf and ppf.  gamma
+    -> 0 (the OU limit) is Gaussian.  Otherwise the angle
+    theta = arctan((beta + gamma*y)/sqrt(delta)) has density proportional
+    to cos(theta)^a * exp(nu*theta), a = 2 lam/gamma; beta = 0 (nu = 0) is
+    the Student t with 2*lam/gamma + 1 degrees of freedom and scale
+    sqrt(alpha/(2 lam + gamma)), and takes the same rule.  In
+    u = theta + pi/2 the log density a log sin u + nu u is concave: the
+    mass of a tail, from the nearer end of (0, pi), is a fixed-node Gauss
+    rule on a window across which it drops by _DROP (concavity bounds the
+    rest), on the law mirrored by nu -> -nu above the mode.  The two tails
+    at the mode give Z, the angle law's mass over its density at the mode:
+    pdf is the log density relative to the mode less log Z, cdf divides a
+    tail by Z and ppf takes Halley steps on its log.  gamma < 0 raises
+    ValueError: sigma^2(y) is then negative for large |y|.
     """
 
     def __init__(self, sp):
         self.params = sp
         lam, alpha, beta, gamma = sp.lam, sp.alpha, sp.beta, sp.gamma
-        # the branch: gaussian, student (beta = 0) or neither
+        if gamma < 0:
+            raise ValueError("gamma must be nonnegative")
         self.gaussian = gamma < 1e-12 * lam
-        self.student = not self.gaussian and beta == 0.0
         if self.gaussian:
             if abs(beta) > 1e-8:
                 raise ValueError("gamma ~ 0 requires beta = 0 (psd link)")
@@ -213,7 +216,7 @@ class PearsonIV:
             out = (self._log_scale - np.log1p(z * z)
                    - 0.5 * self._a * np.log1p((z - top) * (z + top)
                                               / (1.0 + top * top)))
-            if self._nu:  # 0 for a Student law, whose arctan2 is NaN at inf
+            if self._nu:  # 0 for beta = 0, where arctan2 is NaN at inf
                 out = out + self._nu * np.arctan2(z - top, 1.0 + z * top)
         return float(out) if out.ndim == 0 else out
 
@@ -242,8 +245,6 @@ class PearsonIV:
         y = np.asarray(y, dtype=float)
         if self.gaussian:
             out = ndtr(y / self._sd)
-        elif self.student:
-            out = stdtr(self.student_df, y / self.student_scale)
         else:
             z = self._z(y)
             side = np.where(np.arctan2(1.0, -z) <= self._mode, 1.0, -1.0)
@@ -252,6 +253,11 @@ class PearsonIV:
                 - self._log_z).reshape(y.shape)
             out = np.where(side > 0, m, 1.0 - m)
         return float(out) if out.ndim == 0 else out
+
+    @property
+    def student(self):
+        """Whether this law is a scaled Student t: beta = 0, not Gaussian."""
+        return not self.gaussian and self.params.beta == 0.0
 
     @property
     def student_scale(self):
@@ -266,20 +272,15 @@ class PearsonIV:
 
     def ppf(self, u):
         """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
-        beta = 0 maps exactly through the Student t (NaN where that
-        quantile cannot be trusted, see _student_quantile).  Otherwise
-        Halley steps, at most twice Newton's, on the log of the nearer
-        tail, concave in t, from the Laplace quantile of that half of the
-        law or its power-law tail; NaN if not within 1e-5 in 40 steps."""
+        Beyond the Gaussian limit, Halley steps, at most twice Newton's, on
+        the log of the nearer tail, concave in t, from the Laplace quantile
+        of that half of the law or its power-law tail; NaN if not within
+        1e-5 in 40 steps."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
             out = ndtri(u) * self._sd
-        elif self.student:
-            out = _quantile_ends(u, self.student_scale
-                                 * _student_quantile(self.student_df, u))
         else:
-            out = _quantile_ends(u, self._pearson_ppf(u.ravel()).reshape(
-                u.shape))
+            out = self._pearson_ppf(u.ravel()).reshape(u.shape)
         return float(out) if u.ndim == 0 else out
 
     def _pearson_ppf(self, u):
@@ -301,35 +302,17 @@ class PearsonIV:
             slope = np.exp(psi - log_m)
             bend = a * (1.0 / np.tan(tt) - st * self._cot) / slope - 1.0
             tt -= f / slope / np.maximum(1.0 - 0.5 * f * bend, 0.5)
-            t[todo] = np.minimum(np.where(tt > 0.0, tt, 0.5 * t[todo]),
-                                 top[todo])
+            # a step past 0 is a Newton step in log t instead, where the
+            # tail is the power t^(a+1): from a Laplace start, a far tail
+            # can miss by e^190, more than 40 halvings of t make up
+            t[todo] = np.minimum(np.where(tt > 0.0, tt, t[todo] * np.exp(
+                -f / (t[todo] * slope))), top[todo])
             todo = todo[np.abs(f) > 1e-5]
         t[todo] = np.nan
-        return (-side * self._sqd / np.tan(t) - self.params.beta) \
+        y = (-side * self._sqd / np.tan(t) - self.params.beta) \
             / self.params.gamma
+        y = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, y))
+        return np.where((u >= 0.0) & (u <= 1.0), y, np.nan)
 
     def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
-        if self.gaussian:
-            return rng.normal(scale=self._sd, size=n)
-        if self.student:
-            return self.student_scale * rng.standard_t(self.student_df,
-                                                       size=n)
-        return self.ppf(rng.random(n))
-
-
-def _student_quantile(df, u):
-    """stdtrit(df, u), with NaN for 0 < u < 1 wherever that quantile is not
-    finite or stdtr(df, q) misses u by more than 1e-6 relative.  scipy's
-    stdtrit returns +inf at u = 1e-300 for df 3, 5 and 9, and at df 3 and
-    u = 1e-200 a quantile whose stdtr is 8e-200."""
-    q = stdtrit(df, u)
-    trusted = np.isfinite(q) & (np.abs(stdtr(df, q) - u) <= 1e-6 * u)
-    return np.where((u > 0.0) & (u < 1.0) & ~trusted, np.nan, q)
-
-
-def _quantile_ends(u, out):
-    """Set the quantiles at and beyond u = 0 and 1, and at NaN, as ndtri
-    does; stdtrit returns +inf at u = 0 and ppf skips them otherwise."""
-    out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, out))
-    return np.where((u >= 0.0) & (u <= 1.0), out, np.nan)
+        return self.ppf(np.random.default_rng(seed).random(n))

@@ -31,8 +31,8 @@ I = int cos(t)^a exp(nu t) dt, from the tail rule's log Z at the mode
 (test_scalar.py::tail_rule_log_i), against its closed form at 40 digits
 (test_scalar.py::closed_form_log_i), and the largest relative error of
 `pdf` at the quantiles 1e-10 ... 1 - 1e-10 against the density at 50
-digits (test_scalar.py::logpdf_error).  Takes about a minute on a 2-core
-machine.
+digits (test_scalar.py::logpdf_error).  Takes about three minutes on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -305,12 +305,22 @@ class PearsonLaw:
         slope = (2 * self.power * (beta + gamma * y)
                  / (alpha + 2 * beta * y + gamma * y * y)
                  + self.nu * gamma / self.sqd / (1 + z * z))
-        h = 1 / (abs(slope) + 1 / self.sd)
+        # the local scale: near the mode, the Gaussian's or the slope's; in
+        # a power-law tail, the distance over which the log density drops
+        # by about 1/2 (without it, 200 doublings of sd fall short of y at
+        # u = 1e-300)
+        h = max(1 / (abs(slope) + 1 / self.sd),
+                abs(y - self.mode) / (-4 * self.power))
+        ref = self.logp(y)
         pts = [y]
-        while self.logp(pts[-1]) > self.logp(y) - 120 and len(pts) < 200:
+        while self.logp(pts[-1]) > ref - 120 and len(pts) < 200:
             pts.append(y + side * h * 2 ** (len(pts) - 1))
-        return mp.quad(lambda x: mp.exp(self.logp(x) - self.top),
-                       sorted(pts + [side * mp.inf]))
+        # mp.quad's tolerance is absolute: integrate relative to the density
+        # at y and in units of h, so that the integral is of order 1 (a
+        # tail of 1e-100 would otherwise be lost in the 1e-40 tolerance)
+        return h * mp.exp(ref - self.top) * mp.quad(
+            lambda x: mp.exp(self.logp(x) - ref) / h,
+            sorted(pts + [side * mp.inf]))
 
     def quantile(self, u):
         """The y below which the float u of the mass lies: from the upper

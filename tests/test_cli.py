@@ -27,6 +27,11 @@ def write_model(tmp_path, name, payload):
     return str(path)
 
 
+# lam = 3, alpha = 0.018, beta = 0, gamma = -0.5: not admissible
+NEGATIVE_GAMMA = {"label": "neg", "lambda": [[3.0]], "b": [1.0],
+                  "alpha": 0.018, "beta": [0.0], "gamma": [[-0.5]]}
+
+
 class TestExitCodes:
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
@@ -398,6 +403,29 @@ class TestDiagnosticsPerModel:
         assert "M1" in out
 
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_inadmissible_model_is_refused(self, capsys, tmp_path, fmt):
+        # gamma < 0 (p = 1) and an indefinite Gamma (p = 2): no variance
+        # floor to report, so each model is a stderr line naming the
+        # clause it fails; the admissible model's rows still print
+        paths = [write_model(tmp_path, "neg.json", NEGATIVE_GAMMA),
+                 write_model(tmp_path, "indef.json", {
+                     "lambda": [[6.0, 0.0], [-6.0, 6.0]], "b": [1.0, 0.0],
+                     "alpha": 0.01, "beta": [0.0, 0.0],
+                     "gamma": [[0.5, 1.0], [1.0, 0.5]]})]
+        rc, out, err = run(capsys, "diagnostics", "--model", "M1", *paths,
+                           "--format", fmt)
+        assert rc == 1
+        assert err == ("neg: inadmissible model: bordered matrix not psd\n"
+                       "indef: inadmissible model: bordered matrix not "
+                       "psd\n")
+        lines = run(capsys, "diagnostics", "--model", "M1",
+                    "--format", fmt)[1].splitlines()
+        if fmt == "csv":  # the provenance header names every model read
+            lines[2:2] = out.splitlines()[2:4]
+        assert out.splitlines() == lines
+
+
 class TestDiagnosticsCsv:
     def test_provenance_and_precision(self, capsys):
         rc, out, _ = run(capsys, "diagnostics", "--model", "M3",
@@ -513,6 +541,15 @@ class TestDensity:
         rc, _, err = run(capsys, "density", "--model", "MM1")
         assert rc == 2
         assert "one-factor" in err
+
+    def test_negative_gamma_rejected(self, capsys, tmp_path):
+        # sigma^2(y) = alpha - 0.5 y^2 < 0 for |y| > 0.19: no stationary law
+        path = write_model(tmp_path, "neg.json", NEGATIVE_GAMMA)
+        rc, out, _ = run(capsys, "validate", "--model", path)
+        assert rc == 1 and "FAIL  bordered matrix not psd" in out
+        rc, out, err = run(capsys, "density", "--model", path)
+        assert (rc, out) == (1, "")
+        assert "gamma must be nonnegative" in err
 
     def test_zero_b_names_b(self, capsys, tmp_path):
         path = write_model(tmp_path, "still.json", {

@@ -472,6 +472,19 @@ class TestDiagnostics:
             assert got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("lam,b,beta,gamma", [
+        ([[3.0]], [1.0], [0.0], [[-0.5]]),
+        ([[6.0, 0.0], [-6.0, 6.0]], [1.0, 0.0], [0.0, 0.0],
+         [[0.5, 1.0], [1.0, 0.5]])], ids=["p1-negative", "p2-indefinite"])
+    def test_inadmissible_model_rejected(self, lam, b, beta, gamma):
+        # gamma < 0, or an indefinite Gamma: sigma^2 is unbounded below
+        params = model.ModelParams(lam=lam, b=b, alpha=0.018, beta=beta,
+                                   gamma_mat=gamma)
+        assert model.validate(params) == ["bordered matrix not psd"]
+        with pytest.raises(ValueError, match="inadmissible model: "
+                           "bordered matrix not psd"):
+            model.diagnostics(params)
+
     def test_sigma_infty_consistency(self, models):
         for name, params in models.items():
             diag = model.diagnostics(params)
