@@ -64,7 +64,6 @@ from .forward import (
     forward_min_envelope,
     forward_variance,
     pca,
-    pca_curves_csv,
 )
 from .scalar import (
     PearsonIV,

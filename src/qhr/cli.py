@@ -2,8 +2,9 @@
 
 Subcommands map onto the library layers: validate / diagnostics inspect a
 model file, curves / pca / density are deterministic analytics, and smile /
-atm / simulate run the Monte Carlo engine.  CSV output carries a provenance
-header (package version, model hash, seed; for the Monte Carlo commands
+atm / simulate run the Monte Carlo engine, the only commands that draw and
+so the only ones with a --seed.  CSV output carries a provenance header
+(package version, model hash, seed or '-'; for the Monte Carlo commands
 also the path count, steps per year, starting state and floored variance
 steps) and full-precision numbers; table output rounds the way the
 reference tables do.  Each subcommand accepts only the options its handler
@@ -82,9 +83,12 @@ def _provenance(models, seed):
 
 def _csv(models, seed, comments, header, table):
     """The one writer of the numeric CSV reports: the provenance block, the
-    comment lines, the header row and one %.17g line per table row."""
+    comment lines, the header row and one line per table row, each cell
+    %.17g (which reads back as the same double)."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1])
     return [*_provenance(models, seed), *comments, header,
-            *forward._csv_rows(table)]
+            *(row % tuple(cells) for cells in table.tolist())]
 
 
 def _parse_vector(text):
@@ -250,7 +254,7 @@ def cmd_diagnostics(args):
             ";".join(map(_g, d.y_min)),
             ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in d.eig_block2),
         ]) for label, _, d in done]
-        return rc, [*_provenance(models, args.seed),
+        return rc, [*_provenance(models, None),
                     "label,mu2,mu3,mu4,kappa,kappa_tilde,sigma_min,"
                     "sigma_infty,kurt_infty,y_min,eig_block2", *rows]
     scalar_rows = [
@@ -293,8 +297,7 @@ def cmd_curves(args):
     vols = np.sqrt(np.maximum(np.column_stack([*curves, v0, vmin]), 0.0))
     header = ",".join(["t", *(f"vol_y0_{i + 1}" for i in range(len(y0_list))),
                        "vol_forward", "vol_min"])
-    return 0, _csv([params], args.seed, [], header,
-                   np.column_stack([grid, vols]))
+    return 0, _csv([params], None, [], header, np.column_stack([grid, vols]))
 
 
 def cmd_pca(args):
@@ -304,8 +307,13 @@ def cmd_pca(args):
     dec = forward.pca(sys_, omega)
     grid = (forward.default_grid() if args.grid is None
             else _parse_values(args.grid))
-    body = forward.pca_curves_csv(dec, np.asarray(grid, dtype=float))
-    return 0, _provenance([params], args.seed) + body.splitlines()
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be ascending")
+    variances = [f"# component {i} variance = {v:.17g}"
+                 for i, v in enumerate(dec.eigenvalues, start=1)]
+    header = ",".join(["t", *(f"pc{i}" for i in range(1, dec.rank + 1))])
+    return 0, _csv([params], None, variances, header, np.column_stack(
+        [grid, dec.factor_curves(grid) * np.sqrt(dec.eigenvalues)]))
 
 
 def cmd_density(args):
@@ -324,7 +332,7 @@ def cmd_density(args):
         columns.append(np.exp(np.log(poch(df / 2, 0.5)) - (np.log(df) + np.log(
             np.pi)) / 2 - (df + 1) / 2 * np.log1p((ys / s) ** 2 / df)) / s)
     header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
-    return 0, _csv([params], args.seed, [], header, np.column_stack(columns))
+    return 0, _csv([params], None, [], header, np.column_stack(columns))
 
 
 def _mc_config(args, horizon):
@@ -462,17 +470,17 @@ def _build_parser():
     mc_options = ("--seed", "--paths", "--steps-per-year", "--y0", "--grid")
     for name, fn, names, own in (
             ("validate", cmd_validate, (), {}),
-            ("diagnostics", cmd_diagnostics, ("--seed",), {
+            ("diagnostics", cmd_diagnostics, (), {
                 "--model": dict(nargs="+", required=True,
                                 help="model file(s) or bundled fixture "
                                      "name(s)"),
                 "--format": dict(choices=("csv", "table"), default="table")}),
-            ("curves", cmd_curves, ("--seed", "--grid"), {
+            ("curves", cmd_curves, ("--grid",), {
                 "--y0": dict(action="append",
                              help="initial factor vector, comma separated; "
                                   "repeatable")}),
-            ("pca", cmd_pca, ("--seed", "--grid"), {}),
-            ("density", cmd_density, ("--seed", "--grid"), {}),
+            ("pca", cmd_pca, ("--grid",), {}),
+            ("density", cmd_density, ("--grid",), {}),
             ("smile", cmd_smile, mc_options, {
                 "--format": dict(choices=("csv", "table"), default="csv")}),
             ("atm", cmd_atm, mc_options, {}),

@@ -163,31 +163,3 @@ _GRID_START, _GRID_END, _GRID_POINTS = 1e-3, 5.0, 200
 def default_grid():
     """Geometric maturity grid used for curve emission."""
     return np.geomspace(_GRID_START, _GRID_END, _GRID_POINTS)
-
-
-def pca_curves_csv(dec, grid):
-    """Render factor curves scaled by their standard deviations.
-
-    Component variances appear as comment lines; data columns are t followed
-    by u_i(t) * sqrt(eigenvalue_i)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be ascending and non-empty")
-    lines = []
-    for i, v in enumerate(dec.eigenvalues, start=1):
-        lines.append(f"# component {i} variance = {v:.17g}")
-    cols = ["t"] + [f"pc{i}" for i in range(1, len(dec.eigenvalues) + 1)]
-    lines.append(",".join(cols))
-    scaled = dec.factor_curves(grid) * np.sqrt(np.maximum(dec.eigenvalues,
-                                                          0.0))
-    lines.extend(_csv_rows(np.column_stack([grid, scaled])))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_rows(table):
-    """One CSV line per row of a 2-D table of numbers, each cell "%.17g"
-    (17 significant digits, which read back as the same double).  The one
-    row formatter of the CLI's numeric tables."""
-    table = np.asarray(table, dtype=float)
-    template = ",".join(["%.17g"] * table.shape[1])
-    return [template % tuple(row) for row in table.tolist()]

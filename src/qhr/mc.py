@@ -833,12 +833,16 @@ def stationary_init(params, burn_in, cfg, *, return_burn_in=False):
 def estimate_cov_eta_xi2(params, r, cfg):
     """Monte Carlo estimate of Cov(eta_r, xi_r^2) from a stationary start.
 
-    Simulates over the window r from cfg.y0 if that is a StationaryInit and
-    from StationaryInit() otherwise (cfg.horizon is not read).  Returns
-    (cov, se) with one entry per S coordinate of eta (p + p(p+1)/2).  This
-    is the simulation input of the squared-increment autocovariance
-    formula; qhr does not compute it in closed form yet (ROADMAP item 1)."""
-    init = cfg.y0 if isinstance(cfg.y0, StationaryInit) else StationaryInit()
+    Simulates over the window r from cfg.y0, a StationaryInit, or from
+    StationaryInit() when cfg.y0 is None (cfg.horizon is not read); a point
+    or per-path start raises ConfigInvalidError.  Returns (cov, se) with one
+    entry per S coordinate of eta (p + p(p+1)/2).  This is the simulation
+    input of the squared-increment autocovariance formula; qhr does not
+    compute it in closed form yet (ROADMAP item 1)."""
+    init = StationaryInit() if cfg.y0 is None else cfg.y0
+    if not isinstance(init, StationaryInit):
+        raise ConfigInvalidError("y0 must be None or a StationaryInit: the "
+                                 "estimate needs a stationary start")
     batch = simulate(params, replace(cfg, horizon=r, y0=init))
     eta = monomials(batch.y_terminal, 2)
     n = eta.shape[0]

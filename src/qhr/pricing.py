@@ -21,7 +21,7 @@ from scipy.special import ndtr
 from . import mc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # implied_vol's relative tolerance on the time value, and its vol bracket
 _IVOL_TOL = 1e-10
 _IVOL_BRACKET = (1e-6, 5.0)
@@ -75,9 +75,11 @@ def implied_vol(price, strike, maturity):
     absolute tolerance would accept the bracket floor for any deep
     out-of-the-money price below it.  Prices at or outside the static
     bounds (1-K)+ < C < 1, or whose volatility escapes the bracket, raise
-    OutOfBoundsError with boundary 'lower' or 'upper'; so does a time
-    value within the rounding of the price (at most 4 eps C), whose vol
-    the price does not determine ('lower')."""
+    OutOfBoundsError with boundary 'lower' or 'upper'; so do two prices
+    that do not determine a vol ('lower'): a time value within the rounding
+    of the price (at most 4 eps C), and a subnormal price (below
+    np.finfo(float).tiny), which carries fewer significant bits than the
+    tolerance needs."""
     if maturity <= 0 or strike <= 0:
         raise ValueError("maturity and strike must be positive")
     intrinsic = max(1.0 - strike, 0.0)
@@ -85,6 +87,8 @@ def implied_vol(price, strike, maturity):
         raise OutOfBoundsError(
             f"price {price} at/below intrinsic {intrinsic} to rounding",
             "lower")
+    if price < _TINY:
+        raise OutOfBoundsError(f"price {price} is subnormal", "lower")
     if price >= 1.0:
         raise OutOfBoundsError(f"price {price} at/above forward 1", "upper")
     time_value = price - intrinsic

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_jacobi
 
-from .model import ModelParams
+from .model import ModelParams, validate
 from .moments import NotStationaryError
 
 _NODES = 24    # Gauss nodes of the Pearson IV tail rule
@@ -32,8 +32,10 @@ _CHUNK = 4096  # points per block of the tail rule's (points x nodes) arrays
 
 @dataclass(frozen=True)
 class ScalarParams:
-    """One-factor parameters.  Stationary (through fourth moments) iff
-    gamma < 2*lam/3."""
+    """One-factor parameters of an admissible model: construction raises
+    ValueError naming the clauses of model.validate the law fails (lam > 0,
+    alpha > 0, beta^2 <= alpha*gamma, so gamma >= 0).  Stationary (through
+    fourth moments) iff gamma < 2*lam/3."""
 
     lam: float
     alpha: float
@@ -45,10 +47,9 @@ class ScalarParams:
             object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        bad = validate(self.to_model_params())
+        if bad:
+            raise ValueError("inadmissible law: " + "; ".join(bad))
 
     @property
     def stationary(self):
@@ -130,15 +131,14 @@ class PearsonIV:
     rest), on the law mirrored by nu -> -nu above the mode.  The two tails
     at the mode give Z, the angle law's mass over its density at the mode:
     pdf is the log density relative to the mode less log Z, cdf divides a
-    tail by Z and ppf takes Halley steps on its log.  gamma < 0 raises
-    ValueError: sigma^2(y) is then negative for large |y|.
+    tail by Z and ppf takes Halley steps on its log.  ScalarParams admits
+    no gamma < 0 beyond rounding (the Gaussian limit takes that); beta^2 =
+    alpha*gamma (delta = 0, no angle map) raises ValueError here.
     """
 
     def __init__(self, sp):
         self.params = sp
         lam, alpha, beta, gamma = sp.lam, sp.alpha, sp.beta, sp.gamma
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
         self.gaussian = gamma < 1e-12 * lam
         if self.gaussian:
             if abs(beta) > 1e-8:

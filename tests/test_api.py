@@ -23,12 +23,12 @@ PUBLIC = [
     "filter_check", "filter_phi", "filter_psi", "forward",
     "forward_min_envelope", "forward_variance", "implied_vol", "linalg",
     "list_fixtures", "load_fixture", "load_model", "mc", "model", "moments",
-    "monomials", "omega", "pca", "pca_curves_csv", "price_options",
-    "pricing", "rank_one", "save_model", "scalar", "scalar_closed_moments",
-    "scalar_kurtosis", "scalar_kurtosis_bounds", "simulate",
-    "solve_lyapunov", "squared_increment_autocov", "squared_increment_mean",
-    "stationary_init", "stationary_summary", "validate", "variance",
-    "variance_autocov", "variance_min", "with_implied_vols",
+    "monomials", "omega", "pca", "price_options", "pricing", "rank_one",
+    "save_model", "scalar", "scalar_closed_moments", "scalar_kurtosis",
+    "scalar_kurtosis_bounds", "simulate", "solve_lyapunov",
+    "squared_increment_autocov", "squared_increment_mean", "stationary_init",
+    "stationary_summary", "validate", "variance", "variance_autocov",
+    "variance_min", "with_implied_vols",
 ]
 
 

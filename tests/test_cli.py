@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qhr import __version__, cli, forward, mc, model, pricing
+from qhr import __version__, cli, mc, model, pricing
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -272,6 +272,12 @@ class TestGolden:
         self.test_matches_golden(capsys, fname, argv)
 
 
+def csv_rows(table):
+    """The lines _csv writes for the rows of a table."""
+    lines = cli._csv([], None, [], "header", table)
+    return lines[lines.index("header") + 1:]
+
+
 def data_rows(text):
     """Numeric rows of a CSV after its # lines and header."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
@@ -434,7 +440,7 @@ class TestDiagnosticsCsv:
         lines = out.splitlines()
         assert lines[0] == "# qhr 0.1.0"
         assert lines[1].startswith("# model M3 hash ")
-        assert lines[2] == "# seed 12345"
+        assert lines[2] == "# seed -"
         assert lines[3].startswith("label,mu2,mu3,mu4,kappa,kappa_tilde")
         cells = lines[4].split(",")
         assert cells[0] == "M3"
@@ -549,7 +555,7 @@ class TestDensity:
         assert rc == 1 and "FAIL  bordered matrix not psd" in out
         rc, out, err = run(capsys, "density", "--model", path)
         assert (rc, out) == (1, "")
-        assert "gamma must be nonnegative" in err
+        assert "inadmissible law: bordered matrix not psd" in err
 
     def test_zero_b_names_b(self, capsys, tmp_path):
         path = write_model(tmp_path, "still.json", {
@@ -562,6 +568,29 @@ class TestDensity:
 
 
 class TestMonteCarloCommands:
+    def test_smile_default_surface(self, capsys):
+        # without --grid: maturities 0.25, 0.5, 1, 2 (whole steps at 20 a
+        # year) by 17 log-moneyness nodes from -0.4 to 0.4
+        rc, out, _ = run(capsys, "smile", "--model", "M2", "--paths", "200",
+                         "--steps-per-year", "20")
+        assert rc == 0
+        rows = data_rows(out)
+        assert rows.shape == (4 * 17, 7)
+        assert np.array_equal(rows[:, 0], np.repeat([0.25, 0.5, 1.0, 2.0],
+                                                    17))
+        assert np.array_equal(rows[:, 1],
+                              np.tile(np.linspace(-0.4, 0.4, 17), 4))
+
+    def test_atm_default_maturities(self, capsys):
+        # without --grid: six maturities, 1/12 snapped to its nearest step
+        # (2 of 20 a year), and eps 0.01
+        rc, out, _ = run(capsys, "atm", "--model", "M3", "--paths", "200",
+                         "--steps-per-year", "20")
+        assert rc == 0
+        assert "# eps 0.01" in out.splitlines()
+        assert np.array_equal(data_rows(out)[:, 0],
+                              [0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
+
     def test_smile_csv_layout(self, capsys):
         rc, out, _ = run(capsys, "smile", "--model", "M2",
                          "--paths", "2000", "--steps-per-year", "40",
@@ -654,7 +683,7 @@ class TestMonteCarloCommands:
                 *batch.mean_se(batch.y[i].T)[0]]
                for i, t in enumerate(batch.times)]
         rows, floored, _ = cli._simulate_rows(params, cfg, probes)
-        assert forward._csv_rows(rows) == forward._csv_rows(ref)
+        assert csv_rows(rows) == csv_rows(ref)
         assert floored == batch.floored_steps
         if antithetic:  # the CLI's pairing
             rc, out, _ = run(capsys, "simulate", "--model", "MM3",
@@ -663,7 +692,7 @@ class TestMonteCarloCommands:
             assert rc == 0
             body = out.splitlines()
             body = body[[l.startswith("t,") for l in body].index(True) + 1:]
-            assert body == forward._csv_rows(ref)
+            assert body == csv_rows(ref)
 
     def test_simulate_layout_and_seed_line(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--model", "MM1",
@@ -846,8 +875,9 @@ class TestMonteCarloCommands:
 
 class TestCsvProvenance:
     """Every CSV report comes from one writer: it opens with the version,
-    one model line per model read and the seed, then its own # lines, and
-    its first non-# line is the header row."""
+    one model line per model read and the seed (the Monte Carlo commands'
+    --seed, '-' for the commands that draw nothing), then its own # lines,
+    and its first non-# line is the header row."""
 
     @pytest.mark.parametrize("argv,labels,header", [
         (("curves", "--model", "MM3", "--grid", "0.1:2:5"), ["MM3"],
@@ -871,13 +901,14 @@ class TestCsvProvenance:
     ], ids=["curves", "pca", "density", "smile", "atm", "simulate",
             "diagnostics"])
     def test_provenance_then_header(self, capsys, argv, labels, header):
-        rc, out, _ = run(capsys, *argv, "--seed", "7")
+        draws = argv[0] in ("smile", "atm", "simulate")
+        rc, out, _ = run(capsys, *argv, *(("--seed", "7") if draws else ()))
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == f"# qhr {__version__}"
         for line, label in zip(lines[1:], labels):
             assert re.fullmatch(rf"# model {label} hash [0-9a-f]{{12}}", line)
-        assert lines[1 + len(labels)] == "# seed 7"
+        assert lines[1 + len(labels)] == f"# seed {7 if draws else '-'}"
         top = next(i for i, line in enumerate(lines)
                    if not line.startswith("#"))
         assert lines[top] == header
@@ -931,10 +962,10 @@ class TestOutFile:
 # options each subcommand reads; any other option is a usage error
 OPTIONS = {
     "validate": {"--model", "--out"},
-    "diagnostics": {"--model", "--out", "--seed", "--format"},
-    "curves": {"--model", "--out", "--seed", "--grid", "--y0"},
-    "pca": {"--model", "--out", "--seed", "--grid"},
-    "density": {"--model", "--out", "--seed", "--grid"},
+    "diagnostics": {"--model", "--out", "--format"},
+    "curves": {"--model", "--out", "--grid", "--y0"},
+    "pca": {"--model", "--out", "--grid"},
+    "density": {"--model", "--out", "--grid"},
     "smile": {"--model", "--out", "--seed", "--paths", "--steps-per-year",
               "--y0", "--grid", "--format"},
     "atm": {"--model", "--out", "--seed", "--paths", "--steps-per-year",
@@ -945,8 +976,21 @@ OPTIONS = {
 ALL_OPTIONS = set().union(*OPTIONS.values())
 OPTION_VALUE = {"--seed": "1", "--paths": "10", "--steps-per-year": "3",
                 "--y0": "0.1", "--grid": "0.5", "--format": "table"}
+# a second value of each option, and both values of the keyed grids
+OTHER_VALUE = {"--seed": "2", "--paths": "12", "--steps-per-year": "4",
+               "--y0": "0.2", "--grid": "1", "--format": "csv"}
+KEYED_GRID = {"smile": ("T=0.5", "T=1"), "atm": ("T=0.5", "T=1")}
 REMOVED = [(cmd, opt) for cmd in OPTIONS
            for opt in sorted(ALL_OPTIONS - OPTIONS[cmd])]
+# every option that is meant to move a number
+MOVERS = [(cmd, opt) for cmd in OPTIONS
+          for opt in sorted(OPTIONS[cmd] - {"--model", "--out"})]
+
+
+def option_values(command, option):
+    if option == "--grid" and command in KEYED_GRID:
+        return KEYED_GRID[command]
+    return OPTION_VALUE[option], OTHER_VALUE[option]
 
 
 class TestOptionSurface:
@@ -956,8 +1000,8 @@ class TestOptionSurface:
         declared = {name: {s for a in p._actions for s in a.option_strings}
                     - {"-h", "--help"} for name, p in sub.choices.items()}
         assert declared == OPTIONS
-        assert len(REMOVED) == 23
-        assert sum(map(len, OPTIONS.values())) == 41
+        assert len(REMOVED) == 27
+        assert sum(map(len, OPTIONS.values())) == 37
 
     @pytest.mark.parametrize("command,option", REMOVED,
                              ids=[f"{c}{o}" for c, o in REMOVED])
@@ -967,6 +1011,27 @@ class TestOptionSurface:
         assert rc == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command,option", MOVERS,
+                             ids=[f"{c}{o}" for c, o in MOVERS])
+    def test_every_option_moves_a_number(self, capsys, command, option):
+        # two values of the option change a line past the # lines (the
+        # whole stdout for --format); the other options keep their small
+        # first value, and --format its default unless it is the one tested
+        def report(value):
+            argv = [command, "--model", "M1"]
+            for opt in sorted(OPTIONS[command] - {"--model", "--out"}):
+                if opt == option:
+                    argv += [opt, value]
+                elif opt != "--format":
+                    argv += [opt, option_values(command, opt)[0]]
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0, err
+            return out if option == "--format" else [
+                line for line in out.splitlines() if not line.startswith("#")]
+
+        first, second = option_values(command, option)
+        assert report(first) != report(second)
 
     def test_defaults_do_not_leak_between_calls(self, capsys):
         rc, out, _ = run(capsys, "curves", "--model", "M1", "--grid", "0.5",

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qhr import forward, model, moments
+from qhr import cli, forward, model, moments
 
 
 @pytest.fixture(scope="module")
@@ -315,10 +315,12 @@ class TestCurveEmission:
         assert grid[-1] == pytest.approx(5.0)
         assert np.all(np.diff(grid) > 0)
 
-    def test_csv_layout(self, systems, omegas):
+    def test_csv_layout(self, capsys, systems, omegas):
+        # qhr pca: the provenance block, one variance line per component,
+        # the header and u_i(t) sqrt(lambda_i) per grid point
+        assert cli.main(["pca", "--model", "M3", "--grid", "0.1,0.5,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
         dec = forward.pca(systems["M3"], omegas["M3"])
-        text = forward.pca_curves_csv(dec, np.array([0.1, 0.5, 1.0]))
-        lines = text.splitlines()
         assert lines[0].startswith("# component 1 variance = ")
         header_at = dec.eigenvalues.size
         assert lines[header_at].split(",")[0] == "t"
@@ -328,9 +330,9 @@ class TestCurveEmission:
         expected = dec.factor_curves(0.1) * np.sqrt(dec.eigenvalues)
         assert np.allclose(first[1:], expected, rtol=1e-12)
 
-    def test_csv_grid_validation(self, systems, omegas):
-        dec = forward.pca(systems["M3"], omegas["M3"])
-        with pytest.raises(ValueError):
-            forward.pca_curves_csv(dec, np.array([0.5, 0.1]))
-        with pytest.raises(ValueError):
-            forward.pca_curves_csv(dec, np.array([]))
+    def test_csv_grid_validation(self, capsys):
+        # a descending grid is a failure (exit 1), an empty one a usage
+        # error (exit 2); neither prints a report
+        for grid, rc in (("0.5,0.1", 1), ("", 2)):
+            assert cli.main(["pca", "--model", "M3", f"--grid={grid}"]) == rc
+            assert capsys.readouterr().out == ""

@@ -81,6 +81,11 @@ class TestExpm:
         with pytest.raises(OverflowError):
             linalg.expm(np.array([[1e6]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(OverflowError, match="non-finite matrix"):
+            linalg.expm(np.array([[0.0, bad], [0.0, 0.0]]))
+
 
 def rank_one_operators():
     """-A~ of rank-one models on perfbench's rate ladders, p = 3..6 (one

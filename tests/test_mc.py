@@ -739,6 +739,19 @@ class TestCovEstimator:
         assert np.all(np.isfinite(se1))
         assert np.array_equal(cov1, cov2)
 
+    def test_point_start_is_refused(self, models):
+        # a vector or per-path start used to be replaced by StationaryInit()
+        # without a word; no start at all still means that default
+        base = dict(n_paths=200, horizon=1.0, seed=14, steps_per_year=20)
+        for y0 in (np.array([0.3]), np.full((200, 1), 0.3)):
+            with pytest.raises(mc.ConfigInvalidError, match="y0"):
+                mc.estimate_cov_eta_xi2(models["M3"], 0.25,
+                                        mc.McConfig(**base, y0=y0))
+        got = mc.estimate_cov_eta_xi2(models["M3"], 0.25, mc.McConfig(**base))
+        want = mc.estimate_cov_eta_xi2(
+            models["M3"], 0.25, mc.McConfig(**base, y0=mc.StationaryInit()))
+        assert all(map(np.array_equal, got, want))
+
 
 class TestFlooring:
     def test_negative_variance_floored_and_counted(self):

@@ -44,6 +44,9 @@ class TestModelParams:
         with pytest.raises(ValueError):
             model.ModelParams(lam=[[1.0]], b=[1.0, 2.0], alpha=0.01,
                               beta=[0.0], gamma_mat=[[1.0]])
+        with pytest.raises(ValueError, match="w must have length p"):
+            model.ModelParams(lam=[[1.0]], b=[1.0], alpha=0.01, beta=[0.0],
+                              gamma_mat=[[1.0]], w=[1.0, 0.0])
 
     def test_p_and_coercion(self):
         params = model.ModelParams(lam=[[2.0]], b=[1], alpha=1,
@@ -386,6 +389,12 @@ class TestChangeOfMeasure:
         with pytest.raises(model.SingularTransformError):
             model.change_of_measure(params, 0.05, [2.0])
 
+    def test_mu1_length_checked(self):
+        params = model.ModelParams(lam=[[2.0]], b=[1.0], alpha=0.01,
+                                   beta=[0.0], gamma_mat=[[1.0]])
+        with pytest.raises(ValueError, match="mu1 must have length p"):
+            model.change_of_measure(params, 0.05, [0.1, 0.2])
+
     def test_warns_when_spectrum_degrades(self):
         params = model.ModelParams(lam=[[2.0]], b=[1.0], alpha=0.01,
                                    beta=[0.0], gamma_mat=[[1.0]])
@@ -423,6 +432,17 @@ class TestModelFiles:
         path.write_text('{"lambda": [[1.0]], "b": [1.0], "alpha": 0.01, '
                         '"beta": [0.0]}')
         with pytest.raises(ValueError, match="gamma"):
+            model.load_model(path)
+        path.write_text('{"lambda": [[1.0]], "b": [1.0], "alpha": 0.01, '
+                        '"gamma": [[1.0]]}')
+        with pytest.raises(ValueError, match="needs beta or beta0"):
+            model.load_model(path)
+
+    def test_gamma0_requires_w(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"lambda": [[1.0]], "b": [1.0], "alpha": 0.01, '
+                        '"beta": [0.0], "gamma0": 1.0}')
+        with pytest.raises(ValueError, match="gamma0 requires w"):
             model.load_model(path)
 
     def test_fixture_listing(self):

@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from qhr import mc, pricing
 
@@ -124,6 +127,35 @@ class TestImpliedVol:
                     else:
                         back = pricing.bs_price(k, t, got)
                         assert abs(back - price) < 1e-13, case
+
+    @settings(deadline=None, max_examples=1000)
+    @given(ell=st.floats(-1.0, 1.0),
+           log_t=st.floats(math.log(0.004), math.log(5.0)),
+           log_v=st.floats(math.log(0.02), math.log(2.0)))
+    # subnormal calls, 1.05e-313 and 9.0e-311: the first used to raise
+    # ArithmeticError, the second to return a vol 0.57 % off
+    @example(ell=0.7372, log_t=math.log(0.10486), log_v=math.log(0.06046))
+    @example(ell=0.4547, log_t=math.log(0.01121), log_v=math.log(0.114))
+    def test_wide_box(self, ell, log_t, log_v):
+        # where the price determines the vol (a normal float whose time
+        # value exceeds 1e-6 of it) the vol comes back within 1e-8; anywhere
+        # else the answer is a vol that reprices within the inversion's own
+        # tolerance, or OutOfBoundsError
+        k, t, vol = math.exp(ell), math.exp(log_t), math.exp(log_v)
+        price = pricing.bs_price(k, t, vol)
+        time_value = price - max(1.0 - k, 0.0)
+        try:
+            got = pricing.implied_vol(price, k, t)
+        except pricing.OutOfBoundsError:
+            got = None
+        if price >= np.finfo(float).tiny and time_value > 1e-6 * price:
+            assert got == pytest.approx(vol, rel=1e-8, abs=0)
+        elif got is not None:
+            sq = got * math.sqrt(t)
+            d1 = -math.log(k) / sq + 0.5 * sq
+            tol = max(pricing._IVOL_TOL * time_value,
+                      4.0 * np.finfo(float).eps * (1.0 + d1 * d1) * ndtr(d1))
+            assert abs(pricing.bs_price(k, t, got) - price) <= tol
 
     def test_below_intrinsic(self):
         with pytest.raises(pricing.OutOfBoundsError) as exc:

@@ -188,6 +188,33 @@ class TestScalarParams:
         with pytest.raises(ValueError):
             scalar.ScalarParams(1.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("values,clauses", [
+        # gamma < 0: sigma^2(y) < 0 for |y| > 0.19
+        ((3.0, 0.018, 0.0, -0.5), "bordered matrix not psd"),
+        # beta^2 > alpha*gamma: sigma^2(y) < 0 near y = -2
+        ((3.0, 0.01, 0.2, 0.1), "bordered matrix not psd"),
+        ((-1.0, -0.01, 0.0, 1.0),
+         "alpha must be positive; lambda eigenvalues must be positive; "
+         "bordered matrix not psd"),
+    ])
+    def test_inadmissible_law_names_the_clauses(self, values, clauses):
+        # the clauses model.validate names for the same one-factor model,
+        # so no closed form is ever evaluated on such a law
+        with pytest.raises(ValueError) as info:
+            scalar.ScalarParams(*values)
+        assert str(info.value) == f"inadmissible law: {clauses}"
+        assert "; ".join(model.validate(model.ModelParams(
+            lam=[[values[0]]], b=[1.0], alpha=values[1], beta=[values[2]],
+            gamma_mat=[[values[3]]]))) == clauses
+
+    def test_edge_of_the_psd_link_is_admissible(self):
+        # beta^2 = alpha*gamma is admissible; only the angle law needs
+        # delta > 0
+        sp = scalar.ScalarParams(3.0, 0.01, -0.1, 1.0)
+        assert scalar.scalar_kurtosis(sp) > 0
+        with pytest.raises(ValueError, match="alpha\\*gamma - beta"):
+            scalar.PearsonIV(sp)
+
     @pytest.mark.parametrize("field", ["lam", "alpha", "beta", "gamma"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, bad):
@@ -437,7 +464,7 @@ class TestPearsonDensity:
             # delta = alpha*gamma - beta^2 = 0 degenerates the angle map
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.01, math.sqrt(0.01),
                                                  1.0))
-        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        with pytest.raises(ValueError, match="bordered matrix not psd"):
             # sigma^2(y) < 0 for |y| > 0.19: not the Gaussian limit
             scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, -0.5))
 
