@@ -25,7 +25,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import poch
 
 from . import __version__, forward, mc, model, moments, pricing, scalar
 
@@ -308,7 +307,7 @@ def cmd_pca(args):
     grid = (forward.default_grid() if args.grid is None
             else _parse_values(args.grid))
     if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be ascending")
+        raise UsageError("grid must be ascending")
     variances = [f"# component {i} variance = {v:.17g}"
                  for i, v in enumerate(dec.eigenvalues, start=1)]
     header = ",".join(["t", *(f"pc{i}" for i in range(1, dec.rank + 1))])
@@ -326,13 +325,8 @@ def cmd_density(args):
         ys = _parse_values(args.grid)
     else:
         ys = np.linspace(pp.ppf(1e-4), pp.ppf(1.0 - 1e-4), 401)
-    columns = [ys, pp.pdf(ys), pp.cdf(ys)]
-    if pp.student:  # the closed form of scipy.stats.t.pdf, bit for bit
-        df, s = pp.student_df, pp.student_scale
-        columns.append(np.exp(np.log(poch(df / 2, 0.5)) - (np.log(df) + np.log(
-            np.pi)) / 2 - (df + 1) / 2 * np.log1p((ys / s) ** 2 / df)) / s)
-    header = "y,pdf,cdf" + (",student_t_pdf" if pp.student else "")
-    return 0, _csv([params], None, [], header, np.column_stack(columns))
+    return 0, _csv([params], None, [], "y,pdf,cdf",
+                   np.column_stack([ys, pp.pdf(ys), pp.cdf(ys)]))
 
 
 def _mc_config(args, horizon):

@@ -7,7 +7,9 @@ matrix exponential is qhr's own scaling-and-squaring Pade (13, 13) for one
 matrix.  A move through time, e^{a t} v over a grid of horizons, is an
 ExpmAction: one Pade exponential of a h, its squarings shared by the grid
 and vector products per horizon, O(n^2) per horizon where a matrix per
-horizon costs O(n^3).  scipy supplies the Lyapunov solve.
+horizon costs O(n^3).  scipy supplies the Lyapunov solve.  qhr imports
+each scipy submodule on its first use, through _scipy, so that importing
+qhr loads numpy alone.
 
 BLAS runs on one thread.  Every matrix here has at most 209 rows (the
 moment system at DIM_CAP), where a BLAS thread pool costs more in hand-offs
@@ -15,18 +17,20 @@ than it saves in arithmetic, and the Monte Carlo engine already runs its
 own worker threads (QHR_THREADS), under which a second pool only competes
 for the same cores.  One thread also makes every result independent of the
 BLAS thread count.  So importing this module sets each OpenBLAS the process
-has loaded to one thread, through the library's own entry point, once (see
-_pin_blas_threads).  It is not an option: to undo it, call the library's
-own set_num_threads after the import.
+has loaded to one thread, through the library's own entry point (see
+_pin_blas_threads), and the first use of each scipy submodule does so again,
+because scipy may map an OpenBLAS of its own.  It is not an option: to undo
+it, call the library's own set_num_threads after qhr's first command.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import importlib
 import math
 
 import numpy as np
-import scipy.linalg
 
 # Largest supported offset dimension p.  The moment system on the
 # symmetric subspace has C(p+4, 4) - 1 rows: 209 at the cap, 329 at p = 7,
@@ -75,6 +79,16 @@ def _pin_blas_threads():
 
 
 _pin_blas_threads()
+
+
+@functools.cache
+def _scipy(name):
+    """The submodule scipy.<name>, imported on its first use, after which
+    every OpenBLAS in the process, scipy's own included, is pinned to one
+    thread again (_pin_blas_threads)."""
+    module = importlib.import_module(f"scipy.{name}")
+    _pin_blas_threads()
+    return module
 
 
 class DimensionCapError(ValueError):
@@ -270,7 +284,7 @@ def solve_lyapunov(a_tilde, g):
     if np.min(np.linalg.eigvals(a_tilde).real) <= 0:
         raise UnstableError("a_tilde must have strictly positive real spectrum")
     rhs = np.outer(g, g)
-    f = scipy.linalg.solve_continuous_lyapunov(a_tilde.T, rhs)
+    f = _scipy("linalg").solve_continuous_lyapunov(a_tilde.T, rhs)
     f = 0.5 * (f + f.T)
     resid = np.linalg.norm(a_tilde.T @ f + f @ a_tilde - rhs)
     scale = max(np.linalg.norm(rhs), np.finfo(float).tiny)

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import mc
+from .linalg import _scipy
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -48,6 +48,7 @@ def bs_price(strike, maturity, vol, side="call"):
         call = intrinsic_call
     else:
         d1 = -np.log(k) / sq + 0.5 * sq
+        ndtr = _scipy("special").ndtr
         call = ndtr(d1) - k * ndtr(d1 - sq)
     if side == "call":
         out = call
@@ -92,6 +93,7 @@ def implied_vol(price, strike, maturity):
     if price >= 1.0:
         raise OutOfBoundsError(f"price {price} at/above forward 1", "upper")
     time_value = price - intrinsic
+    ndtr = _scipy("special").ndtr
 
     def converged(v, err):
         sq = v * math.sqrt(maturity)

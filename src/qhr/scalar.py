@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_jacobi
 
+from .linalg import _scipy
 from .model import ModelParams, validate
 from .moments import NotStationaryError
 
@@ -155,9 +155,10 @@ class PearsonIV:
         # carries the weight u^(a mod 1) of windows that reach u = 0
         self._cot = -nu / a
         self._mode = math.atan2(1.0, self._cot)
+        jacobi = _scipy("special").roots_jacobi
         self._rules = [(0.5 - 0.5 * x, np.log(0.5 * w) - b * np.log1p(x))
                        for b in (0.0, a % 1.0)
-                       for x, w in [roots_jacobi(_NODES, 0.0, b)]]
+                       for x, w in [jacobi(_NODES, 0.0, b)]]
         lower, upper = self._log_tail(np.array(
             [self._mode, math.pi - self._mode]), np.array([1.0, -1.0]))[0]
         self._log_z = np.logaddexp(lower, upper)
@@ -244,7 +245,7 @@ class PearsonIV:
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         if self.gaussian:
-            out = ndtr(y / self._sd)
+            out = _scipy("special").ndtr(y / self._sd)
         else:
             z = self._z(y)
             side = np.where(np.arctan2(1.0, -z) <= self._mode, 1.0, -1.0)
@@ -254,22 +255,6 @@ class PearsonIV:
             out = np.where(side > 0, m, 1.0 - m)
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def student(self):
-        """Whether this law is a scaled Student t: beta = 0, not Gaussian."""
-        return not self.gaussian and self.params.beta == 0.0
-
-    @property
-    def student_scale(self):
-        """Scale s with y/s Student-t distributed when beta = 0."""
-        sp = self.params
-        return math.sqrt(sp.alpha / (2.0 * sp.lam + sp.gamma))
-
-    @property
-    def student_df(self):
-        sp = self.params
-        return 2.0 * sp.lam / sp.gamma + 1.0
-
     def ppf(self, u):
         """Quantile function: NaN outside [0, 1], -inf at 0 and +inf at 1.
         Beyond the Gaussian limit, Halley steps, at most twice Newton's, on
@@ -278,7 +263,7 @@ class PearsonIV:
         1e-5 in 40 steps."""
         u = np.asarray(u, dtype=float)
         if self.gaussian:
-            out = ndtri(u) * self._sd
+            out = _scipy("special").ndtri(u) * self._sd
         else:
             out = self._pearson_ppf(u.ravel()).reshape(u.shape)
         return float(out) if u.ndim == 0 else out
@@ -290,7 +275,8 @@ class PearsonIV:
         tail = np.where(side > 0, u, 1.0 - u)
         share = np.where(inside, tail, 0.5) / np.where(
             side > 0, self._cdf_mode, 1.0 - self._cdf_mode)
-        t = top + np.sin(top) / math.sqrt(a) * ndtri(0.5 * share)
+        t = top + np.sin(top) / math.sqrt(a) * _scipy("special").ndtri(
+            0.5 * share)
         t = np.where(t > 0.0, t, top * share ** (1.0 / (a + 1.0)))
         todo = np.flatnonzero(inside)
         for _ in range(40):

@@ -258,7 +258,9 @@ def test_07_stationary_offset_law():
     sp2 = ScalarParams.from_model_params(load_fixture("M2"))
     law2 = PearsonIV(sp2)
     u = np.linspace(0.02, 0.98, 20)
-    ref = law2.student_scale * stats.t.ppf(u, df=law2.student_df)
+    df = 2.0 * sp2.lam / sp2.gamma + 1.0
+    scale = math.sqrt(sp2.alpha / (2.0 * sp2.lam + sp2.gamma))
+    ref = scale * stats.t.ppf(u, df=df)
     assert np.abs(law2.ppf(u) - ref).max() < 1e-8
     # a long simulation is distributed per the analytic law
     cfg = McConfig(n_paths=100_000, horizon=2.5, seed=42,

@@ -9,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from qhr import __version__, cli, mc, model, pricing
+from qhr import __version__, cli, mc, model, pricing, scalar
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -238,7 +239,7 @@ class TestGolden:
         ("pca_mm1.csv", ("pca", "--model", "MM1")),
         ("diagnostics_csv.csv", ("diagnostics", "--format", "csv", "--model",
                                  "M1", "M3", "MM3", "MM5")),
-        # M2 is symmetric, so its report has the Student column
+        # M2 is symmetric (beta = 0), M3 skewed
         ("density_m2.csv", ("density", "--model", "M2")),
         ("density_m3.csv", ("density", "--model", "M3")),
     ])
@@ -501,15 +502,21 @@ class TestPca:
 
 
 class TestDensity:
-    def test_symmetric_model_reports_reference_column(self, capsys):
+    def test_symmetric_model_plain_columns(self, capsys):
+        # beta = 0: the pdf is the scaled Student t's, with df and scale
+        # from the law's parameters
         rc, out, _ = run(capsys, "density", "--model", "M2",
                          "--grid=-0.2:0.2:11")
         assert rc == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
-        assert lines[0] == "y,pdf,cdf,student_t_pdf"
-        assert len(lines) == 12
-        mid = lines[6].split(",")
-        assert float(mid[1]) == pytest.approx(float(mid[3]), rel=1e-10)
+        assert lines[0] == "y,pdf,cdf"
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        assert rows.shape == (11, 3)
+        sp = scalar.ScalarParams.from_model_params(model.load_fixture("M2"))
+        df = 2.0 * sp.lam / sp.gamma + 1.0
+        scale = math.sqrt(sp.alpha / (2.0 * sp.lam + sp.gamma))
+        ref = stats.t.pdf(rows[:, 0] / scale, df) / scale
+        assert np.allclose(rows[:, 1], ref, rtol=1e-10)
 
     def test_skewed_model_plain_columns(self, capsys):
         rc, out, _ = run(capsys, "density", "--model", "M3",
@@ -519,8 +526,7 @@ class TestDensity:
                 if not l.startswith("#")][0] == "y,pdf,cdf"
 
     def test_tiny_beta_follows_the_law(self, capsys, tmp_path):
-        # beta = 1e-16 is not 0: the law takes its skewed branch, so there
-        # is no Student t column to compare against
+        # beta = 1e-16 is not 0: the law is skewed, by a hair
         path = write_model(tmp_path, "tiny.json", {
             "lambda": [[6.0]], "b": [1.0], "alpha": 0.0064, "beta": [1e-16],
             "gamma": [[3.0]]})

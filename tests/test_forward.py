@@ -331,8 +331,10 @@ class TestCurveEmission:
         assert np.allclose(first[1:], expected, rtol=1e-12)
 
     def test_csv_grid_validation(self, capsys):
-        # a descending grid is a failure (exit 1), an empty one a usage
-        # error (exit 2); neither prints a report
-        for grid, rc in (("0.5,0.1", 1), ("", 2)):
-            assert cli.main(["pca", "--model", "M3", f"--grid={grid}"]) == rc
-            assert capsys.readouterr().out == ""
+        # a descending grid and an empty one are usage errors (exit 2), as
+        # every other bad command-line value is; neither prints a report
+        for grid, message in (("0.5,0.1", "error: grid must be ascending"),
+                              ("", "error: grid '' is empty")):
+            assert cli.main(["pca", "--model", "M3", f"--grid={grid}"]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", message + "\n")

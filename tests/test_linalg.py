@@ -417,37 +417,57 @@ def _run_python(args, threads):
     return proc.stdout
 
 
+def _blas_threads(setup):
+    """{path: thread count} of every OpenBLAS mapped into a fresh
+    interpreter, started with two BLAS threads, after it has run setup."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    code = textwrap.dedent(setup) + textwrap.dedent("""
+        import ctypes, json
+        getters = ("openblas_get_num_threads",
+                   "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads",
+                   "scipy_openblas_get_num_threads64_")
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+        found = {}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for name in getters:
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = (), ctypes.c_int
+                    found[path] = getter()
+                    break
+        print(json.dumps(found))
+    """)
+    found = json.loads(_run_python(["-c", code], threads=2))
+    if not found:
+        pytest.skip("no OpenBLAS loaded")
+    return found
+
+
 class TestBlasThreads:
     def test_import_pins_every_openblas_to_one_thread(self):
         # numpy, and its OpenBLAS, is loaded first, as in a notebook: the
         # environment's two threads are already in force when qhr arrives
-        if not os.path.exists("/proc/self/maps"):
-            pytest.skip("no /proc/self/maps to find OpenBLAS in")
-        code = textwrap.dedent("""
-            import ctypes, json
+        found = _blas_threads("""
             import numpy
             import qhr
-            getters = ("openblas_get_num_threads",
-                       "openblas_get_num_threads64_",
-                       "scipy_openblas_get_num_threads",
-                       "scipy_openblas_get_num_threads64_")
-            with open("/proc/self/maps") as maps:
-                paths = {line.split(None, 5)[5].strip() for line in maps
-                         if "openblas" in line}
-            found = {}
-            for path in sorted(paths):
-                lib = ctypes.CDLL(path)
-                for name in getters:
-                    getter = getattr(lib, name, None)
-                    if getter is not None:
-                        getter.argtypes, getter.restype = (), ctypes.c_int
-                        found[path] = getter()
-                        break
-            print(json.dumps(found))
         """)
-        found = json.loads(_run_python(["-c", code], threads=2))
-        if not found:
-            pytest.skip("no OpenBLAS loaded")
+        assert found == dict.fromkeys(found, 1)
+
+    def test_first_scipy_use_pins_its_openblas(self):
+        # pca and density import scipy.linalg and scipy.special, which map
+        # scipy's own OpenBLAS at the environment's two threads
+        found = _blas_threads("""
+            import contextlib, io
+            import qhr.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                for name, model in (("pca", "MM3"), ("density", "M3")):
+                    assert qhr.cli.main([name, "--model", model]) == 0
+        """)
         assert found == dict.fromkeys(found, 1)
 
     def test_output_does_not_depend_on_blas_threads(self, tmp_path):

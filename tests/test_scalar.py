@@ -18,6 +18,13 @@ import qhr
 from qhr import model, moments, scalar
 
 
+def student_t(sp):
+    """(df, scale) of the scaled Student t that a beta = 0 law is:
+    df = 2 lam/gamma + 1 and scale = sqrt(alpha/(2 lam + gamma))."""
+    return (2.0 * sp.lam / sp.gamma + 1.0,
+            math.sqrt(sp.alpha / (2.0 * sp.lam + sp.gamma)))
+
+
 # Exact quantiles of the law at each u, rounded to float: an upper-tail u
 # pins the quantile of the exact upper mass 1 - u of the float u.  Rebuilt
 # in 40-digit mpmath, from integrals of the density in y, by
@@ -316,24 +323,9 @@ class TestPearsonDensity:
                                             + (sp.lam + sp.gamma) * ys) / sig2
             assert np.abs(resid).max() < 1e-9
 
-    def test_student_branch_is_beta_exactly_zero(self, sp_m2, sp_m3):
-        # `student` names the law, which the angle rule evaluates as any
-        # other
-        assert scalar.PearsonIV(sp_m2).student
-        assert not scalar.PearsonIV(sp_m3).student
-        tiny = scalar.ScalarParams(lam=sp_m2.lam, alpha=sp_m2.alpha,
-                                   beta=1e-16, gamma=sp_m2.gamma)
-        assert not scalar.PearsonIV(tiny).student
-        flat = scalar.ScalarParams(lam=1.0, alpha=0.04, beta=0.0, gamma=0.0)
-        pp = scalar.PearsonIV(flat)
-        assert pp.gaussian and not pp.student
-
     def test_symmetric_case_is_scaled_student_t(self, sp_m2):
         pp = scalar.PearsonIV(sp_m2)
-        df = 2.0 * sp_m2.lam / sp_m2.gamma + 1.0
-        scale = math.sqrt(sp_m2.alpha / (2.0 * sp_m2.lam + sp_m2.gamma))
-        assert pp.student_df == pytest.approx(df, rel=1e-14)
-        assert pp.student_scale == pytest.approx(scale, rel=1e-14)
+        df, scale = student_t(sp_m2)
         ys = np.linspace(-0.5, 0.5, 41)
         ref = stats.t.pdf(ys / scale, df) / scale
         assert np.allclose(pp.pdf(ys), ref, rtol=1e-10)
@@ -434,13 +426,12 @@ class TestPearsonDensity:
         for sp in (sp_m2, scalar.ScalarParams(3.0, 0.01, 0.0, 1.2),
                    scalar.ScalarParams(3.0, 0.01, 0.0, 0.3)):
             pp = scalar.PearsonIV(sp)
-            want = pp.student_scale * stats.t.ppf(us, pp.student_df)
-            err = np.abs(pp.ppf(us) - want) / (np.abs(want)
-                                                 + pp.student_scale)
+            df, scale = student_t(sp)
+            want = scale * stats.t.ppf(us, df)
+            err = np.abs(pp.ppf(us) - want) / (np.abs(want) + scale)
             assert err.max() < 1e-14, (sp, err.max())
             for u, q in zip(us[:50], want[:50]):
-                assert abs(pp.ppf(u) - q) < 1e-14 * (abs(q)
-                                                     + pp.student_scale)
+                assert abs(pp.ppf(u) - q) < 1e-14 * (abs(q) + scale)
 
     def test_quantile_ends(self, sp_m2, sp_m3):
         # both branches, beta = 0 included: NaN outside [0, 1], -inf at 0,
@@ -510,10 +501,11 @@ class TestPearsonDensity:
         # tail
         rng = np.random.default_rng(43)
         for name in ("M1", "M2"):
-            pp = scalar.PearsonIV(
-                scalar.ScalarParams.from_model_params(models[name]))
-            ys = rng.normal(scale=4.0 * pp.student_scale, size=500)
-            want = stats.t.cdf(ys, pp.student_df, scale=pp.student_scale)
+            sp = scalar.ScalarParams.from_model_params(models[name])
+            pp = scalar.PearsonIV(sp)
+            df, scale = student_t(sp)
+            ys = rng.normal(scale=4.0 * scale, size=500)
+            want = stats.t.cdf(ys, df, scale=scale)
             err = np.abs(pp.cdf(ys) - want) / np.minimum(want, 1.0 - want)
             assert err.max() < 1e-12, (name, err.max())
 
@@ -576,25 +568,38 @@ def test_ppf_round_trips_on_random_laws(lam, ratio, alpha, skew):
 
 
 def test_import_leaves_heavy_scipy_unloaded():
-    # a fresh interpreter: this process already holds scipy.stats.  No law,
-    # and no density run, loads a heavy scipy submodule.
+    # a fresh interpreter: this process already holds scipy.stats.  Import
+    # and the commands that need no scipy function load no scipy module;
+    # pca loads scipy.linalg alone, density scipy.special (whose
+    # roots_jacobi imports scipy.linalg), and no law or command loads a
+    # heavy scipy submodule.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import qhr, qhr.cli
-        heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
-                 "scipy.optimize")
-        loaded = [[m for m in heavy if m in sys.modules]]
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+        steps, codes = [loaded()], []
+        for argv in (["validate", "--model", "MM3"],
+                     ["diagnostics", "--model", "M3", "MM3"],
+                     ["curves", "--model", "MM3", "--y0=0.08,0.03"],
+                     ["simulate", "--model", "MM1", "--paths", "200",
+                      "--steps-per-year", "20", "--grid", "0.1"],
+                     ["simulate", "--model", "M3", "--paths", "200",
+                      "--steps-per-year", "20", "--y0", "stationary"],
+                     ["pca", "--model", "MM3"],
+                     ["density", "--model", "M1"],
+                     ["density", "--model", "M3"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(qhr.cli.main(argv))
+            steps.append(loaded())
         from qhr import scalar
         gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
         laws = [scalar.PearsonIV(scalar.ScalarParams.from_model_params(
             qhr.load_fixture(name))) for name in ("M2", "M3", "M4")]
         values = [gauss.ppf(0.3)] + [v for pp in laws for v in (
             pp.ppf(0.3), pp.cdf(0.1), float(pp.sample(1000, 7).sum()))]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [qhr.cli.main(["density", "--model", name])
-                     for name in ("M1", "M3")]
-        loaded.append([m for m in heavy if m in sys.modules])
-        print(json.dumps([loaded, codes, values]))
+        steps.append(loaded())
+        print(json.dumps([steps, codes, values]))
     """)
     src = os.path.dirname(os.path.dirname(qhr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -602,8 +607,16 @@ def test_import_leaves_heavy_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, codes, values = json.loads(proc.stdout)
-    assert loaded == [[], []] and codes == [0, 0]
+    steps, codes, values = json.loads(proc.stdout)
+    assert codes == [0] * 8
+    assert steps[:6] == [[]] * 6  # import, validate .. simulate
+    named = [[m for m in step if m in ("scipy.linalg", "scipy.special")]
+             for step in steps[6:]]
+    assert named == [["scipy.linalg"]] + [["scipy.linalg",
+                                           "scipy.special"]] * 3
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.interpolate",
+             "scipy.optimize")
+    assert not set(heavy) & set(steps[-1])
     gauss = scalar.PearsonIV(scalar.ScalarParams(3.0, 0.018, 0.0, 0.0))
     laws = [scalar.PearsonIV(scalar.ScalarParams.from_model_params(
         qhr.load_fixture(name))) for name in ("M2", "M3", "M4")]
